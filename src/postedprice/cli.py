@@ -91,6 +91,14 @@ def _perturbed(discount: DiscountSequence, eps: float | None,
     return DiscountSequence(w / w[0])
 
 
+def _read_json(path: str, what: str):
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except ValueError as exc:
+            raise InvalidParameterError(f"{what}: not valid JSON ({exc})") from None
+
+
 def _optimizer_opts(args) -> dict:
     opts = {}
     for key in ("starts", "max_iter", "tol", "seed"):
@@ -150,6 +158,16 @@ def _sweep_grid(args) -> np.ndarray:
     return grid
 
 
+def _tau_list(text) -> list[int]:
+    try:
+        taus = sorted(int(t) for t in str(text).split(","))
+    except ValueError:  # an entry that is not an integer, or an empty one
+        taus = []
+    if not taus or any(t < 1 for t in taus):
+        raise UsageError("--tau-list must name positive integers")
+    return taus
+
+
 def cmd_sweep(args) -> int:
     dist = _usage(parse_distribution, args.dist)
     fixed_value = _usage(_rate, args.fixed_value, "--fixed-value")
@@ -158,66 +176,49 @@ def cmd_sweep(args) -> int:
     opts = _optimizer_opts(args)
     _, h_star = myerson_price(dist)
 
-    if args.tau_list is not None:
-        taus = sorted(int(t) for t in str(args.tau_list).split(","))
-        if not taus or any(t < 1 for t in taus):
-            raise UsageError("--tau-list must name positive integers")
-        price_tau = max(taus)
-        nodes = canonical_nodes(price_tau)
-        header = ([varying] + [_node_header(n) for n in nodes]
-                  + [f"value_tau{t}" for t in taus] + [f"ratio_tau{t}" for t in taus])
-        rows = []
-        for point in grid:
-            gs = fixed_value if args.fix == "gs" else float(point)
-            gb = float(point) if args.fix == "gs" else fixed_value
-            seller = make_geometric_discount(gs)
-            buyer = make_geometric_discount(gb)
-            baseline = seller.total * h_star
-            values = {}
-            prices = None
-            for tau in taus:
-                game = truncate(buyer, seller, tau)
-                buyer_tau = _perturbed(game.buyer, args.perturb, args.seed)
-                res = maximize_L(dist, buyer_tau, game.seller, tau, **opts)
-                values[tau] = res.value
-                if tau == price_tau:
-                    prices = [res.tree.price(n) for n in nodes]
-            rows.append([point] + prices + [values[t] for t in taus]
-                        + [values[t] / baseline for t in taus])
-    else:
-        horizon = int(args.horizon)
-        nodes = canonical_nodes(horizon)
-        header = [varying] + [_node_header(n) for n in nodes] + ["value", "ratio"]
-        rows = []
-        for point in grid:
-            gs = fixed_value if args.fix == "gs" else float(point)
-            gb = float(point) if args.fix == "gs" else fixed_value
-            seller = make_geometric_discount(gs, horizon)
-            buyer = _perturbed(make_geometric_discount(gb, horizon),
-                               args.perturb, args.seed)
-            res = maximize_L(dist, buyer, seller, horizon, **opts)
-            baseline = seller.total * h_star
-            rows.append([point] + [res.tree.price(n) for n in nodes]
-                        + [res.value, res.value / baseline])
+    # the finite game solves one horizon; the infinite game one truncation per tau
+    horizon = None if args.tau_list is not None else int(args.horizon)
+    depths = [horizon] if horizon is not None else _tau_list(args.tau_list)
+    suffixes = [""] if horizon is not None else [f"_tau{t}" for t in depths]
+    nodes = canonical_nodes(depths[-1])
+    header = ([varying] + [_node_header(n) for n in nodes]
+              + [f"value{x}" for x in suffixes] + [f"ratio{x}" for x in suffixes])
+    rows = []
+    for point in grid:
+        gs = fixed_value if args.fix == "gs" else float(point)
+        gb = float(point) if args.fix == "gs" else fixed_value
+        seller = make_geometric_discount(gs, horizon)
+        buyer = make_geometric_discount(gb, horizon)
+        baseline = seller.total * h_star
+        values = []
+        for depth in depths:
+            game_buyer, game_seller = buyer, seller
+            if horizon is None:
+                game = truncate(buyer, seller, depth)
+                game_buyer, game_seller = game.buyer, game.seller
+            res = maximize_L(dist, _perturbed(game_buyer, args.perturb, args.seed),
+                             game_seller, depth, **opts)
+            values.append(res.value)
+        # prices come from the last solve, the deepest one
+        rows.append([point] + [res.tree.price(n) for n in nodes] + values
+                    + [value / baseline for value in values])
 
     _write_text(args.out, _csv(rows, header))
     return 0
 
 
 def cmd_simulate(args) -> int:
-    with open(args.tree) as handle:
-        try:
-            obj = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise InvalidParameterError(f"tree JSON: not valid JSON ({exc})") from None
-    tree = PricingTree.from_json_dict(obj)
+    size = int(args.grid_size)
+    if size < 1:
+        raise UsageError("--grid-size must be at least 1")
+    tree = PricingTree.from_json_dict(_read_json(args.tree, "tree JSON"))
     dist = _usage(parse_distribution, args.dist)
     gs = _usage(_rate, args.gs, "--gs")
     gb = _usage(_rate, args.gb, "--gb")
     buyer = make_geometric_discount(gb, tree.horizon)
     seller = make_geometric_discount(gs, tree.horizon)
     lo, hi = dist.support
-    grid = np.linspace(lo, hi, int(args.grid_size))
+    grid = np.linspace(lo, hi, size)
     curve = strategic_revenue_curve(tree, buyer, seller, grid)
     revenue = expected_strategic_revenue(tree, dist, buyer, seller)
     rows = [[v, s, surplus, rev, qty]
@@ -374,8 +375,7 @@ def _merge_config(args: argparse.Namespace) -> None:
     """Fill unset options from --config JSON, then from hard defaults."""
     config = {}
     if getattr(args, "config", None):
-        with open(args.config) as handle:
-            loaded = json.load(handle)
+        loaded = _read_json(args.config, "config file")
         if not isinstance(loaded, dict):
             raise InvalidParameterError("config file must hold a JSON object")
         config = {str(k).replace("-", "_"): v for k, v in loaded.items()}

@@ -16,10 +16,10 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .core import DiscountSequence, PricingTree
-from .distributions import ValuationDistribution, myerson_price
+from .distributions import Uniform, ValuationDistribution, myerson_price
 from .errors import InvalidParameterError
 from .reduction import (_bilinear_gradient, _bilinear_value, build_system,
-                        v_to_tree)
+                        reduced_T2_functional, v_to_tree)
 
 __all__ = [
     "OptimizationResult",
@@ -34,6 +34,7 @@ __all__ = [
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
+ORDER_TOL = 1e-12  # slack of the patience comparisons between discount sequences
 
 
 class DiscountOrderWarning(UserWarning):
@@ -73,30 +74,40 @@ def discount_rates(discount: DiscountSequence) -> tuple[float, ...]:
     return tuple(w[t + 1] / w[t] if w[t] > 0 else 0.0 for t in range(len(w) - 1))
 
 
+def _over_common_rounds(a: DiscountSequence, b: DiscountSequence):
+    """Both sequences as finite ones over rounds 1..H+1.
+
+    H is the longest finite horizon of the pair, or 1 when both are
+    infinite.  Round H+1 carries the mass an infinite sequence keeps beyond
+    every finite one (a finite one is zero there), so finite and infinite
+    sequences compare by one rule.  Finite sequences of unequal length
+    describe different games and are rejected.
+    """
+    if a.is_finite and b.is_finite and len(a) != len(b):
+        raise InvalidParameterError("discounts must have equal length")
+    H = max((d.horizon for d in (a, b) if d.is_finite), default=1)
+    return tuple(DiscountSequence([d.weight(t) for t in range(1, H + 2)])
+                 for d in (a, b))
+
+
 def rate_order_satisfied(buyer_discount: DiscountSequence,
                          seller_discount: DiscountSequence,
-                         tol: float = 1e-12) -> bool:
+                         tol: float = ORDER_TOL) -> bool:
     """Whether nu(buyer) <= nu(seller) holds at every round.
 
     This is the hypothesis under which searching Delta^k is guaranteed to
     find a globally optimal pricing.  Infinite geometric sequences compare
-    by their rates.
+    by their rates; a finite sequence drops to rate 0 after its last round.
     """
-    if not buyer_discount.is_finite or not seller_discount.is_finite:
-        if buyer_discount.kind == "geometric" and seller_discount.kind == "geometric":
-            if buyer_discount.horizon == seller_discount.horizon is None:
-                return buyer_discount.rate <= seller_discount.rate + tol
-        # a finite sequence viewed inside the infinite game drops to rate 0
-        if buyer_discount.is_finite and not seller_discount.is_finite:
-            nb = discount_rates(buyer_discount) + (0.0,)
-            ns = (seller_discount.rate,) * len(nb)
-            return all(b <= s + tol for b, s in zip(nb, ns))
-        return False
-    nb = discount_rates(buyer_discount)
-    ns = discount_rates(seller_discount)
-    if len(nb) != len(ns):
-        raise InvalidParameterError("discounts must have equal length")
-    return all(b <= s + tol for b, s in zip(nb, ns))
+    buyer, seller = _over_common_rounds(buyer_discount, seller_discount)
+    return all(b <= s + tol
+               for b, s in zip(discount_rates(buyer), discount_rates(seller)))
+
+
+def _pointwise_leq(a: DiscountSequence, b: DiscountSequence) -> bool:
+    """Whether a_t <= b_t at every round (an infinite a outweighs a finite b)."""
+    a, b = _over_common_rounds(a, b)
+    return all(x <= y + ORDER_TOL for x, y in zip(a, b))
 
 
 def _projected_ascent(value_fn, grad_fn, x0: np.ndarray, step0: float,
@@ -167,6 +178,8 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
         starts = max(16, 4 * k)
     if starts < 1:
         raise InvalidParameterError("needs at least one start")
+    if max_iter < 1:
+        raise InvalidParameterError("needs at least one iteration")
     p_star, _ = myerson_price(dist)
     lo, hi = dist.support
     points = [np.full(k, p_star),
@@ -229,10 +242,7 @@ def t2_uniform_qp(gs_rate: float, gb_rate: float) -> tuple[np.ndarray, float]:
     {0 <= v1 <= v2} (interior, v1 = 0, v1 = v2) solves it exactly.  Used as
     a cross-check of the gradient path, not as the default solver.
     """
-    if not 0.0 < gb_rate < gs_rate < 1.0:
-        raise InvalidParameterError("rates must satisfy 0 < gb < gs < 1")
-    M = np.array([[gs_rate, 0.0],
-                  [-(gs_rate - gb_rate), 1.0 + gs_rate - gb_rate]])
+    _, M = reduced_T2_functional(gs_rate, gb_rate, Uniform(0.0, 1.0))
     # L(v) = 1' M v - v' M v  for F(v) = v on [0, 1]
     value = lambda v: float(M.sum(axis=0) @ v - v @ M @ v)
     S = M + M.T

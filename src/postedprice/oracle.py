@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BuyerStrategy, DiscountSequence, PricingTree
+from .core import BuyerStrategy, DiscountSequence, PricingTree, canonical_nodes
 from .distributions import ValuationDistribution
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -77,6 +77,30 @@ def strategy_bits(horizon: int) -> np.ndarray:
     return ((np.arange(m)[:, None] >> shifts[None, :]) & 1).astype(np.int8)
 
 
+def _pricing_nodes(bits: np.ndarray) -> np.ndarray:
+    """Node that prices round t of each strategy row of a (m, T) bit matrix.
+
+    Entry (i, t) is 2^t - 1 + int(a_1..a_{t-1}, 2): the position of node
+    a_1..a_{t-1} in `canonical_nodes`, which lists nodes by depth, then value.
+    """
+    T = bits.shape[1]
+    shift = np.arange(T)[None, :] - np.arange(T)[:, None] - 1  # (s, t) -> t-1-s
+    prefix = np.where(shift >= 0, 1 << np.maximum(shift, 0), 0)
+    return (1 << np.arange(T)) - 1 + bits @ prefix
+
+
+def _payment_matrix(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """K with K @ prices = discounted payments, one row per strategy in `bits`.
+
+    Columns are the nodes in `canonical_nodes` order; entry (i, j) is
+    weights[t] * a^i_t when node j prices round t on a^i's path, else 0.
+    """
+    m, T = bits.shape
+    K = np.zeros((m, 2 ** T - 1))
+    np.put_along_axis(K, _pricing_nodes(bits), bits * weights, axis=1)
+    return K
+
+
 def _check_game(tree: PricingTree, buyer_discount: DiscountSequence,
                 seller_discount: DiscountSequence) -> None:
     if tree.horizon > MAX_ENUM_HORIZON:
@@ -92,21 +116,11 @@ def strategy_tables(tree: PricingTree, buyer_discount: DiscountSequence,
                     seller_discount: DiscountSequence) -> StrategyTables:
     """Quantities and payments of all strategies against one tree."""
     _check_game(tree, buyer_discount, seller_discount)
-    T = tree.horizon
-    bits = strategy_bits(T)
+    bits = strategy_bits(tree.horizon)
     gb = buyer_discount.as_array()
     gs = seller_discount.as_array()
-    # price offered to strategy i at round t: tree price at node bits[i, :t]
     paid = bits.astype(float)
-    prices = np.empty_like(paid)
-    for t in range(T):
-        level = np.array([tree.price(format(n, f"0{t}b") if t else "")
-                          for n in range(2 ** t)])
-        if t:
-            idx = bits[:, :t] @ (1 << np.arange(t - 1, -1, -1))
-        else:
-            idx = np.zeros(bits.shape[0], dtype=int)
-        prices[:, t] = level[idx]
+    prices = np.fromiter(tree.prices().values(), float)[_pricing_nodes(bits)]
     return StrategyTables(
         bits=bits,
         quantities=paid @ gb,
@@ -285,14 +299,12 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     grid = np.linspace(lo, hi, price_grid_resolution)
 
     # node prices (root, left '0', right '1') for every grid combination
-    p_root, p_left, p_right = (a.ravel() for a in np.meshgrid(grid, grid, grid,
-                                                              indexing="ij"))
-    # strategy rows in binary order: 00, 01, 10, 11
-    r_buyer = np.stack([np.zeros_like(p_root), gb[1] * p_left, gb[0] * p_root,
-                        gb[0] * p_root + gb[1] * p_right], axis=1)
-    r_seller = np.stack([np.zeros_like(p_root), gs[1] * p_left, gs[0] * p_root,
-                         gs[0] * p_root + gs[1] * p_right], axis=1)
-    q = np.array([0.0, gb[1], gb[0], gb[0] + gb[1]])
+    prices = np.stack([a.ravel() for a in np.meshgrid(grid, grid, grid,
+                                                      indexing="ij")], axis=1)
+    bits = strategy_bits(2)
+    r_buyer = prices @ _payment_matrix(bits, gb).T
+    r_seller = prices @ _payment_matrix(bits, gs).T
+    q = bits @ gb
 
     boundaries = np.linspace(lo, hi, 9)
     nodes, weights = _gauss_panels(lo, hi, boundaries, max(2, n_quadrature // 8))
@@ -300,7 +312,7 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
 
     best_value = -np.inf
     best_index = 0
-    n_trees = p_root.size
+    n_trees = prices.shape[0]
     chunk = 4096
     for start in range(0, n_trees, chunk):
         sl = slice(start, min(start + chunk, n_trees))
@@ -313,8 +325,7 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
         if values[j] > best_value:
             best_value = float(values[j])
             best_index = start + j
-    tree = PricingTree(2, {"": p_root[best_index], "0": p_left[best_index],
-                           "1": p_right[best_index]})
+    tree = PricingTree(2, dict(zip(canonical_nodes(2), prices[best_index])))
     # re-score the winner with breakpoint-aligned panels for an accurate value
     value = expected_strategic_revenue(tree, dist, buyer_discount, seller_discount,
                                        n_quadrature)

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscountSequence, PricingTree
+from .core import DiscountSequence, PricingTree, canonical_nodes
 from .distributions import ValuationDistribution
 from .errors import (InfeasiblePointError, InvalidParameterError,
                      RegularityError, ResourceLimitError)
-from .oracle import strategy_bits
+from .oracle import _payment_matrix, strategy_bits
 
 __all__ = [
     "StrategyOrder",
@@ -65,29 +65,32 @@ class RegularityReport:
 
 
 def _finite_weights(discount: DiscountSequence, horizon: int | None) -> np.ndarray:
-    if horizon is None:
-        w = discount.as_array()
-    else:
-        if not discount.is_finite or len(discount) != horizon:
-            raise InvalidParameterError(f"discount must be finite with length {horizon}")
-        w = discount.as_array()
-    return w
+    if horizon is not None and (not discount.is_finite or len(discount) != horizon):
+        raise InvalidParameterError(f"discount must be finite with length {horizon}")
+    return discount.as_array()
+
+
+def _sorted_strategies(buyer_discount: DiscountSequence, horizon: int | None,
+                       tol: float) -> tuple[np.ndarray, np.ndarray, RegularityReport]:
+    """Strategy bits and quantities in ascending quantity order, and their regularity."""
+    w = _finite_weights(buyer_discount, horizon)
+    bits = strategy_bits(len(w))
+    quantities = bits.astype(float) @ w
+    idx = np.argsort(quantities, kind="stable")
+    bits, quantities = bits[idx], quantities[idx]
+    gaps = np.diff(quantities)
+    j = int(np.argmin(gaps)) if gaps.size else 0
+    if gaps.size and gaps[j] <= tol:
+        to_string = lambda row: "".join(str(int(b)) for b in row)
+        pair = (to_string(bits[j]), to_string(bits[j + 1]))
+        return bits, quantities, RegularityReport(False, pair=pair, gap=float(gaps[j]))
+    return bits, quantities, RegularityReport(True)
 
 
 def check_regularity(buyer_discount: DiscountSequence, horizon: int | None = None,
                      tol: float = QUANTITY_COLLISION_TOL) -> RegularityReport:
     """Report whether every strategy yields a distinct discounted quantity."""
-    w = _finite_weights(buyer_discount, horizon)
-    bits = strategy_bits(len(w))
-    quantities = bits.astype(float) @ w
-    idx = np.argsort(quantities, kind="stable")
-    gaps = np.diff(quantities[idx])
-    j = int(np.argmin(gaps)) if gaps.size else 0
-    if gaps.size and gaps[j] <= tol:
-        to_string = lambda row: "".join(str(int(b)) for b in row)
-        pair = (to_string(bits[idx[j]]), to_string(bits[idx[j + 1]]))
-        return RegularityReport(False, pair=pair, gap=float(gaps[j]))
-    return RegularityReport(True)
+    return _sorted_strategies(buyer_discount, horizon, tol)[2]
 
 
 @dataclass(frozen=True)
@@ -114,37 +117,14 @@ class StrategyOrder:
 def order_strategies(buyer_discount: DiscountSequence,
                      horizon: int | None = None) -> StrategyOrder:
     """Sort strategies by buyer-discounted quantity; requires regularity."""
-    w = _finite_weights(buyer_discount, horizon)
-    report = check_regularity(buyer_discount, horizon)
+    bits, quantities, report = _sorted_strategies(buyer_discount, horizon,
+                                                  QUANTITY_COLLISION_TOL)
     if not report.ok:
         raise RegularityError(
             f"buyer discount is not regular: strategies {report.pair[0]} and "
             f"{report.pair[1]} share the discounted quantity (gap {report.gap:.3g})",
             pair=report.pair)
-    bits = strategy_bits(len(w))
-    quantities = bits.astype(float) @ w
-    idx = np.argsort(quantities, kind="stable")
-    return StrategyOrder(horizon=len(w), bits=bits[idx], quantities=quantities[idx])
-
-
-def _payment_matrix(order: StrategyOrder, nodes: tuple[str, ...],
-                    weights: np.ndarray) -> np.ndarray:
-    """K matrix: entry (i, j) is the weighted acceptance of node j on path a^i.
-
-    Rows run over the ordered strategies a^1..a^k; entry (i, j) equals
-    weights[t-1] * a^i_t when node n_j lies on a^i's path at round t (and the
-    buyer accepts there), else 0.  K @ prices gives per-strategy payments.
-    """
-    k = len(nodes)
-    bits = order.bits[1:]  # drop a^0 = all-reject, whose payment is zero
-    K = np.zeros((k, k))
-    for j, node in enumerate(nodes):
-        t = len(node)  # 0-based round index of this node
-        node_bits = np.array([int(c) for c in node], dtype=np.int8)
-        on_path = np.all(bits[:, :t] == node_bits[None, :], axis=1) if t else \
-            np.ones(k, dtype=bool)
-        K[:, j] = np.where(on_path, bits[:, t] * weights[t], 0.0)
-    return K
+    return StrategyOrder(horizon=bits.shape[1], bits=bits, quantities=quantities)
 
 
 class ReductionSystem:
@@ -236,8 +216,11 @@ def build_system(buyer_discount: DiscountSequence,
     J_inv = np.tril(np.ones((k, k)))
     gaps = np.diff(order.quantities)          # q_j - q_{j-1} > 0 by regularity
     z_diag = 1.0 / gaps
-    K_bb = _payment_matrix(order, nodes, gb)
-    K_bs = _payment_matrix(order, nodes, gs)
+    # K rows drop a^0 = all-reject, whose payment is zero; columns follow `nodes`
+    canonical = {node: j for j, node in enumerate(canonical_nodes(T))}
+    columns = [canonical[node] for node in nodes]
+    K_bb = _payment_matrix(order.bits[1:], gb)[:, columns]
+    K_bs = _payment_matrix(order.bits[1:], gs)[:, columns]
 
     W = z_diag[:, None] * (J @ K_bb)
     W_inv = np.linalg.inv(W)
@@ -290,20 +273,6 @@ def v_to_tree(system: ReductionSystem, v, *, order_tol: float = 1e-9,
     return PricingTree(system.horizon, dict(zip(system.node_order, prices)))
 
 
-def L_value(system: ReductionSystem, dist: ValuationDistribution, v) -> float:
-    """The revenue form (1 - F(v))' Xi v (expected strategic revenue on Delta^k)."""
-    v = np.asarray(v, dtype=float)
-    tail = 1.0 - np.asarray(dist.cdf(v))
-    return float(tail @ (system.Xi @ v))
-
-
-def L_gradient(system: ReductionSystem, dist: ValuationDistribution, v) -> np.ndarray:
-    """Gradient of L: Xi' (1 - F(v)) - diag(f(v)) Xi v."""
-    v = np.asarray(v, dtype=float)
-    tail = 1.0 - np.asarray(dist.cdf(v))
-    return system.Xi.T @ tail - np.asarray(dist.pdf(v)) * (system.Xi @ v)
-
-
 def _bilinear_value(matrix: np.ndarray, dist: ValuationDistribution,
                     v: np.ndarray) -> float:
     tail = 1.0 - np.asarray(dist.cdf(v))
@@ -314,6 +283,16 @@ def _bilinear_gradient(matrix: np.ndarray, dist: ValuationDistribution,
                        v: np.ndarray) -> np.ndarray:
     tail = 1.0 - np.asarray(dist.cdf(v))
     return matrix.T @ tail - np.asarray(dist.pdf(v)) * (matrix @ v)
+
+
+def L_value(system: ReductionSystem, dist: ValuationDistribution, v) -> float:
+    """The revenue form (1 - F(v))' Xi v (expected strategic revenue on Delta^k)."""
+    return _bilinear_value(system.Xi, dist, np.asarray(v, dtype=float))
+
+
+def L_gradient(system: ReductionSystem, dist: ValuationDistribution, v) -> np.ndarray:
+    """Gradient of L: Xi' (1 - F(v)) - diag(f(v)) Xi v."""
+    return _bilinear_gradient(system.Xi, dist, np.asarray(v, dtype=float))
 
 
 def reduced_T2_functional(gs_rate: float, gb_rate: float,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from .core import DiscountSequence, PricingTree, canonical_nodes
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError
-from .optimizer import OptimizationResult, maximize_L
+from .optimizer import OptimizationResult, _pointwise_leq, maximize_L
 
 __all__ = [
     "TruncatedGame",
@@ -71,22 +71,6 @@ def truncate(buyer_discount: DiscountSequence, seller_discount: DiscountSequence
         seller=_aggregate_tail(seller_discount, tau),
         seller_tail=seller_discount.tail_sum(tau + 1),
     )
-
-
-def _pointwise_leq(a: DiscountSequence, b: DiscountSequence) -> bool:
-    """Whether a_t <= b_t at every round."""
-    if a.kind == "geometric" and b.kind == "geometric" and \
-            a.horizon is None and b.horizon is None:
-        return a.rate <= b.rate
-    horizons = [d.horizon for d in (a, b) if d.is_finite]
-    upto = max(horizons) if horizons else None
-    if upto is None:
-        return a.rate <= b.rate
-    if not all(a.weight(t) <= b.weight(t) + 1e-12 for t in range(1, upto + 1)):
-        return False
-    if not a.is_finite:  # a has mass beyond b's horizon
-        return False
-    return True
 
 
 def _materialization_depth(depth, *discounts) -> int:

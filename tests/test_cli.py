@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from postedprice import PricingTree
 from postedprice.cli import main
 
 
@@ -302,3 +303,27 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
                        "--gb", "0.8", "--horizon", "2", "--starts", "4")
     assert code == 0
     assert json.loads(out)["value"] > 0
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
+      "--tau-list", "2,x"], 2),
+    (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
+      "--tau-list", ","], 2),
+    (["myerson", "--config", "CONFIG"], 3),
+    (["simulate", "--tree", "TREE", "--dist", "uniform:0,1", "--gs", "0.5",
+      "--gb", "0.5", "--grid-size", "-1"], 2),
+    (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2",
+      "--horizon", "2", "--max-iter", "0"], 3),
+], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
+        "max-iter-zero"])
+def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
+    config = tmp_path / "config.json"
+    config.write_text("{not json")
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps(PricingTree.constant(2, 0.5).to_json_dict()))
+    paths = {"CONFIG": str(config), "TREE": str(tree)}
+    got, out, err = run(capsys, *[paths.get(a, a) for a in argv])
+    assert got == code
+    assert out == ""
+    assert err.startswith("usage error: " if code == 2 else "error: ")

@@ -62,6 +62,24 @@ def test_rate_order():
     # an aggregated tail can only raise the final seller rate
     assert rate_order_satisfied(DiscountSequence([1.0, 0.2, 0.05]),
                                 DiscountSequence([1.0, 0.8, 3.2]))
+    # mixed pairs: a finite sequence drops to rate 0 after its last round
+    g = make_geometric_discount
+    assert rate_order_satisfied(g(0.2, 3), g(0.5))
+    assert not rate_order_satisfied(g(0.5, 3), g(0.4))
+    assert not rate_order_satisfied(g(0.2), g(0.9, 3))
+    with pytest.raises(InvalidParameterError):
+        rate_order_satisfied(g(0.2, 2), g(0.8, 3))
+
+
+def test_pointwise_order_follows_the_rate_order_rounds():
+    from postedprice.optimizer import _pointwise_leq
+    g = make_geometric_discount
+    assert _pointwise_leq(g(0.9, 3), g(0.95))
+    assert not _pointwise_leq(g(0.95), g(0.9, 3))  # mass beyond the finite horizon
+    assert _pointwise_leq(g(0.2), g(0.8))
+    assert not _pointwise_leq(g(0.8), g(0.2))
+    with pytest.raises(InvalidParameterError):
+        _pointwise_leq(g(0.2, 2), g(0.8, 3))
 
 
 # ---------------------------------------------------------------------------
