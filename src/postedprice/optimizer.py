@@ -170,8 +170,9 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
 
     Start points: the constant vector at the one-shot optimal price, the
     distribution's quantiles, seeded random sorted draws, and any caller
-    extras.  Among runs tying for the best value (within 1e-10) the
-    lexicographically smallest point is reported, so results are stable.
+    extras.  Among runs tying for the best value (within 1e-10) a certified
+    run is preferred, then the lexicographically smallest point, so results
+    are stable and `converged` holds whenever a tied run certified.
     """
     k = matrix.shape[0]
     if starts is None:
@@ -203,7 +204,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
         runs.append((f, x, ok, kkt))
     best_f = max(r[0] for r in runs)
     tied = [r for r in runs if r[0] >= best_f - 1e-10]
-    tied.sort(key=lambda r: tuple(r[1]))
+    tied.sort(key=lambda r: (not r[2], tuple(r[1])))
     f, x, ok, kkt = tied[0]
     return x, f, total_iters, ok, kkt
 

@@ -124,6 +124,17 @@ def test_result_value_is_L_at_v_star():
     assert result.v_star[0] >= 0 and np.all(np.diff(result.v_star) >= 0)
 
 
+def test_converged_when_a_tied_run_certified():
+    # at T=5 most starts certify, but the lexicographically smallest of the
+    # tied best points belongs to a run that stopped short of the tolerance
+    u = Uniform(0, 1)
+    gb = make_geometric_discount(0.3, 5)
+    gs = make_geometric_discount(0.8, 5)
+    result = maximize_L(u, gb, gs)
+    assert result.converged
+    assert result.kkt_residual <= 1e-9
+
+
 def test_deterministic_given_seed():
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.35, 2)
