@@ -5,7 +5,7 @@ from postedprice import (DiscountOrderWarning, DiscountSequence,
                          InvalidParameterError, Uniform, discount_rates,
                          make_geometric_discount, maximize_L, project_to_delta,
                          rate_order_satisfied, t2_uniform_qp)
-from postedprice.optimizer import maximize_bilinear
+from postedprice.optimizer import _pointwise_leq, maximize_bilinear
 from postedprice.reduction import reduced_T2_functional
 
 
@@ -67,19 +67,13 @@ def test_rate_order():
     assert rate_order_satisfied(g(0.2, 3), g(0.5))
     assert not rate_order_satisfied(g(0.5, 3), g(0.4))
     assert not rate_order_satisfied(g(0.2), g(0.9, 3))
-    with pytest.raises(InvalidParameterError):
-        rate_order_satisfied(g(0.2, 2), g(0.8, 3))
-
-
-def test_pointwise_order_follows_the_rate_order_rounds():
-    from postedprice.optimizer import _pointwise_leq
-    g = make_geometric_discount
+    # the pointwise (patience) order reads the same rounds
     assert _pointwise_leq(g(0.9, 3), g(0.95))
     assert not _pointwise_leq(g(0.95), g(0.9, 3))  # mass beyond the finite horizon
-    assert _pointwise_leq(g(0.2), g(0.8))
-    assert not _pointwise_leq(g(0.8), g(0.2))
-    with pytest.raises(InvalidParameterError):
-        _pointwise_leq(g(0.2, 2), g(0.8, 3))
+    assert _pointwise_leq(g(0.2), g(0.8)) and not _pointwise_leq(g(0.8), g(0.2))
+    for predicate in (rate_order_satisfied, _pointwise_leq):
+        with pytest.raises(InvalidParameterError):
+            predicate(g(0.2, 2), g(0.8, 3))
 
 
 # ---------------------------------------------------------------------------
