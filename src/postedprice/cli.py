@@ -34,15 +34,14 @@ _DOMAIN_ERRORS = (InvalidParameterError, RegularityError, ResourceLimitError,
 
 
 class UsageError(Exception):
-    """A flag value failed validation before any computation started."""
+    """A flag or config entry failed validation before any computation started."""
 
 
-def _usage(fn, *args, **kwargs):
-    """Run an input-validation step, converting failures to usage errors."""
-    try:
-        return fn(*args, **kwargs)
-    except InvalidParameterError as exc:
-        raise UsageError(str(exc)) from None
+class _Parser(argparse.ArgumentParser):
+    """Reports every parse failure as a `UsageError` instead of exiting."""
+
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _fmt(x: float) -> str:
@@ -62,8 +61,7 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _emit_json(args, payload: dict) -> None:
-    _write_text(getattr(args, "out", None),
-                json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write_text(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _csv(rows, header) -> str:
@@ -74,11 +72,31 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _rate(value: float, name: str) -> float:
-    value = float(value)
-    if not 0.0 < value < 1.0:
-        raise InvalidParameterError(f"{name} must lie in (0, 1), got {value:g}")
-    return value
+def _checked(convert, ok, what: str):
+    """An argparse type: `convert` the flag text, then require `ok` of the value."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return parse
+
+
+_rate = _checked(float, lambda x: 0.0 < x < 1.0, "a rate in (0, 1)")
+_natural = _checked(int, lambda n: n >= 0, "a non-negative integer")
+_positive = _checked(int, lambda n: n >= 1, "a positive integer")
+_tau_list = _checked(lambda text: sorted(int(t) for t in text.split(",")),
+                     lambda taus: taus[0] >= 1, "comma-separated positive integers")
+
+
+def _dist(text: str):
+    try:
+        return parse_distribution(text)
+    except InvalidParameterError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _perturbed(discount: DiscountSequence, eps: float | None,
@@ -100,12 +118,8 @@ def _read_json(path: str, what: str):
 
 
 def _optimizer_opts(args) -> dict:
-    opts = {}
-    for key in ("starts", "max_iter", "tol", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            opts[key] = value
-    return opts
+    return {key: getattr(args, key) for key in ("starts", "max_iter", "tol", "seed")
+            if getattr(args, key) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -113,72 +127,64 @@ def _optimizer_opts(args) -> dict:
 
 
 def cmd_myerson(args) -> int:
-    dist = _usage(parse_distribution, args.dist)
-    p_star, h_star = myerson_price(dist)
-    _emit_json(args, {"dist": dist.spec_string(), "p_star": p_star, "h_star": h_star})
+    p_star, h_star = myerson_price(args.dist)
+    _emit_json(args, {"dist": args.dist.spec_string(), "p_star": p_star,
+                      "h_star": h_star})
     return 0
 
 
 def cmd_optimize(args) -> int:
-    dist = _usage(parse_distribution, args.dist)
-    gs = _usage(_rate, args.gs, "--gs")
-    gb = _usage(_rate, args.gb, "--gb")
-    horizon = int(args.horizon)
-    buyer = _perturbed(make_geometric_discount(gb, horizon), args.perturb, args.seed)
-    seller = make_geometric_discount(gs, horizon)
-    result = maximize_L(dist, buyer, seller, horizon, **_optimizer_opts(args))
-    _, h_star = myerson_price(dist)
+    """One game: the finite one (--horizon) or the tau-step infinite one (--tau)."""
+    opts = _optimizer_opts(args)
+    if args.tau is None:
+        seller = make_geometric_discount(args.gs, args.horizon)
+        buyer = _perturbed(make_geometric_discount(args.gb, args.horizon),
+                           args.perturb, args.seed)
+        result = maximize_L(args.dist, buyer, seller, args.horizon, **opts)
+        mode = {"horizon": args.horizon, "v_star": [float(x) for x in result.v_star],
+                "iterations": result.iterations, "starts": result.starts}
+    else:
+        seller = make_geometric_discount(args.gs)
+        tau_result = tau_step_optimal(args.dist, make_geometric_discount(args.gb),
+                                      seller, args.tau, **opts)
+        result = tau_result.optimization
+        mode = {"tau": args.tau, "opt_lower": tau_result.opt_lower,
+                "opt_upper": tau_result.opt_upper}
+    _, h_star = myerson_price(args.dist)
     baseline = seller.total * h_star
     _emit_json(args, {
-        "dist": dist.spec_string(),
-        "gs": gs,
-        "gb": gb,
-        "horizon": horizon,
-        "v_star": [float(x) for x in result.v_star],
+        "dist": args.dist.spec_string(),
+        "gs": args.gs,
+        "gb": args.gb,
         "value": result.value,
         "baseline": baseline,
         "ratio": result.value / baseline,
         "kkt_residual": result.kkt_residual,
-        "iterations": result.iterations,
-        "starts": result.starts,
         "converged": result.converged,
         "seed": args.seed,
         "tree": result.tree.to_json_dict(),
+        **mode,
     })
     return 0
 
 
 def _sweep_grid(args) -> np.ndarray:
-    count = int(args.grid_count)
-    if count < 0:
-        raise UsageError("--grid-count must be non-negative")
-    grid = args.grid_start + args.grid_step * np.arange(count)
-    if count and (grid.min() <= 0.0 or grid.max() >= 1.0):
-        raise UsageError("all grid points must lie in (0, 1)")
+    grid = args.grid_start + args.grid_step * np.arange(args.grid_count)
+    if not np.all((grid > 0.0) & (grid < 1.0)):  # NaN fails too
+        raise UsageError("every point of --grid-start + i * --grid-step, "
+                         "i < --grid-count, must lie in (0, 1)")
     return grid
 
 
-def _tau_list(text) -> list[int]:
-    try:
-        taus = sorted(int(t) for t in str(text).split(","))
-    except ValueError:  # an entry that is not an integer, or an empty one
-        taus = []
-    if not taus or any(t < 1 for t in taus):
-        raise UsageError("--tau-list must name positive integers")
-    return taus
-
-
 def cmd_sweep(args) -> int:
-    dist = _usage(parse_distribution, args.dist)
-    fixed_value = _usage(_rate, args.fixed_value, "--fixed-value")
+    dist, fixed_value, horizon = args.dist, args.fixed_value, args.horizon
     varying = "gb" if args.fix == "gs" else "gs"
     grid = _sweep_grid(args)
     opts = _optimizer_opts(args)
     _, h_star = myerson_price(dist)
 
     # the finite game solves one horizon; the infinite game one truncation per tau
-    horizon = None if args.tau_list is not None else int(args.horizon)
-    depths = [horizon] if horizon is not None else _tau_list(args.tau_list)
+    depths = [horizon] if horizon is not None else args.tau_list
     suffixes = [""] if horizon is not None else [f"_tau{t}" for t in depths]
     nodes = canonical_nodes(depths[-1])
     header = ([varying] + [_node_header(n) for n in nodes]
@@ -208,19 +214,13 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    size = int(args.grid_size)
-    if size < 1:
-        raise UsageError("--grid-size must be at least 1")
     tree = PricingTree.from_json_dict(_read_json(args.tree, "tree JSON"))
-    dist = _usage(parse_distribution, args.dist)
-    gs = _usage(_rate, args.gs, "--gs")
-    gb = _usage(_rate, args.gb, "--gb")
-    buyer = make_geometric_discount(gb, tree.horizon)
-    seller = make_geometric_discount(gs, tree.horizon)
-    lo, hi = dist.support
-    grid = np.linspace(lo, hi, size)
+    buyer = make_geometric_discount(args.gb, tree.horizon)
+    seller = make_geometric_discount(args.gs, tree.horizon)
+    lo, hi = args.dist.support
+    grid = np.linspace(lo, hi, args.grid_size)
     curve = strategic_revenue_curve(tree, buyer, seller, grid)
-    revenue = expected_strategic_revenue(tree, dist, buyer, seller)
+    revenue = expected_strategic_revenue(tree, args.dist, buyer, seller)
     rows = [[v, s, surplus, rev, qty]
             for (v, surplus, rev, qty), s in zip(curve, curve.strategies)]
     _write_text(args.out, _csv(rows, ["v", "strategy", "S", "R", "Q"]))
@@ -229,15 +229,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bigdeal(args) -> int:
-    dist = _usage(parse_distribution, args.dist)
-    gs = _usage(_rate, args.gs, "--gs")
-    gb = _usage(_rate, args.gb, "--gb")
-    tree, revenue = big_deal(dist, make_geometric_discount(gb),
-                             make_geometric_discount(gs), tau=args.tau)
+    tree, revenue = big_deal(args.dist, make_geometric_discount(args.gb),
+                             make_geometric_discount(args.gs), tau=args.tau)
     _emit_json(args, {
-        "dist": dist.spec_string(),
-        "gs": gs,
-        "gb": gb,
+        "dist": args.dist.spec_string(),
+        "gs": args.gs,
+        "gb": args.gb,
         "tau": tree.horizon,
         "first_price": tree.price(""),
         "penalty_price": tree.price("0"),
@@ -248,10 +245,8 @@ def cmd_bigdeal(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    gs = _usage(_rate, args.gs, "--gs")
-    gb = _usage(_rate, args.gb, "--gb")
-    game = truncate(make_geometric_discount(gb), make_geometric_discount(gs),
-                    int(args.tau))
+    game = truncate(make_geometric_discount(args.gb),
+                    make_geometric_discount(args.gs), args.tau)
     _emit_json(args, {
         "tau": game.tau,
         "buyer_weights": list(game.buyer.weights),
@@ -261,170 +256,116 @@ def cmd_truncate(args) -> int:
     return 0
 
 
-def cmd_tau_optimize(args) -> int:
-    """The optimize command in infinite-game (tau-step) mode."""
-    dist = _usage(parse_distribution, args.dist)
-    gs = _usage(_rate, args.gs, "--gs")
-    gb = _usage(_rate, args.gb, "--gb")
-    tau = int(args.tau)
-    result = tau_step_optimal(dist, make_geometric_discount(gb),
-                              make_geometric_discount(gs), tau,
-                              **_optimizer_opts(args))
-    _, h_star = myerson_price(dist)
-    baseline = make_geometric_discount(gs).total * h_star
-    _emit_json(args, {
-        "dist": dist.spec_string(),
-        "gs": gs,
-        "gb": gb,
-        "tau": tau,
-        "value": result.value,
-        "opt_lower": result.opt_lower,
-        "opt_upper": result.opt_upper,
-        "baseline": baseline,
-        "ratio": result.value / baseline,
-        "kkt_residual": result.optimization.kkt_residual,
-        "converged": result.optimization.converged,
-        "seed": args.seed,
-        "tree": result.tree.to_json_dict(),
-    })
-    return 0
-
-
 # ---------------------------------------------------------------------------
 # Parser assembly
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "perturb": None,
-    "grid_start": 0.01,
-    "grid_step": 0.005,
-    "grid_count": 149,
-    "grid_size": 201,
+_FLAGS = {
+    "dist": dict(type=_dist, help="distribution spec: uniform:LO,HI | beta:A,B | "
+                                  "texp:RATE,BOUND"),
+    "gs": dict(type=_rate, help="seller geometric discount rate in (0,1)"),
+    "gb": dict(type=_rate, help="buyer geometric discount rate in (0,1)"),
+    "horizon": dict(type=int, help="number of rounds T of the finite game"),
+    "tau": dict(type=int, help="truncation depth for the infinite game"),
+    "tau_list": dict(type=_tau_list,
+                     help="comma-separated taus: sweep the infinite game instead"),
+    "seed": dict(type=_natural, default=0, help="RNG seed for optimizer starts"),
+    "starts": dict(type=int, help="number of optimizer starts"),
+    "max_iter": dict(type=int, help="optimizer iteration cap"),
+    "tol": dict(type=float, help="optimizer projected-gradient tolerance"),
+    "out": dict(help="output path (default: stdout)"),
+    "config": dict(help="JSON object of flag values; explicit flags win"),
+    "perturb": dict(type=float, nargs="?", const=1e-9,
+                    help="jitter buyer weights by this relative size to "
+                         "restore regularity (default 1e-9 when bare)"),
 }
 
 
-def _add_common(parser: argparse.ArgumentParser, *names) -> None:
-    opts = {
-        "dist": dict(help="distribution spec: uniform:LO,HI | beta:A,B | texp:RATE,BOUND"),
-        "gs": dict(type=float, help="seller geometric discount rate in (0,1)"),
-        "gb": dict(type=float, help="buyer geometric discount rate in (0,1)"),
-        "horizon": dict(type=int, help="number of rounds T of the finite game"),
-        "tau": dict(type=int, help="truncation depth for the infinite game"),
-        "seed": dict(type=int, help="RNG seed for optimizer starts"),
-        "starts": dict(type=int, help="number of optimizer starts"),
-        "max_iter": dict(type=int, help="optimizer iteration cap"),
-        "tol": dict(type=float, help="optimizer projected-gradient tolerance"),
-        "out": dict(help="output path (default: stdout)"),
-        "config": dict(help="JSON file of defaults; explicit flags win"),
-        "perturb": dict(type=float, nargs="?", const=1e-9,
-                        help="jitter buyer weights by this relative size to "
-                             "restore regularity (default 1e-9 when bare)"),
-    }
+def _add(parser, *names, required: bool = False) -> None:
     for name in names:
-        flag = "--" + name.replace("_", "-")
-        parser.add_argument(flag, default=None, **opts[name])
+        parser.add_argument("--" + name.replace("_", "-"), required=required,
+                            **_FLAGS[name])
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="postedprice",
-        description="Revenue-optimal pricing for repeated posted-price auctions")
-    sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("myerson", help="one-shot optimal price and revenue")
-    _add_common(p, "dist", "out", "config")
-    p.set_defaults(func=cmd_myerson, required_args=("dist",))
-
-    p = sub.add_parser("optimize", help="optimal pricing tree for one game")
-    _add_common(p, "dist", "gs", "gb", "horizon", "tau", "seed", "starts",
-                "max_iter", "tol", "out", "config", "perturb")
-    p.set_defaults(func=None, required_args=("dist", "gs", "gb"))
-
-    p = sub.add_parser("sweep", help="optimal pricings over a grid of rates, as CSV")
-    _add_common(p, "dist", "horizon", "seed", "starts", "max_iter", "tol",
-                "out", "config", "perturb")
-    p.add_argument("--fix", choices=("gs", "gb"), default=None,
-                   help="which rate stays fixed while the other sweeps")
-    p.add_argument("--fixed-value", type=float, default=None)
-    p.add_argument("--grid-start", type=float, default=None)
-    p.add_argument("--grid-step", type=float, default=None)
-    p.add_argument("--grid-count", type=int, default=None)
-    p.add_argument("--tau-list", default=None,
-                   help="comma-separated taus: sweep the infinite game instead")
-    p.set_defaults(func=cmd_sweep, required_args=("dist", "fix", "fixed_value"))
-
-    p = sub.add_parser("simulate", help="best responses of a tree from JSON, as CSV")
-    _add_common(p, "dist", "gs", "gb", "out", "config")
-    p.add_argument("--tree", default=None, help="path of the tree JSON file")
-    p.add_argument("--grid-size", type=int, default=None)
-    p.set_defaults(func=cmd_simulate, required_args=("tree", "dist", "gs", "gb"))
-
-    p = sub.add_parser("bigdeal", help="pay-up-front pricing and its revenue")
-    _add_common(p, "dist", "gs", "gb", "tau", "out", "config")
-    p.set_defaults(func=cmd_bigdeal, required_args=("dist", "gs", "gb", "tau"))
-
-    p = sub.add_parser("truncate", help="tail-aggregated finite discounts")
-    _add_common(p, "gs", "gb", "tau", "out", "config")
-    p.set_defaults(func=cmd_truncate, required_args=("gs", "gb", "tau"))
-
+def _command(sub, name: str, func, help: str, *required):
+    """Subcommand `name` with the shared flags `required`, --out and --config."""
+    parser = sub.add_parser(name, help=help)
+    _add(parser, *required, required=True)
+    _add(parser, "out", "config")
+    parser.set_defaults(func=func)
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    """Fill unset options from --config JSON, then from hard defaults."""
-    config = {}
-    if getattr(args, "config", None):
-        loaded = _read_json(args.config, "config file")
-        if not isinstance(loaded, dict):
-            raise InvalidParameterError("config file must hold a JSON object")
-        config = {str(k).replace("-", "_"): v for k, v in loaded.items()}
-    for key, value in vars(args).copy().items():
-        if value is None:
-            if key in config:
-                setattr(args, key, config[key])
-            elif key in _DEFAULTS:
-                setattr(args, key, _DEFAULTS[key])
+def _add_solver(parser, *depth_flags) -> None:
+    """The game-depth flags (exactly one of them) and the optimizer flags."""
+    _add(parser.add_mutually_exclusive_group(required=True), *depth_flags)
+    _add(parser, "seed", "starts", "max_iter", "tol", "perturb")
 
 
-def _check_required(args: argparse.Namespace, parser: argparse.ArgumentParser) -> bool:
-    missing = [name for name in getattr(args, "required_args", ())
-               if getattr(args, name, None) is None]
-    if missing:
-        flags = ", ".join("--" + m.replace("_", "-") for m in missing)
-        print(f"usage error: missing required option(s): {flags}", file=sys.stderr)
-        return False
-    return True
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
+        prog="postedprice",
+        description="Revenue-optimal pricing for repeated posted-price auctions")
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    _command(sub, "myerson", cmd_myerson, "one-shot optimal price and revenue", "dist")
+
+    p = _command(sub, "optimize", cmd_optimize, "optimal pricing tree for one game",
+                 "dist", "gs", "gb")
+    _add_solver(p, "horizon", "tau")
+
+    p = _command(sub, "sweep", cmd_sweep,
+                 "optimal pricings over a grid of rates, as CSV", "dist")
+    _add_solver(p, "horizon", "tau_list")
+    p.add_argument("--fix", choices=("gs", "gb"), required=True,
+                   help="which rate stays fixed while the other sweeps")
+    p.add_argument("--fixed-value", type=_rate, required=True)
+    p.add_argument("--grid-start", type=float, default=0.01)
+    p.add_argument("--grid-step", type=float, default=0.005)
+    p.add_argument("--grid-count", type=_natural, default=149)
+
+    p = _command(sub, "simulate", cmd_simulate,
+                 "best responses of a tree from JSON, as CSV", "dist", "gs", "gb")
+    p.add_argument("--tree", required=True, help="path of the tree JSON file")
+    p.add_argument("--grid-size", type=_positive, default=201)
+
+    _command(sub, "bigdeal", cmd_bigdeal, "pay-up-front pricing and its revenue",
+             "dist", "gs", "gb", "tau")
+    _command(sub, "truncate", cmd_truncate, "tail-aggregated finite discounts",
+             "gs", "gb", "tau")
+    return parser
+
+
+def _with_config(argv: list[str]) -> list[str]:
+    """argv with the --config file's entries as `--key=value` flags.
+
+    They go right after the subcommand, before the explicit flags, so that
+    an explicit flag wins; a null entry leaves its flag at the default.
+    """
+    pre = _Parser(add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return argv
+    config = _read_json(path, "config file")
+    if not isinstance(config, dict):
+        raise InvalidParameterError("config file must hold a JSON object")
+    flags = []
+    for key, value in config.items():
+        if isinstance(value, (bool, list, dict)):
+            raise UsageError(f"config entry {key!r}: expected a number or a string")
+        if value is not None:
+            flags.append(f"--{key.replace('_', '-')}={value}")
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code else 0
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 2
-    try:
-        _merge_config(args)
-        if not _check_required(args, parser):
-            return 2
-        if args.command == "optimize":
-            # finite-horizon and tau-step modes share the subcommand
-            if getattr(args, "horizon", None) is None and args.tau is not None:
-                return cmd_tau_optimize(args)
-            if getattr(args, "horizon", None) is None:
-                print("usage error: optimize needs --horizon or --tau",
-                      file=sys.stderr)
-                return 2
-            return cmd_optimize(args)
-        if args.command == "sweep":
-            if args.tau_list is None and args.horizon is None:
-                print("usage error: sweep needs --horizon or --tau-list",
-                      file=sys.stderr)
-                return 2
+        args = build_parser().parse_args(_with_config(argv))
         return args.func(args)
+    except SystemExit as exc:  # --help
+        return int(exc.code) if exc.code else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -112,8 +112,8 @@ class Beta(ValuationDistribution):
 
     def __init__(self, alpha: float, beta: float):
         alpha, beta = float(alpha), float(beta)
-        if alpha <= 0 or beta <= 0:
-            raise InvalidParameterError("beta needs alpha > 0 and beta > 0")
+        if not (alpha > 0 and beta > 0 and math.isfinite(alpha + beta)):
+            raise InvalidParameterError("beta needs finite alpha > 0 and beta > 0")
         self.alpha, self.beta = alpha, beta
         self._log_norm = special.betaln(alpha, beta)
 
@@ -166,8 +166,8 @@ class TruncatedExponential(ValuationDistribution):
 
     def __init__(self, rate: float = 1.0, bound: float = 1.0):
         rate, bound = float(rate), float(bound)
-        if rate <= 0 or bound <= 0 or not math.isfinite(bound):
-            raise InvalidParameterError("texp needs rate > 0 and a finite bound > 0")
+        if not (rate > 0 and bound > 0 and math.isfinite(rate + bound)):
+            raise InvalidParameterError("texp needs finite rate > 0 and bound > 0")
         self.rate, self.bound = rate, bound
         self._mass = -math.expm1(-rate * bound)  # 1 - exp(-rate*bound)
 

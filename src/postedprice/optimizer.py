@@ -9,6 +9,7 @@ concave for unequal discounts, hence the multi-start.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -162,34 +163,39 @@ def _projected_ascent(value_fn, grad_fn, x0: np.ndarray, step0: float,
     return x, value_fn(x), max_iter, False, kkt
 
 
+def _start_count(starts: int | None, k: int) -> int:
+    """The number of ascent starts: `starts`, or max(16, 4k) when it is None."""
+    return max(16, 4 * k) if starts is None else starts
+
+
 def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
                       starts: int | None = None, max_iter: int = 100_000,
-                      tol: float = 1e-9, seed: int = 0,
-                      extra_starts=()) -> tuple[np.ndarray, float, int, bool, float]:
+                      tol: float = 1e-9,
+                      seed: int = 0) -> tuple[np.ndarray, float, int, bool, float]:
     """Multi-start ascent of (1 - F(v))' M v over Delta^k for a given kernel M.
 
     Start points: the constant vector at the one-shot optimal price, the
-    distribution's quantiles, seeded random sorted draws, and any caller
-    extras.  Among runs tying for the best value (within 1e-10) a certified
-    run is preferred, then the lexicographically smallest point, so results
-    are stable and `converged` holds whenever a tied run certified.
+    distribution's quantiles, and seeded random sorted draws.  Among runs
+    tying for the best value (within 1e-10) a certified run is preferred,
+    then the lexicographically smallest point, so results are stable and
+    `converged` holds whenever a tied run certified.
     """
     k = matrix.shape[0]
-    if starts is None:
-        starts = max(16, 4 * k)
+    starts = _start_count(starts, k)
     if starts < 1:
         raise InvalidParameterError("needs at least one start")
     if max_iter < 1:
         raise InvalidParameterError("needs at least one iteration")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InvalidParameterError("tol must be a finite positive number")
     p_star, _ = myerson_price(dist)
     lo, hi = dist.support
     points = [np.full(k, p_star),
               np.sort(np.asarray(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1])))]
-    points.extend(np.asarray(p, dtype=float) for p in extra_starts)
     rng = np.random.default_rng(seed)
     while len(points) < starts:
         points.append(np.sort(rng.uniform(lo, hi, size=k)))
-    points = points[:max(starts, 1)]
+    points = points[:starts]
 
     step0 = 1.0 / max(np.linalg.norm(matrix, 1), 1e-12)
     value_fn = lambda v: _bilinear_value(matrix, dist, v)
@@ -231,7 +237,7 @@ def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
         system.Xi, dist, starts=starts, max_iter=max_iter, tol=tol, seed=seed)
     tree = v_to_tree(system, v)
     return OptimizationResult(v_star=v, value=value, tree=tree, iterations=iters,
-                              starts=starts if starts is not None else max(16, 4 * system.k),
+                              starts=_start_count(starts, system.k),
                               converged=ok, kkt_residual=kkt)
 
 

@@ -315,8 +315,10 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--gb", "0.5", "--grid-size", "-1"], 2),
     (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2",
       "--horizon", "2", "--max-iter", "0"], 3),
+    (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2",
+      "--horizon", "2", "--tol", "nan"], 3),
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
-        "max-iter-zero"])
+        "max-iter-zero", "tol-nan"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")
@@ -327,3 +329,45 @@ def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     assert got == code
     assert out == ""
     assert err.startswith("usage error: " if code == 2 else "error: ")
+
+
+SWEEP = ["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8"]
+OPTIMIZE = ["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2"]
+
+
+@pytest.mark.parametrize("config,argv", [
+    ({"horizon": "x"}, SWEEP),
+    ({"grid_count": "abc"}, SWEEP + ["--horizon", "2"]),
+    ({"horizon": 2.5}, OPTIMIZE),
+    ({"horzon": 2}, OPTIMIZE),
+    ({"horzon": 2}, OPTIMIZE + ["--horizon", "2"]),
+    ({"out": ["a.json"]}, OPTIMIZE + ["--horizon", "2"]),
+    (None, SWEEP + ["--horizon", "2", "--grid-step", "nan", "--grid-count", "2"]),
+    (None, SWEEP + ["--horizon", "2", "--grid-start", "nan", "--grid-count", "2"]),
+    (None, OPTIMIZE + ["--horizon", "2", "--seed", "-1"]),
+    (None, OPTIMIZE + ["--horizon", "2", "--tau", "3"]),
+    (None, SWEEP + ["--horizon", "2", "--tau-list", "2"]),
+    (None, ["myerson", "--dist", "beta:nan,1"]),
+], ids=["config-horizon-word", "config-grid-count-word", "config-horizon-float",
+        "config-unknown-key", "config-unknown-key-with-horizon", "config-list-value",
+        "grid-step-nan", "grid-start-nan", "seed-negative", "horizon-and-tau",
+        "horizon-and-tau-list", "dist-nan"])
+def test_usage_errors_are_one_line(tmp_path, capsys, config, argv):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        argv = argv + ["--config", str(path)]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_config_null_entry_keeps_the_default(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dist": "uniform:0,1", "gs": 0.8, "gb": 0.2,
+                                  "horizon": 2, "starts": 6, "seed": None}))
+    code, out, _ = run(capsys, "optimize", "--config", str(config))
+    assert code == 0
+    assert json.loads(out)["seed"] == 0
+

@@ -110,7 +110,8 @@ def test_parse_distribution():
     assert parse_distribution("beta:4,2").alpha == 4
     texp = parse_distribution("texp:1,1")
     assert texp.rate == 1 and texp.bound == 1
-    for bad in ("nope:1", "beta:4", "uniform:1,0", "beta:-1,2", "texp:0,1", ""):
+    for bad in ("nope:1", "beta:4", "uniform:1,0", "beta:-1,2", "texp:0,1", "",
+                "beta:nan,1", "beta:inf,1", "texp:nan,1", "texp:inf,1"):
         with pytest.raises(InvalidParameterError):
             parse_distribution(bad)
 

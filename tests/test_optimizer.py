@@ -150,6 +150,14 @@ def test_ascent_improves_on_every_start_value():
     assert iters >= 1
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+def test_bilinear_rejects_a_tol_that_cannot_certify(tol):
+    u = Uniform(0, 1)
+    _, matrix = reduced_T2_functional(0.8, 0.2, u)
+    with pytest.raises(InvalidParameterError, match="tol"):
+        maximize_bilinear(matrix, u, starts=2, tol=tol)
+
+
 def test_t2_qp_matches_gradient_path():
     u = Uniform(0, 1)
     for gs_rate, gb_rate in [(0.8, 0.2), (0.6, 0.3), (0.9, 0.45)]:
