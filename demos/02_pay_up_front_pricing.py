@@ -28,8 +28,8 @@ for v in (0.40, 0.49, 0.51, 0.60):
     print(f"  v = {v:.2f}: {word} the deal "
           f"(surplus {br.surplus:+.4f}, revenue {br.revenue:.4f})")
 
-quad = expected_strategic_revenue(tree, uniform, game.buyer, game.seller)
-print(f"\nenumeration + quadrature agree with the closed form: {quad:.10f}")
+oracle = expected_strategic_revenue(tree, uniform, game.buyer, game.seller)
+print(f"\nthe enumeration oracle agrees with the closed form: {oracle:.10f}")
 
 print("\nless patient seller: the up-front trick beats constant pricing")
 for gs_rate, gb_rate in [(0.2, 0.5), (0.2, 0.8), (0.5, 0.9)]:

@@ -34,8 +34,8 @@ for u, expected in [(0.15, "00"), (0.4, "01"), (0.6, "10"), (0.9, "11")]:
     print(f"  v = {u:.2f}: plays {br.strategy} (order predicts {expected})")
 
 lv = L_value(system, uniform, v)
-quad = expected_strategic_revenue(tree, uniform, gb, gs)
-print(f"\nbilinear form {lv:.12f} vs enumeration+quadrature {quad:.12f}")
+oracle = expected_strategic_revenue(tree, uniform, gb, gs)
+print(f"\nbilinear form {lv:.12f} vs enumeration oracle {oracle:.12f}")
 
 # a tree that is NOT completely active falls outside the cone
 up_front = PricingTree(2, {"": 0.75, "0": 3.0, "1": 0.0})

@@ -25,7 +25,7 @@ from .errors import (InfeasiblePointError, InvalidParameterError,
                      RegularityError, ResourceLimitError)
 from .oracle import expected_strategic_revenue, strategic_revenue_curve
 from .optimizer import maximize_L
-from .schemes import big_deal, tau_step_optimal, truncate
+from .schemes import big_deal, truncate
 
 __all__ = ["main", "build_parser"]
 
@@ -133,23 +133,30 @@ def cmd_myerson(args) -> int:
     return 0
 
 
+def _solve(args, buyer: DiscountSequence, seller: DiscountSequence, depth: int):
+    """`maximize_L` on the finite game, or on its truncation at `depth` when no
+    --horizon is given; returns the result and the truncated game (or None)."""
+    game = None
+    if args.horizon is None:
+        game = truncate(buyer, seller, depth)
+        buyer, seller = game.buyer, game.seller
+    result = maximize_L(args.dist, _perturbed(buyer, args.perturb, args.seed),
+                        seller, depth, **_optimizer_opts(args))
+    return result, game
+
+
 def cmd_optimize(args) -> int:
     """One game: the finite one (--horizon) or the tau-step infinite one (--tau)."""
-    opts = _optimizer_opts(args)
-    if args.tau is None:
-        seller = make_geometric_discount(args.gs, args.horizon)
-        buyer = _perturbed(make_geometric_discount(args.gb, args.horizon),
-                           args.perturb, args.seed)
-        result = maximize_L(args.dist, buyer, seller, args.horizon, **opts)
-        mode = {"horizon": args.horizon, "v_star": [float(x) for x in result.v_star],
+    seller = make_geometric_discount(args.gs, args.horizon)
+    depth = args.tau if args.horizon is None else args.horizon
+    result, game = _solve(args, make_geometric_discount(args.gb, args.horizon), seller,
+                          depth)
+    if game is None:
+        mode = {"horizon": depth, "v_star": [float(x) for x in result.v_star],
                 "iterations": result.iterations, "starts": result.starts}
     else:
-        seller = make_geometric_discount(args.gs)
-        tau_result = tau_step_optimal(args.dist, make_geometric_discount(args.gb),
-                                      seller, args.tau, **opts)
-        result = tau_result.optimization
-        mode = {"tau": args.tau, "opt_lower": tau_result.opt_lower,
-                "opt_upper": tau_result.opt_upper}
+        mode = {"tau": depth, "opt_lower": result.value,
+                "opt_upper": result.value + game.tail_bound(args.dist)}
     _, h_star = myerson_price(args.dist)
     baseline = seller.total * h_star
     _emit_json(args, {
@@ -180,7 +187,6 @@ def cmd_sweep(args) -> int:
     dist, fixed_value, horizon = args.dist, args.fixed_value, args.horizon
     varying = "gb" if args.fix == "gs" else "gs"
     grid = _sweep_grid(args)
-    opts = _optimizer_opts(args)
     _, h_star = myerson_price(dist)
 
     # the finite game solves one horizon; the infinite game one truncation per tau
@@ -198,12 +204,7 @@ def cmd_sweep(args) -> int:
         baseline = seller.total * h_star
         values = []
         for depth in depths:
-            game_buyer, game_seller = buyer, seller
-            if horizon is None:
-                game = truncate(buyer, seller, depth)
-                game_buyer, game_seller = game.buyer, game.seller
-            res = maximize_L(dist, _perturbed(game_buyer, args.perturb, args.seed),
-                             game_seller, depth, **opts)
+            res, _ = _solve(args, buyer, seller, depth)
             values.append(res.value)
         # prices come from the last solve, the deepest one
         rows.append([point] + [res.tree.price(n) for n in nodes] + values

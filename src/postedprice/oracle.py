@@ -3,7 +3,9 @@
 Every one of the 2^T strategies is scored against a pricing tree, so any
 quantity derived here (best responses, revenue curves, expected revenue)
 is trustworthy by construction and serves as the reference the rest of
-the package is checked against.
+the package is checked against.  The expected revenue is exact, with no
+quadrature: the best response is constant between the valuations where it
+switches, so it is a sum of seller payments times CDF differences.
 """
 
 from __future__ import annotations
@@ -239,53 +241,38 @@ def envelope_breakpoints(tables: StrategyTables, lo: float, hi: float) -> np.nda
     return np.unique(cuts)
 
 
-def _gauss_panels(lo: float, hi: float, boundaries: np.ndarray,
-                  nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(nodes_per_panel)
-    nodes, weights = [], []
-    for a, b in zip(boundaries[:-1], boundaries[1:]):
-        half = 0.5 * (b - a)
-        nodes.append(0.5 * (a + b) + half * x)
-        weights.append(half * w)
-    return np.concatenate(nodes), np.concatenate(weights)
-
-
 def expected_strategic_revenue(tree: PricingTree, dist: ValuationDistribution,
                                buyer_discount: DiscountSequence,
-                               seller_discount: DiscountSequence,
-                               n_quadrature: int = 256, *, panels: int = 8,
-                               align_breakpoints: bool = True) -> float:
-    """E[ strategic revenue ] over the valuation distribution, by quadrature.
+                               seller_discount: DiscountSequence) -> float:
+    """E[ strategic revenue ] over the valuation distribution, exactly.
 
-    Composite Gauss-Legendre over the support with `n_quadrature` nodes
-    spread over `panels` panels.  The revenue curve jumps where the best
-    response switches, so by default the panel boundaries are additionally
-    split at the envelope breakpoints, leaving only smooth integrands.
+    Between consecutive envelope breakpoints the best response is one
+    strategy, so the revenue is a step function of v and
+    E[R] = sum_j R_j (F(b_j) - F(a_j)) over the pieces [a_j, b_j] of the
+    support.  R_j is the seller payment of the best response at the piece
+    midpoint, under the seller-optimistic tie rule of `best_response`.
     """
-    if n_quadrature < 16:
-        raise InvalidParameterError("n_quadrature must be at least 16")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
     lo, hi = dist.support
-    boundaries = np.linspace(lo, hi, panels + 1)
-    if align_breakpoints:
-        cuts = envelope_breakpoints(tables, lo, hi)
-        boundaries = np.unique(np.concatenate([boundaries, cuts]))
-    nodes, weights = _gauss_panels(lo, hi, boundaries, max(2, n_quadrature // panels))
-    idx, _ = _argbest(tables, tables.surpluses(nodes), SURPLUS_TIE_RTOL)
-    revenue = tables.seller_payments[idx]
-    return float(np.dot(weights, revenue * np.asarray(dist.pdf(nodes))))
+    edges = np.concatenate(([lo], envelope_breakpoints(tables, lo, hi), [hi]))
+    mid = 0.5 * (edges[:-1] + edges[1:])
+    idx, _ = _argbest(tables, tables.surpluses(mid), SURPLUS_TIE_RTOL)
+    mass = np.diff(np.asarray(dist.cdf(edges), dtype=float))
+    return float(tables.seller_payments[idx] @ mass)
 
 
 def brute_force_optimal_tree(dist: ValuationDistribution,
                              buyer_discount: DiscountSequence,
                              seller_discount: DiscountSequence,
-                             horizon: int = 2, price_grid_resolution: int = 50,
-                             n_quadrature: int = 256) -> tuple[PricingTree, float]:
+                             horizon: int = 2,
+                             price_grid_resolution: int = 50) -> tuple[PricingTree, float]:
     """Exhaustive grid search over all two-round trees; the slow trusted oracle.
 
     Every combination of the three node prices on a uniform support grid is
-    scored by quadrature expected revenue.  Only horizon 2 is supported --
-    the point is an oracle cheap enough to run and dumb enough to trust.
+    scored by Gauss-Legendre quadrature (8 panels of 32 nodes), and the
+    winner is re-scored by the exact `expected_strategic_revenue`.  Only
+    horizon 2 is supported -- the point is an oracle cheap enough to run and
+    dumb enough to trust.
     """
     if horizon != 2:
         raise InvalidParameterError("brute force supports horizon 2 only")
@@ -306,9 +293,11 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     r_seller = prices @ _payment_matrix(bits, gs).T
     q = bits @ gb
 
-    boundaries = np.linspace(lo, hi, 9)
-    nodes, weights = _gauss_panels(lo, hi, boundaries, max(2, n_quadrature // 8))
-    fw = weights * np.asarray(dist.pdf(nodes))
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(lo, hi, 9)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    fw = (half * w).ravel() * np.asarray(dist.pdf(nodes))
 
     best_value = -np.inf
     best_index = 0
@@ -326,7 +315,4 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
             best_value = float(values[j])
             best_index = start + j
     tree = PricingTree(2, dict(zip(canonical_nodes(2), prices[best_index])))
-    # re-score the winner with breakpoint-aligned panels for an accurate value
-    value = expected_strategic_revenue(tree, dist, buyer_discount, seller_discount,
-                                       n_quadrature)
-    return tree, value
+    return tree, expected_strategic_revenue(tree, dist, buyer_discount, seller_discount)

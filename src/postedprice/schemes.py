@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 from .core import DiscountSequence, PricingTree, canonical_nodes
 from .distributions import ValuationDistribution, myerson_price
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 from .optimizer import OptimizationResult, _pointwise_leq, maximize_L
+from .oracle import MAX_ENUM_HORIZON
 
 __all__ = [
     "TruncatedGame",
@@ -74,17 +75,20 @@ def truncate(buyer_discount: DiscountSequence, seller_discount: DiscountSequence
 
 
 def _materialization_depth(depth, *discounts) -> int:
-    if depth is not None:
-        depth = int(depth)
-        if depth < 1:
-            raise InvalidParameterError("depth must be a positive integer")
-        return depth
-    finite = [d.horizon for d in discounts if d.is_finite]
-    if finite:
-        if len(set(finite)) != 1:
+    """`depth`, else the horizon the finite discounts share, else 1; a tree
+    of more levels than the enumeration guard allows is refused."""
+    if depth is None:
+        finite = [d.horizon for d in discounts if d.is_finite]
+        if len(set(finite)) > 1:
             raise InvalidParameterError("finite discounts must share one horizon")
-        return finite[0]
-    return 1
+        depth = finite[0] if finite else 1
+    depth = int(depth)
+    if depth < 1:
+        raise InvalidParameterError("depth must be a positive integer")
+    if depth > MAX_ENUM_HORIZON:
+        raise ResourceLimitError(f"depth {depth} exceeds the enumeration guard "
+                                 f"{MAX_ENUM_HORIZON} (2^{depth} - 1 tree nodes)")
+    return depth
 
 
 def constant_myerson(dist: ValuationDistribution, seller_discount: DiscountSequence,

@@ -2,10 +2,10 @@
 
 One test per criterion, each printing a single PASS/FAIL line (run with
 ``pytest tests/test_acceptance.py -v -s`` to see them).  Tolerances are
-fixed here, not tuned: closed forms are exact, quadrature agreements are
-bounded by the aligned-panel error, and optimizer outputs are compared
-against independent oracles (exhaustive grid search, exact QP, hand
-formulas) plus regression pins from the first verified run.
+fixed here, not tuned: closed forms and the enumeration oracle's expected
+revenue are exact, and optimizer outputs are compared against independent
+oracles (exhaustive grid search, exact QP, hand formulas) plus regression
+pins from the first verified run.
 """
 
 import numpy as np
@@ -69,7 +69,7 @@ def test_criterion_02_big_deal_revenue_and_threshold():
             threshold_ok &= above.strategy.decisions[0] == 1
             threshold_ok &= below.strategy.decisions[0] == 0
     ok = worst <= 1e-4 and threshold_ok
-    _report(2, ok, "big deal (tau=12): quadrature matches Gamma_B*H* within 1e-4 "
+    _report(2, ok, "big deal (tau=12): the oracle matches Gamma_B*H* within 1e-4 "
                    f"(worst {worst:.2e}) and acceptance flips at p* +/- 1e-3")
 
 
@@ -115,7 +115,7 @@ def test_criterion_05_revenue_form_equals_oracle():
             quad = expected_strategic_revenue(tree, UNIFORM, gb, gs)
             worst = max(worst, abs(L_value(system, UNIFORM, v) - quad))
     _report(5, worst <= 1e-5,
-            f"L agrees with oracle quadrature on 50 cone points (worst {worst:.2e})")
+            f"L agrees with the oracle on 50 cone points (worst {worst:.2e})")
 
 
 def test_criterion_06_round_trip_and_invertibility():

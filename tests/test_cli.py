@@ -101,6 +101,21 @@ def test_perturb_restores_regularity(capsys):
     assert json.loads(out)["value"] > 0
 
 
+def test_perturb_applies_in_tau_mode(tmp_path, capsys):
+    # the truncated buyer at tau = 3 is not regular; --perturb must jitter
+    # it in optimize exactly as it does in sweep
+    code, out, _ = run(capsys, "optimize", "--dist", "uniform:0,1", "--gs", "0.8",
+                       "--gb", "0.5", "--tau", "3", "--perturb")
+    assert code == 0
+    out_file = tmp_path / "tau.csv"
+    code, _, _ = run(capsys, "sweep", "--dist", "uniform:0,1", "--fix", "gs",
+                     "--fixed-value", "0.8", "--grid-start", "0.5", "--grid-count",
+                     "1", "--tau-list", "3", "--perturb", "--out", str(out_file))
+    assert code == 0
+    header, row = (line.split(",") for line in out_file.read_text().splitlines())
+    assert f"{json.loads(out)['value']:.12g}" == dict(zip(header, row))["value_tau3"]
+
+
 def test_rate_out_of_range_is_usage_error(capsys):
     code, _, _ = run(capsys, "optimize", "--dist", "uniform:0,1", "--gs", "1.2",
                      "--gb", "0.2", "--horizon", "2")
@@ -198,7 +213,7 @@ def test_simulate_constant_tree(tmp_path, capsys):
                        "--grid-size", "21", "--out", str(tmp_path / "sim.csv"))
     assert code == 0
     expected = (1 + 0.5) * 0.25  # Gamma^S at horizon 2 times H*
-    assert json.loads(out)["expected_revenue"] == pytest.approx(expected, abs=1e-6)
+    assert json.loads(out)["expected_revenue"] == pytest.approx(expected, abs=1e-12)
     lines = (tmp_path / "sim.csv").read_text().splitlines()
     assert lines[0] == "v,strategy,S,R,Q"
     assert len(lines) == 22
@@ -317,8 +332,10 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--horizon", "2", "--max-iter", "0"], 3),
     (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2",
       "--horizon", "2", "--tol", "nan"], 3),
+    (["bigdeal", "--dist", "uniform:0,1", "--gs", "0.5", "--gb", "0.8",
+      "--tau", "21"], 3),
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
-        "max-iter-zero", "tol-nan"])
+        "max-iter-zero", "tol-nan", "bigdeal-tau-above-guard"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")

@@ -5,7 +5,8 @@ from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          PricingTree, ResourceLimitError, Uniform, best_response,
                          big_deal, brute_force_optimal_tree, canonical_nodes,
                          evaluate, expected_strategic_revenue,
-                         make_geometric_discount, strategic_revenue_curve)
+                         make_geometric_discount, maximize_L,
+                         strategic_revenue_curve)
 from postedprice.oracle import strategy_bits, strategy_tables, envelope_breakpoints
 
 
@@ -122,27 +123,29 @@ def test_expected_revenue_constant_myerson_price():
         gb = make_geometric_discount(0.5, 2)
         tree = PricingTree.constant(2, 0.5)
         value = expected_strategic_revenue(tree, u, gb, gs)
-        assert value == pytest.approx(gs.total * 0.25, abs=1e-6)
+        assert value == pytest.approx(gs.total * 0.25, abs=1e-12)
 
 
-def test_expected_revenue_quadrature_guard():
-    g = DiscountSequence([1.0, 0.5])
-    with pytest.raises(InvalidParameterError):
-        expected_strategic_revenue(PricingTree.constant(2, 0.5), Uniform(0, 1),
-                                   g, g, n_quadrature=8)
+def test_expected_revenue_exact_under_a_singular_density():
+    # Beta(0.5, 0.5) has infinite density at both ends of the support; the
+    # oracle must still reproduce the revenue form at the T = 3 optimum
+    b = Beta(0.5, 0.5)
+    gb = make_geometric_discount(0.3, 3)
+    gs = make_geometric_discount(0.8, 3)
+    result = maximize_L(b, gb, gs, 3)
+    assert expected_strategic_revenue(result.tree, b, gb, gs) == pytest.approx(
+        result.value, abs=1e-12)
 
 
 def test_breakpoint_alignment_handles_jumps():
-    # the revenue curve of a pay-up-front tree jumps at an interior point
-    # that no uniform panel boundary hits; alignment keeps quadrature exact
+    # the revenue curve of a pay-up-front tree jumps at an interior point,
+    # the one-shot price; the expected revenue is exact across the jump
     b = Beta(4, 2)
     gb = make_geometric_discount(0.5, 6)
     gs = make_geometric_discount(0.5, 6)
     tree, closed_form = big_deal(b, gb, gs)
-    aligned = expected_strategic_revenue(tree, b, gb, gs)
-    assert aligned == pytest.approx(closed_form, abs=1e-8)
-    coarse = expected_strategic_revenue(tree, b, gb, gs, align_breakpoints=False)
-    assert abs(coarse - closed_form) > abs(aligned - closed_form)
+    assert expected_strategic_revenue(tree, b, gb, gs) == pytest.approx(
+        closed_form, abs=1e-12)
 
 
 def test_envelope_breakpoints_of_constant_tree():

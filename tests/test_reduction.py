@@ -214,7 +214,7 @@ def test_L_matches_oracle_quadrature(T, rates):
         v = random_delta_point(rng, 2**T - 1)
         tree = v_to_tree(sys_, v)
         assert L_value(sys_, u, v) == pytest.approx(
-            expected_strategic_revenue(tree, u, gb, gs), abs=1e-6)
+            expected_strategic_revenue(tree, u, gb, gs), abs=1e-12)
 
 
 @pytest.mark.parametrize("dist", [Uniform(0, 1), Beta(4, 2)],
@@ -311,7 +311,7 @@ def test_reduction_above_the_golden_order_flip():
         tree = v_to_tree(sys_, v)
         assert tree_to_v(sys_, tree) == pytest.approx(v, abs=1e-12)
         assert L_value(sys_, u, v) == pytest.approx(
-            expected_strategic_revenue(tree, u, gb, gs), abs=1e-9)
+            expected_strategic_revenue(tree, u, gb, gs), abs=1e-12)
     v = np.array([0.1, 0.2, 0.32, 0.45, 0.6, 0.75, 0.9])
     tree = v_to_tree(sys_, v)
     edges = np.concatenate([[0.0], v, [1.4]])
@@ -321,7 +321,9 @@ def test_reduction_above_the_golden_order_flip():
             sys_.order.strategies[j]
 
 
-@pytest.mark.parametrize("dist", [Beta(4, 2), TruncatedExponential(1, 1)],
+@pytest.mark.parametrize("dist", [Beta(4, 2), Beta(0.5, 0.5),
+                                  TruncatedExponential(1, 1),
+                                  TruncatedExponential(50, 1)],
                          ids=lambda d: d.spec_string())
 def test_L_matches_oracle_across_families(dist):
     # the revenue form is distribution-generic; check it off the uniform path
@@ -334,4 +336,4 @@ def test_L_matches_oracle_across_families(dist):
         v = np.sort(rng.uniform(lo, hi, 3))
         tree = v_to_tree(sys_, v)
         assert L_value(sys_, dist, v) == pytest.approx(
-            expected_strategic_revenue(tree, dist, gb, gs), abs=1e-6)
+            expected_strategic_revenue(tree, dist, gb, gs), abs=1e-12)

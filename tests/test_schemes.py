@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
-                         PatienceOrderWarning, Uniform, best_response, big_deal,
-                         constant_myerson, expected_strategic_revenue,
+                         PatienceOrderWarning, ResourceLimitError, Uniform,
+                         best_response, big_deal, constant_myerson,
+                         expected_strategic_revenue,
                          make_geometric_discount, myerson_price,
                          tau_step_optimal, truncate)
 
@@ -75,7 +76,7 @@ def test_big_deal_revenue_identity_by_quadrature():
         tree, closed_form = big_deal(u, g, g, tau=10)
         game = truncate(g, g, 10)
         quad = expected_strategic_revenue(tree, u, game.buyer, game.seller)
-        assert quad == pytest.approx(closed_form, abs=1e-4)
+        assert quad == pytest.approx(closed_form, abs=1e-12)
         assert closed_form == pytest.approx(g.total * 0.25, abs=1e-9)
 
 
@@ -203,3 +204,12 @@ def test_big_deal_infinite_requires_tau():
     g = make_geometric_discount(0.5)
     with pytest.raises(InvalidParameterError, match="tau"):
         big_deal(u, g, g, tau=1)
+
+
+def test_tree_deeper_than_the_enumeration_guard_is_refused():
+    u = Uniform(0, 1)
+    g = make_geometric_discount(0.5)
+    with pytest.raises(ResourceLimitError):
+        big_deal(u, g, g, tau=21)
+    with pytest.raises(ResourceLimitError):
+        constant_myerson(u, g, horizon=21)
