@@ -218,6 +218,13 @@ class DiscountSequence:
         return f"DiscountSequence({list(self._weights)!r})"
 
 
+def _finite_weights(discount: DiscountSequence, horizon: int | None) -> np.ndarray:
+    """The weights of a finite discount, which must have `horizon` rounds if given."""
+    if horizon is not None and (not discount.is_finite or len(discount) != horizon):
+        raise InvalidParameterError(f"discount must be finite with length {horizon}")
+    return discount.as_array()
+
+
 def make_geometric_discount(rate: float, horizon=None) -> DiscountSequence:
     """Geometric discount gamma_t = rate**(t-1).
 
@@ -428,14 +435,10 @@ def evaluate(tree: PricingTree, strategy: StrategyLike, v: float,
     if v < 0:
         raise InvalidParameterError("valuation must be non-negative")
     s = as_strategy(strategy, tree.horizon)
-    if not (buyer_discount.is_finite and seller_discount.is_finite):
-        raise InvalidParameterError("evaluation needs finite discounts; truncate first")
-    if len(buyer_discount) != tree.horizon or len(seller_discount) != tree.horizon:
-        raise InvalidParameterError("discount lengths must match the tree horizon")
+    gb = _finite_weights(buyer_discount, tree.horizon)
+    gs = _finite_weights(seller_discount, tree.horizon)
     a = s.as_array()
     p = price_path(tree, s)
-    gb = buyer_discount.as_array()
-    gs = seller_discount.as_array()
     surplus = float(np.dot(gb * a, v - p))
     revenue = float(np.dot(gs * a, p))
     quantity = float(np.dot(gb, a))

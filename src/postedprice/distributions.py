@@ -27,14 +27,17 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _maybe_scalar(arr: np.ndarray, scalar_input: bool):
-    return float(arr) if scalar_input else arr
+MYERSON_GRID_POINTS = 10_000  # scan that brackets the static revenue maximum
+MYERSON_REFINE_TOL = 1e-10    # golden-section bracket width at exit
 
 
 class ValuationDistribution:
-    """Common interface: continuous distribution of the buyer's valuation."""
+    """Common interface: continuous distribution of the buyer's valuation.
+
+    `cdf`, `pdf`, `sf` and `quantile` return NumPy values: a scalar or 0-d
+    input gives a `np.float64` (a `float` subclass), an array input an
+    array of the same shape.
+    """
 
     kind: str = ""
 
@@ -57,9 +60,7 @@ class ValuationDistribution:
 
     def sf(self, v):
         """Survival function P[V > v] (= P[V >= v] by continuity)."""
-        v_arr = np.asarray(v, dtype=float)
-        out = 1.0 - np.asarray(self.cdf(v_arr))
-        return _maybe_scalar(out, np.isscalar(v) or v_arr.ndim == 0)
+        return 1.0 - self.cdf(v)
 
     def spec_string(self) -> str:
         raise NotImplementedError
@@ -86,22 +87,16 @@ class Uniform(ValuationDistribution):
         return 0.5 * (self.lo + self.hi)
 
     def cdf(self, v):
-        scalar = np.isscalar(v)
         v = np.asarray(v, dtype=float)
-        out = np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)
-        return _maybe_scalar(out, scalar or v.ndim == 0)
+        return np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)[()]
 
     def pdf(self, v):
-        scalar = np.isscalar(v)
         v = np.asarray(v, dtype=float)
-        out = np.where((v >= self.lo) & (v <= self.hi), 1.0 / (self.hi - self.lo), 0.0)
-        return _maybe_scalar(out, scalar or v.ndim == 0)
+        return np.where((v >= self.lo) & (v <= self.hi), 1.0 / (self.hi - self.lo), 0.0)[()]
 
     def quantile(self, q):
-        scalar = np.isscalar(q)
         q = np.asarray(q, dtype=float)
-        out = self.lo + q * (self.hi - self.lo)
-        return _maybe_scalar(out, scalar or q.ndim == 0)
+        return (self.lo + q * (self.hi - self.lo))[()]
 
     def spec_string(self):
         return f"uniform:{self.lo:g},{self.hi:g}"
@@ -126,27 +121,21 @@ class Beta(ValuationDistribution):
         return self.alpha / (self.alpha + self.beta)
 
     def cdf(self, v):
-        scalar = np.isscalar(v)
         v = np.asarray(v, dtype=float)
-        out = special.betainc(self.alpha, self.beta, np.clip(v, 0.0, 1.0))
-        return _maybe_scalar(out, scalar or v.ndim == 0)
+        return special.betainc(self.alpha, self.beta, np.clip(v, 0.0, 1.0))[()]
 
     def pdf(self, v):
-        scalar = np.isscalar(v)
         v = np.asarray(v, dtype=float)
         inside = (v > 0.0) & (v < 1.0)
         x = np.where(inside, v, 0.5)  # dummy abscissa where the density is zero
         with np.errstate(divide="ignore"):
             log_pdf = ((self.alpha - 1.0) * np.log(x)
                        + (self.beta - 1.0) * np.log1p(-x) - self._log_norm)
-        out = np.where(inside, np.exp(log_pdf), 0.0)
-        return _maybe_scalar(out, scalar or v.ndim == 0)
+        return np.where(inside, np.exp(log_pdf), 0.0)[()]
 
     def quantile(self, q):
-        scalar = np.isscalar(q)
         q = np.asarray(q, dtype=float)
-        out = special.betaincinv(self.alpha, self.beta, np.clip(q, 0.0, 1.0))
-        return _maybe_scalar(out, scalar or q.ndim == 0)
+        return special.betaincinv(self.alpha, self.beta, np.clip(q, 0.0, 1.0))[()]
 
     def spec_string(self):
         return f"beta:{self.alpha:g},{self.beta:g}"
@@ -181,24 +170,18 @@ class TruncatedExponential(ValuationDistribution):
         return 1.0 / lam - b * math.exp(-lam * b) / self._mass
 
     def cdf(self, v):
-        scalar = np.isscalar(v)
         v = np.asarray(v, dtype=float)
         x = np.clip(v, 0.0, self.bound)
-        out = -np.expm1(-self.rate * x) / self._mass
-        return _maybe_scalar(out, scalar or v.ndim == 0)
+        return (-np.expm1(-self.rate * x) / self._mass)[()]
 
     def pdf(self, v):
-        scalar = np.isscalar(v)
         v = np.asarray(v, dtype=float)
         inside = (v >= 0.0) & (v <= self.bound)
-        out = np.where(inside, self.rate * np.exp(-self.rate * v) / self._mass, 0.0)
-        return _maybe_scalar(out, scalar or v.ndim == 0)
+        return np.where(inside, self.rate * np.exp(-self.rate * v) / self._mass, 0.0)[()]
 
     def quantile(self, q):
-        scalar = np.isscalar(q)
         q = np.asarray(q, dtype=float)
-        out = -np.log1p(-np.clip(q, 0.0, 1.0) * self._mass) / self.rate
-        return _maybe_scalar(out, scalar or q.ndim == 0)
+        return (-np.log1p(-np.clip(q, 0.0, 1.0) * self._mass) / self.rate)[()]
 
     def spec_string(self):
         return f"texp:{self.rate:g},{self.bound:g}"
@@ -246,19 +229,18 @@ def _golden_section_max(f, a: float, b: float, tol: float) -> float:
     return a if f(a) >= f(b) else 0.5 * (a + b)
 
 
-def myerson_price(dist: ValuationDistribution, grid_points: int = 10_000,
-                  refine_tol: float = 1e-10) -> tuple[float, float]:
+def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
     """Leftmost global maximizer of the static revenue curve, and its value.
 
-    A dense grid scan over the support brackets the global maximum (no
-    unimodality assumed), then golden-section search refines the bracket.
-    Returns (p_star, h_star).
+    A scan of `MYERSON_GRID_POINTS` prices over the support brackets the
+    global maximum (no unimodality assumed), then golden-section search
+    refines the bracket to `MYERSON_REFINE_TOL`.  Returns (p_star, h_star).
     """
     lo, hi = dist.support
-    grid = np.linspace(lo, hi, grid_points)
-    values = grid * np.asarray(dist.sf(grid))
+    grid = np.linspace(lo, hi, MYERSON_GRID_POINTS)
+    values = grid * dist.sf(grid)
     i = int(np.argmax(values))  # argmax takes the first = leftmost among ties
     a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, grid_points - 1)]
-    p_star = _golden_section_max(lambda p: p * dist.sf(p), a, b, refine_tol)
+    b = grid[min(i + 1, MYERSON_GRID_POINTS - 1)]
+    p_star = _golden_section_max(lambda p: p * dist.sf(p), a, b, MYERSON_REFINE_TOL)
     return float(p_star), static_revenue(dist, p_star)

@@ -92,16 +92,15 @@ def _over_common_rounds(a: DiscountSequence, b: DiscountSequence):
 
 
 def rate_order_satisfied(buyer_discount: DiscountSequence,
-                         seller_discount: DiscountSequence,
-                         tol: float = ORDER_TOL) -> bool:
-    """Whether nu(buyer) <= nu(seller) holds at every round.
+                         seller_discount: DiscountSequence) -> bool:
+    """Whether nu(buyer) <= nu(seller) holds at every round, up to `ORDER_TOL`.
 
     This is the hypothesis under which searching Delta^k is guaranteed to
     find a globally optimal pricing.  Infinite geometric sequences compare
     by their rates; a finite sequence drops to rate 0 after its last round.
     """
     buyer, seller = _over_common_rounds(buyer_discount, seller_discount)
-    return all(b <= s + tol
+    return all(b <= s + ORDER_TOL
                for b, s in zip(discount_rates(buyer), discount_rates(seller)))
 
 
@@ -191,7 +190,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     p_star, _ = myerson_price(dist)
     lo, hi = dist.support
     points = [np.full(k, p_star),
-              np.sort(np.asarray(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1])))]
+              np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))]
     rng = np.random.default_rng(seed)
     while len(points) < starts:
         points.append(np.sort(rng.uniform(lo, hi, size=k)))

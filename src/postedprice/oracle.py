@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BuyerStrategy, DiscountSequence, PricingTree, canonical_nodes
+from .core import (BuyerStrategy, DiscountSequence, PricingTree, _finite_weights,
+                   canonical_nodes)
 from .distributions import ValuationDistribution
 from .errors import InvalidParameterError, ResourceLimitError
 
@@ -39,7 +40,8 @@ class BestResponse:
     """A surplus-maximizing strategy and the totals it generates.
 
     `tie_count` is how many strategies achieved the maximal surplus (within
-    the relative tie tolerance) before the seller-optimistic tie-break.
+    the relative tolerance `SURPLUS_TIE_RTOL`) before the seller-optimistic
+    tie-break.
     """
 
     strategy: BuyerStrategy
@@ -103,24 +105,12 @@ def _payment_matrix(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return K
 
 
-def _check_game(tree: PricingTree, buyer_discount: DiscountSequence,
-                seller_discount: DiscountSequence) -> None:
-    if tree.horizon > MAX_ENUM_HORIZON:
-        raise ResourceLimitError(
-            f"horizon {tree.horizon} exceeds the enumeration guard {MAX_ENUM_HORIZON}")
-    if not (buyer_discount.is_finite and seller_discount.is_finite):
-        raise InvalidParameterError("enumeration needs finite discounts; truncate first")
-    if len(buyer_discount) != tree.horizon or len(seller_discount) != tree.horizon:
-        raise InvalidParameterError("discount lengths must match the tree horizon")
-
-
 def strategy_tables(tree: PricingTree, buyer_discount: DiscountSequence,
                     seller_discount: DiscountSequence) -> StrategyTables:
     """Quantities and payments of all strategies against one tree."""
-    _check_game(tree, buyer_discount, seller_discount)
     bits = strategy_bits(tree.horizon)
-    gb = buyer_discount.as_array()
-    gs = seller_discount.as_array()
+    gb = _finite_weights(buyer_discount, tree.horizon)
+    gs = _finite_weights(seller_discount, tree.horizon)
     paid = bits.astype(float)
     prices = np.fromiter(tree.prices().values(), float)[_pricing_nodes(bits)]
     return StrategyTables(
@@ -131,25 +121,24 @@ def strategy_tables(tree: PricingTree, buyer_discount: DiscountSequence,
     )
 
 
-def _argbest(tables: StrategyTables, surpluses: np.ndarray,
-             tie_tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _argbest(tables: StrategyTables, surpluses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index of the best response per column of `surpluses`, plus tie counts.
 
-    Ties in surplus (relative tolerance) resolve to the strategy with the
-    largest seller payment; remaining ties to the lowest binary value.
+    Ties in surplus (relative tolerance `SURPLUS_TIE_RTOL`) resolve to the
+    strategy with the largest seller payment; remaining ties to the lowest
+    binary value.
     """
     if surpluses.ndim == 1:
         surpluses = surpluses[:, None]
     s_max = surpluses.max(axis=0)
-    tol = tie_tol * np.maximum(1.0, np.abs(s_max))
+    tol = SURPLUS_TIE_RTOL * np.maximum(1.0, np.abs(s_max))
     tied = surpluses >= (s_max - tol)[None, :]
     seller = np.where(tied, tables.seller_payments[:, None], -np.inf)
     return np.argmax(seller, axis=0), tied.sum(axis=0)
 
 
 def best_response(tree: PricingTree, v: float, buyer_discount: DiscountSequence,
-                  seller_discount: DiscountSequence, *,
-                  tie_tol: float = SURPLUS_TIE_RTOL) -> BestResponse:
+                  seller_discount: DiscountSequence) -> BestResponse:
     """Enumerate all strategies and return a surplus-maximizing one.
 
     Among surplus ties the buyer is assumed seller-optimistic (maximal
@@ -160,7 +149,7 @@ def best_response(tree: PricingTree, v: float, buyer_discount: DiscountSequence,
         raise InvalidParameterError("valuation must be non-negative")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
     surpluses = tables.surpluses(float(v))
-    idx, ties = _argbest(tables, surpluses, tie_tol)
+    idx, ties = _argbest(tables, surpluses)
     j = int(idx[0])
     return BestResponse(
         strategy=BuyerStrategy(tuple(int(b) for b in tables.bits[j])),
@@ -186,8 +175,7 @@ class RevenueCurve:
 
 
 def strategic_revenue_curve(tree: PricingTree, buyer_discount: DiscountSequence,
-                            seller_discount: DiscountSequence,
-                            v_grid, *, tie_tol: float = SURPLUS_TIE_RTOL) -> RevenueCurve:
+                            seller_discount: DiscountSequence, v_grid) -> RevenueCurve:
     """Best responses at every grid valuation (grid must be sorted, >= 0)."""
     v = np.asarray(v_grid, dtype=float)
     if v.ndim != 1 or v.size == 0:
@@ -196,7 +184,7 @@ def strategic_revenue_curve(tree: PricingTree, buyer_discount: DiscountSequence,
         raise InvalidParameterError("valuation grid must be sorted and non-negative")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
     surpluses = tables.surpluses(v)
-    idx, _ = _argbest(tables, surpluses, tie_tol)
+    idx, _ = _argbest(tables, surpluses)
     cols = np.arange(v.size)
     return RevenueCurve(
         valuations=v,
@@ -256,32 +244,27 @@ def expected_strategic_revenue(tree: PricingTree, dist: ValuationDistribution,
     lo, hi = dist.support
     edges = np.concatenate(([lo], envelope_breakpoints(tables, lo, hi), [hi]))
     mid = 0.5 * (edges[:-1] + edges[1:])
-    idx, _ = _argbest(tables, tables.surpluses(mid), SURPLUS_TIE_RTOL)
-    mass = np.diff(np.asarray(dist.cdf(edges), dtype=float))
+    idx, _ = _argbest(tables, tables.surpluses(mid))
+    mass = np.diff(dist.cdf(edges))
     return float(tables.seller_payments[idx] @ mass)
 
 
 def brute_force_optimal_tree(dist: ValuationDistribution,
                              buyer_discount: DiscountSequence,
                              seller_discount: DiscountSequence,
-                             horizon: int = 2,
                              price_grid_resolution: int = 50) -> tuple[PricingTree, float]:
     """Exhaustive grid search over all two-round trees; the slow trusted oracle.
 
     Every combination of the three node prices on a uniform support grid is
     scored by Gauss-Legendre quadrature (8 panels of 32 nodes), and the
-    winner is re-scored by the exact `expected_strategic_revenue`.  Only
-    horizon 2 is supported -- the point is an oracle cheap enough to run and
-    dumb enough to trust.
+    winner is re-scored by the exact `expected_strategic_revenue`.  Both
+    discounts must have two rounds -- the point is an oracle cheap enough to
+    run and dumb enough to trust.
     """
-    if horizon != 2:
-        raise InvalidParameterError("brute force supports horizon 2 only")
     if not 1 <= price_grid_resolution <= 60:
         raise InvalidParameterError("price grid resolution must be in 1..60")
-    if len(buyer_discount) != 2 or len(seller_discount) != 2:
-        raise InvalidParameterError("discount lengths must match horizon 2")
-    gb = buyer_discount.as_array()
-    gs = seller_discount.as_array()
+    gb = _finite_weights(buyer_discount, 2)
+    gs = _finite_weights(seller_discount, 2)
     lo, hi = dist.support
     grid = np.linspace(lo, hi, price_grid_resolution)
 
@@ -297,7 +280,7 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     edges = np.linspace(lo, hi, 9)
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
-    fw = (half * w).ravel() * np.asarray(dist.pdf(nodes))
+    fw = (half * w).ravel() * dist.pdf(nodes)
 
     best_value = -np.inf
     best_index = 0

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscountSequence, PricingTree, canonical_nodes
+from .core import DiscountSequence, PricingTree, _finite_weights, canonical_nodes
 from .distributions import ValuationDistribution
 from .errors import (InfeasiblePointError, InvalidParameterError,
                      RegularityError, ResourceLimitError)
@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 QUANTITY_COLLISION_TOL = 1e-12
+CONE_ORDER_TOL = 1e-9    # slack of v_to_tree's 0 <= v_1 <= ... <= v_k check
+PRICE_DUST_TOL = 1e-10   # negative reconstructed prices this small are zeroed
 
 
 def consistent_node_order(horizon: int) -> tuple[str, ...]:
@@ -64,14 +66,8 @@ class RegularityReport:
     gap: float | None = None
 
 
-def _finite_weights(discount: DiscountSequence, horizon: int | None) -> np.ndarray:
-    if horizon is not None and (not discount.is_finite or len(discount) != horizon):
-        raise InvalidParameterError(f"discount must be finite with length {horizon}")
-    return discount.as_array()
-
-
-def _sorted_strategies(buyer_discount: DiscountSequence, horizon: int | None,
-                       tol: float) -> tuple[np.ndarray, np.ndarray, RegularityReport]:
+def _sorted_strategies(buyer_discount: DiscountSequence, horizon: int | None
+                       ) -> tuple[np.ndarray, np.ndarray, RegularityReport]:
     """Strategy bits and quantities in ascending quantity order, and their regularity."""
     w = _finite_weights(buyer_discount, horizon)
     bits = strategy_bits(len(w))
@@ -80,17 +76,20 @@ def _sorted_strategies(buyer_discount: DiscountSequence, horizon: int | None,
     bits, quantities = bits[idx], quantities[idx]
     gaps = np.diff(quantities)
     j = int(np.argmin(gaps)) if gaps.size else 0
-    if gaps.size and gaps[j] <= tol:
+    if gaps.size and gaps[j] <= QUANTITY_COLLISION_TOL:
         to_string = lambda row: "".join(str(int(b)) for b in row)
         pair = (to_string(bits[j]), to_string(bits[j + 1]))
         return bits, quantities, RegularityReport(False, pair=pair, gap=float(gaps[j]))
     return bits, quantities, RegularityReport(True)
 
 
-def check_regularity(buyer_discount: DiscountSequence, horizon: int | None = None,
-                     tol: float = QUANTITY_COLLISION_TOL) -> RegularityReport:
-    """Report whether every strategy yields a distinct discounted quantity."""
-    return _sorted_strategies(buyer_discount, horizon, tol)[2]
+def check_regularity(buyer_discount: DiscountSequence,
+                     horizon: int | None = None) -> RegularityReport:
+    """Report whether every strategy yields a distinct discounted quantity.
+
+    Two quantities collide when they differ by at most `QUANTITY_COLLISION_TOL`.
+    """
+    return _sorted_strategies(buyer_discount, horizon)[2]
 
 
 @dataclass(frozen=True)
@@ -117,8 +116,7 @@ class StrategyOrder:
 def order_strategies(buyer_discount: DiscountSequence,
                      horizon: int | None = None) -> StrategyOrder:
     """Sort strategies by buyer-discounted quantity; requires regularity."""
-    bits, quantities, report = _sorted_strategies(buyer_discount, horizon,
-                                                  QUANTITY_COLLISION_TOL)
+    bits, quantities, report = _sorted_strategies(buyer_discount, horizon)
     if not report.ok:
         raise RegularityError(
             f"buyer discount is not regular: strategies {report.pair[0]} and "
@@ -248,23 +246,22 @@ def tree_to_v(system: ReductionSystem, tree: PricingTree) -> np.ndarray:
     return system.W @ prices
 
 
-def v_to_tree(system: ReductionSystem, v, *, order_tol: float = 1e-9,
-              price_tol: float = 1e-10) -> PricingTree:
+def v_to_tree(system: ReductionSystem, v) -> PricingTree:
     """The completely active tree whose indifference points are v.
 
-    v must lie in Delta^k (non-negative, non-decreasing) up to `order_tol`.
-    A genuinely negative reconstructed price means v left the image of the
-    completely active set and is reported rather than clipped; negative
-    dust within `price_tol` is zeroed.
+    v must lie in Delta^k (non-negative, non-decreasing) up to
+    `CONE_ORDER_TOL`.  A genuinely negative reconstructed price means v left
+    the image of the completely active set and is reported rather than
+    clipped; negative dust within `PRICE_DUST_TOL` is zeroed.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (system.k,):
         raise InvalidParameterError(f"v must have shape ({system.k},)")
-    if v[0] < -order_tol or np.any(np.diff(v) < -order_tol):
+    if v[0] < -CONE_ORDER_TOL or np.any(np.diff(v) < -CONE_ORDER_TOL):
         raise InvalidParameterError("v must satisfy 0 <= v_1 <= ... <= v_k")
     prices = system.W_inv @ v
     worst = prices.min(initial=0.0)
-    if worst < -price_tol:
+    if worst < -PRICE_DUST_TOL:
         node = system.node_order[int(np.argmin(prices))]
         raise InfeasiblePointError(
             f"reconstructed price at node {node!r} is negative ({worst:.3g}); "
@@ -275,14 +272,14 @@ def v_to_tree(system: ReductionSystem, v, *, order_tol: float = 1e-9,
 
 def _bilinear_value(matrix: np.ndarray, dist: ValuationDistribution,
                     v: np.ndarray) -> float:
-    tail = 1.0 - np.asarray(dist.cdf(v))
+    tail = 1.0 - dist.cdf(v)
     return float(tail @ (matrix @ v))
 
 
 def _bilinear_gradient(matrix: np.ndarray, dist: ValuationDistribution,
                        v: np.ndarray) -> np.ndarray:
-    tail = 1.0 - np.asarray(dist.cdf(v))
-    return matrix.T @ tail - np.asarray(dist.pdf(v)) * (matrix @ v)
+    tail = 1.0 - dist.cdf(v)
+    return matrix.T @ tail - dist.pdf(v) * (matrix @ v)
 
 
 def L_value(system: ReductionSystem, dist: ValuationDistribution, v) -> float:

@@ -54,6 +54,8 @@ class TruncatedGame:
 
 
 def _aggregate_tail(discount: DiscountSequence, tau: int) -> DiscountSequence:
+    if tau > MAX_ENUM_HORIZON:
+        raise ResourceLimitError(f"tau {tau} exceeds the enumeration guard {MAX_ENUM_HORIZON}")
     if discount.is_finite and len(discount) < tau:
         raise InvalidParameterError(
             f"cannot truncate a length-{len(discount)} discount at tau={tau}")

@@ -166,7 +166,7 @@ def test_criterion_08_optimizer_matches_grid_oracle():
         gb_rate = float(rng.uniform(0.05, gs_rate - 0.1))
         gb = make_geometric_discount(gb_rate, 2)
         gs = make_geometric_discount(gs_rate, 2)
-        _, bf_value = brute_force_optimal_tree(UNIFORM, gb, gs, 2, resolution)
+        _, bf_value = brute_force_optimal_tree(UNIFORM, gb, gs, resolution)
         opt = maximize_L(UNIFORM, gb, gs, starts=8, seed=2)
         assert opt.value >= bf_value - 1e-6  # grid trees are feasible points
         worst = max(worst, abs(opt.value - bf_value))

@@ -334,8 +334,9 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--horizon", "2", "--tol", "nan"], 3),
     (["bigdeal", "--dist", "uniform:0,1", "--gs", "0.5", "--gb", "0.8",
       "--tau", "21"], 3),
+    (["truncate", "--gb", "0.5", "--gs", "0.8", "--tau", "21"], 3),
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
-        "max-iter-zero", "tol-nan", "bigdeal-tau-above-guard"])
+        "max-iter-zero", "tol-nan", "bigdeal-tau-above-guard", "truncate-tau-above-guard"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")

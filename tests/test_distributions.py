@@ -42,6 +42,19 @@ def test_myerson_matches_grid_oracle(spec):
     assert h_star == pytest.approx(h_ref, abs=1e-10)
 
 
+@pytest.mark.parametrize("method", ["cdf", "pdf", "sf", "quantile"])
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+def test_values_are_numpy_scalars_or_same_shape_arrays(dist, method):
+    f = getattr(dist, method)
+    first = f(np.array([0.3]))[0]  # 0.3 lies inside every support and (0, 1)
+    for scalar in (0.3, np.array(0.3)):
+        out = f(scalar)
+        assert np.ndim(out) == 0 and isinstance(out, float)
+        assert out == first
+    out = f(np.linspace(0.25, 0.75, 5))
+    assert isinstance(out, np.ndarray) and out.shape == (5,)
+
+
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
 def test_density_integrates_to_one(dist):
     lo, hi = dist.support
@@ -58,15 +71,15 @@ def test_cdf_pdf_consistency(dist):
     lo, hi = dist.support
     v = np.linspace(lo, hi, 102)[1:-1]
     h = 1e-6 * (hi - lo)
-    derivative = (np.asarray(dist.cdf(v + h)) - np.asarray(dist.cdf(v - h))) / (2 * h)
-    assert np.max(np.abs(derivative - np.asarray(dist.pdf(v)))) < 1e-4
+    derivative = (dist.cdf(v + h) - dist.cdf(v - h)) / (2 * h)
+    assert np.max(np.abs(derivative - dist.pdf(v))) < 1e-4
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
 def test_cdf_shape(dist):
     lo, hi = dist.support
     v = np.linspace(lo, hi, 200)
-    F = np.asarray(dist.cdf(v))
+    F = dist.cdf(v)
     assert F[0] == pytest.approx(0.0, abs=1e-12)
     assert F[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(F) >= -1e-12)
@@ -76,8 +89,8 @@ def test_cdf_shape(dist):
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
 def test_quantile_inverts_cdf(dist):
     q = np.linspace(0.01, 0.99, 25)
-    v = np.asarray(dist.quantile(q))
-    assert np.asarray(dist.cdf(v)) == pytest.approx(q, abs=1e-9)
+    v = dist.quantile(q)
+    assert dist.cdf(v) == pytest.approx(q, abs=1e-9)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
@@ -88,7 +101,7 @@ def test_mean_matches_quadrature(dist):
     for a, b in zip(np.linspace(lo, hi, 9)[:-1], np.linspace(lo, hi, 9)[1:]):
         half = 0.5 * (b - a)
         nodes = 0.5 * (a + b) + half * x
-        total += half * np.dot(w, nodes * np.asarray(dist.pdf(nodes)))
+        total += half * np.dot(w, nodes * dist.pdf(nodes))
     assert dist.mean == pytest.approx(total, abs=1e-9)
 
 
@@ -97,7 +110,7 @@ def test_maximum_dominates_support_grid(dist):
     p_star, h_star = myerson_price(dist)
     lo, hi = dist.support
     grid = np.linspace(lo, hi, 1000)
-    values = grid * np.asarray(dist.sf(grid))
+    values = grid * dist.sf(grid)
     assert np.max(values) <= h_star + 1e-9
     # leftmost-ness: nothing materially left of p_star matches the maximum
     step = (hi - lo) / 999
@@ -127,4 +140,4 @@ def test_texp_closed_forms():
 def test_beta_integer_cdf_closed_form():
     d = Beta(4, 2)
     v = np.linspace(0, 1, 11)
-    assert np.asarray(d.cdf(v)) == pytest.approx(5 * v**4 - 4 * v**5, abs=1e-12)
+    assert d.cdf(v) == pytest.approx(5 * v**4 - 4 * v**5, abs=1e-12)

@@ -162,7 +162,7 @@ def test_envelope_breakpoints_of_constant_tree():
 def test_brute_force_equal_discounts_recovers_constant_value():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5, 2)
-    tree, value = brute_force_optimal_tree(u, g, g, 2, 50)
+    tree, value = brute_force_optimal_tree(u, g, g, 50)
     # the optimal value is 0.25 * Gamma; the grid can only miss by one cell
     assert value == pytest.approx(0.25 * g.total, abs=0.25 * g.total / 49)
 
@@ -171,15 +171,16 @@ def test_brute_force_guards():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5, 2)
     with pytest.raises(InvalidParameterError):
-        brute_force_optimal_tree(u, g, g, horizon=3)
-    with pytest.raises(InvalidParameterError):
         brute_force_optimal_tree(u, g, g, price_grid_resolution=61)
+    with pytest.raises(InvalidParameterError):
+        brute_force_optimal_tree(u, make_geometric_discount(0.3),
+                                 make_geometric_discount(0.8))
 
 
 def test_brute_force_degenerate_grid():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5, 2)
-    tree, value = brute_force_optimal_tree(u, g, g, 2, 1)
+    tree, value = brute_force_optimal_tree(u, g, g, 1)
     assert set(tree.prices().values()) == {0.0}  # the single grid price
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -188,5 +189,5 @@ def test_brute_force_beats_baseline_for_impatient_buyer():
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.2, 2)
     gs = make_geometric_discount(0.8, 2)
-    _, value = brute_force_optimal_tree(u, gb, gs, 2, 30)
+    _, value = brute_force_optimal_tree(u, gb, gs, 30)
     assert value >= gs.total * 0.25

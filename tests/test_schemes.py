@@ -132,6 +132,8 @@ def test_truncate_guards():
     short = DiscountSequence([1.0, 0.5])
     with pytest.raises(InvalidParameterError):
         truncate(short, short, 3)
+    with pytest.raises(ResourceLimitError):
+        truncate(g, g, 21)  # refused before any weight is built
 
 
 def test_truncate_explicit_finite_tail_aggregation():
