@@ -2,9 +2,9 @@
 
 Three continuous families with bounded support are provided: uniform,
 beta, and an exponential conditioned on an upper bound.  Each exposes a
-CDF, a density, the mean, and quantiles.  `static_revenue` is the one-shot
-revenue curve p * P[V >= p]; its leftmost global maximizer is the price an
-optimal single-round seller posts.
+CDF, a density and its derivative, the mean, and quantiles.
+`static_revenue` is the one-shot revenue curve p * P[V >= p]; its leftmost
+global maximizer is the price an optimal single-round seller posts.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ MYERSON_REFINE_TOL = 1e-10    # golden-section bracket width at exit
 class ValuationDistribution:
     """Common interface: continuous distribution of the buyer's valuation.
 
-    `cdf`, `pdf`, `sf` and `quantile` return NumPy values: a scalar or 0-d
+    `cdf`, `pdf`, `dpdf`, `sf` and `quantile` return NumPy values: a scalar or 0-d
     input gives a `np.float64` (a `float` subclass), an array input an
     array of the same shape.
     """
@@ -53,6 +53,10 @@ class ValuationDistribution:
         raise NotImplementedError
 
     def pdf(self, v):
+        raise NotImplementedError
+
+    def dpdf(self, v):
+        """Derivative of the density (0 outside the support)."""
         raise NotImplementedError
 
     def quantile(self, q):
@@ -94,6 +98,9 @@ class Uniform(ValuationDistribution):
         v = np.asarray(v, dtype=float)
         return np.where((v >= self.lo) & (v <= self.hi), 1.0 / (self.hi - self.lo), 0.0)[()]
 
+    def dpdf(self, v):
+        return np.zeros_like(np.asarray(v, dtype=float))[()]
+
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
         return (self.lo + q * (self.hi - self.lo))[()]
@@ -132,6 +139,11 @@ class Beta(ValuationDistribution):
             log_pdf = ((self.alpha - 1.0) * np.log(x)
                        + (self.beta - 1.0) * np.log1p(-x) - self._log_norm)
         return np.where(inside, np.exp(log_pdf), 0.0)[()]
+
+    def dpdf(self, v):
+        v = np.asarray(v, dtype=float)
+        x = np.where((v > 0.0) & (v < 1.0), v, 0.5)  # pdf is zero where x is a dummy
+        return (self.pdf(v) * ((self.alpha - 1.0) / x - (self.beta - 1.0) / (1.0 - x)))[()]
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
@@ -178,6 +190,9 @@ class TruncatedExponential(ValuationDistribution):
         v = np.asarray(v, dtype=float)
         inside = (v >= 0.0) & (v <= self.bound)
         return np.where(inside, self.rate * np.exp(-self.rate * v) / self._mass, 0.0)[()]
+
+    def dpdf(self, v):
+        return (-self.rate * self.pdf(v))[()]
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)

@@ -5,6 +5,13 @@ feasible set {0 <= v_1 <= ... <= v_k} admits an exact Euclidean projection
 (isotonic regression followed by clamping at zero, which commute on this
 cone), so no general-purpose NLP solver is needed.  The form is not
 concave for unequal discounts, hence the multi-start.
+
+Each run is polished by Newton's method on the face of the cone it settles
+on (projected Newton, Bertsekas 1982), with one value per pooled block.  A
+polished point is accepted only if it is feasible, worth at least the
+ascent iterate, and passes the same gradient-mapping test at `tol` (1e-9
+by default) that certifies an ascent iterate, so `converged` means the
+same either way.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from scipy.optimize import isotonic_regression
 from .core import DiscountSequence, PricingTree
 from .distributions import Uniform, ValuationDistribution, myerson_price
 from .errors import InvalidParameterError
-from .reduction import (_bilinear_gradient, _bilinear_value, build_system,
-                        reduced_T2_functional, v_to_tree)
+from .reduction import (_bilinear_gradient, _bilinear_hessian, _bilinear_value,
+                        build_system, reduced_T2_functional, v_to_tree)
 
 __all__ = [
     "OptimizationResult",
@@ -35,6 +42,8 @@ __all__ = [
 
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
+FACE_STABLE_ITERS = 2  # iterations a face must hold before Newton is tried on it
+NEWTON_MAX_STEPS = 10  # Newton steps per try on a face
 ORDER_TOL = 1e-12  # slack of the patience comparisons between discount sequences
 
 
@@ -110,7 +119,51 @@ def _pointwise_leq(a: DiscountSequence, b: DiscountSequence) -> bool:
     return all(x <= y + ORDER_TOL for x, y in zip(a, b))
 
 
-def _projected_ascent(value_fn, grad_fn, x0: np.ndarray, step0: float,
+def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float):
+    """project(x + step0 g) and its distance from x over step0: 0 exactly at a KKT point."""
+    reference = project_to_delta(x + step0 * g)
+    return reference, float(np.linalg.norm(reference - x) / step0)
+
+
+def _face(x: np.ndarray) -> np.ndarray:
+    """The face of Delta^k that x lies on: [x_1 == 0, x_2 == x_1, ..., x_k == x_{k-1}].
+
+    Exact comparisons suffice: the projection leaves pooled values equal
+    and clamped ones at 0.
+    """
+    return np.concatenate(([x[0] == 0.0], x[1:] == x[:-1]))
+
+
+def _face_newton(value_fn, grad_fn, hess_fn, x: np.ndarray, g: np.ndarray,
+                 f: float, step0: float, tol: float, budget: int):
+    """Newton's method on the block values of x's face, from x (gradient g).
+
+    Each pooled block moves as one value, v = B u, and the block at 0 stays
+    there.  Returns the steps taken and (v, value, kkt) for the first Newton
+    point that is feasible, worth at least f, and certified by the gradient
+    mapping at `tol`, or None when no point within `budget` steps is.
+    """
+    labels = np.cumsum(~_face(x))  # label 0 marks the block at 0
+    blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
+    v = x
+    for step in range(1, budget + 1):
+        curvature = -(blocks.T @ hess_fn(v) @ blocks)
+        try:  # step only where the face's reduced Hessian is negative definite
+            np.linalg.cholesky(curvature)
+        except np.linalg.LinAlgError:
+            return step, None
+        v = v + blocks @ np.linalg.solve(curvature, blocks.T @ g)
+        if not (v[0] >= 0.0 and np.all(v[1:] >= v[:-1])):
+            return step, None
+        g = grad_fn(v)
+        _, kkt = _gradient_mapping(v, g, step0)
+        value = value_fn(v)
+        if kkt <= tol and value >= f:
+            return step, (v, value, kkt)
+    return budget, None
+
+
+def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float,
                       max_iter: int, tol: float):
     """One run of projected gradient ascent with Armijo backtracking.
 
@@ -118,9 +171,11 @@ def _projected_ascent(value_fn, grad_fn, x0: np.ndarray, step0: float,
     optimum the objective differences underflow double precision before
     the gradient mapping does, so once the line search stalls the run
     switches to plain fixed-step projected iterations, which contract to
-    the optimum without comparing objective values.  The run stops when
-    the gradient-mapping norm (at the reference step) is under `tol` or
-    stops decreasing.
+    the optimum without comparing objective values.  Once the iterate's
+    face has held for `FACE_STABLE_ITERS` iterations, Newton's method on
+    that face is tried once (`_face_newton`); each Newton step counts as
+    an iteration.  The run stops when the gradient-mapping norm (at the
+    reference step) is under `tol` or stops decreasing.
     """
     x = project_to_delta(x0)
     f = value_fn(x)
@@ -128,10 +183,12 @@ def _projected_ascent(value_fn, grad_fn, x0: np.ndarray, step0: float,
     kkt = np.inf
     best_kkt = np.inf
     stalled = 0
-    for it in range(1, max_iter + 1):
+    face, face_age = _face(x), 0
+    it = 0
+    while it < max_iter:
+        it += 1
         g = grad_fn(x)
-        reference = project_to_delta(x + step0 * g)
-        kkt = float(np.linalg.norm(reference - x) / step0)
+        reference, kkt = _gradient_mapping(x, g, step0)
         if kkt <= tol:
             return x, value_fn(x), it, True, kkt
         if kkt < best_kkt * (1.0 - 1e-4):
@@ -141,6 +198,18 @@ def _projected_ascent(value_fn, grad_fn, x0: np.ndarray, step0: float,
             stalled += 1
             if stalled > 250:  # gradient mapping hit its noise floor
                 return x, value_fn(x), it, False, kkt
+        current = _face(x)
+        if np.array_equal(current, face):
+            face_age += 1
+        else:
+            face, face_age = current, 0
+        if face_age == FACE_STABLE_ITERS:
+            steps, polished = _face_newton(value_fn, grad_fn, hess_fn, x, g, f, step0,
+                                           tol, min(NEWTON_MAX_STEPS, max_iter - it))
+            it += steps
+            if polished is not None:
+                v, value, v_kkt = polished
+                return v, value, it, True, v_kkt
         t = min(step * 2.0, step0 * 1e6)
         accepted = False
         while t >= step0 * 1e-14:
@@ -199,12 +268,13 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     step0 = 1.0 / max(np.linalg.norm(matrix, 1), 1e-12)
     value_fn = lambda v: _bilinear_value(matrix, dist, v)
     grad_fn = lambda v: _bilinear_gradient(matrix, dist, v)
+    hess_fn = lambda v: _bilinear_hessian(matrix, dist, v)
 
     runs = []
     total_iters = 0
     for x0 in points:
-        x, f, iters, ok, kkt = _projected_ascent(value_fn, grad_fn, x0, step0,
-                                                 max_iter, tol)
+        x, f, iters, ok, kkt = _projected_ascent(value_fn, grad_fn, hess_fn, x0,
+                                                 step0, max_iter, tol)
         total_iters += iters
         runs.append((f, x, ok, kkt))
     best_f = max(r[0] for r in runs)

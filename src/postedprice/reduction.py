@@ -282,6 +282,15 @@ def _bilinear_gradient(matrix: np.ndarray, dist: ValuationDistribution,
     return matrix.T @ tail - dist.pdf(v) * (matrix @ v)
 
 
+def _bilinear_hessian(matrix: np.ndarray, dist: ValuationDistribution,
+                      v: np.ndarray) -> np.ndarray:
+    """Hessian -(M' diag f) - diag(f) M - diag(f' * M v) of (1 - F(v))' M v."""
+    density = dist.pdf(v)
+    hessian = -(matrix.T * density) - density[:, None] * matrix
+    hessian[np.diag_indices_from(hessian)] -= dist.dpdf(v) * (matrix @ v)
+    return hessian
+
+
 def L_value(system: ReductionSystem, dist: ValuationDistribution, v) -> float:
     """The revenue form (1 - F(v))' Xi v (expected strategic revenue on Delta^k)."""
     return _bilinear_value(system.Xi, dist, np.asarray(v, dtype=float))

@@ -42,7 +42,7 @@ def test_myerson_matches_grid_oracle(spec):
     assert h_star == pytest.approx(h_ref, abs=1e-10)
 
 
-@pytest.mark.parametrize("method", ["cdf", "pdf", "sf", "quantile"])
+@pytest.mark.parametrize("method", ["cdf", "pdf", "dpdf", "sf", "quantile"])
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
 def test_values_are_numpy_scalars_or_same_shape_arrays(dist, method):
     f = getattr(dist, method)
@@ -73,6 +73,22 @@ def test_cdf_pdf_consistency(dist):
     h = 1e-6 * (hi - lo)
     derivative = (dist.cdf(v + h) - dist.cdf(v - h)) / (2 * h)
     assert np.max(np.abs(derivative - dist.pdf(v))) < 1e-4
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+def test_dpdf_matches_difference_quotient_of_pdf(dist):
+    lo, hi = dist.support
+    v = np.linspace(lo, hi, 102)[1:-1]
+    h = 1e-6 * (hi - lo)
+    derivative = (dist.pdf(v + h) - dist.pdf(v - h)) / (2 * h)
+    assert derivative == pytest.approx(dist.dpdf(v), rel=1e-6)
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+def test_dpdf_is_zero_outside_support(dist):
+    lo, hi = dist.support
+    outside = np.array([lo - 1.0, lo - 1e-9, hi + 1e-9, hi + 1.0])
+    assert np.all(dist.dpdf(outside) == 0.0)
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from postedprice import (DiscountOrderWarning, DiscountSequence,
+from postedprice import (Beta, DiscountOrderWarning, DiscountSequence,
                          InvalidParameterError, Uniform, discount_rates,
                          make_geometric_discount, maximize_L, project_to_delta,
-                         rate_order_satisfied, t2_uniform_qp)
+                         rate_order_satisfied, t2_uniform_qp, tau_step_optimal)
 from postedprice.optimizer import _pointwise_leq, maximize_bilinear
 from postedprice.reduction import reduced_T2_functional
+from test_acceptance import REGRESSION_TAU_VALUES
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +149,38 @@ def test_ascent_improves_on_every_start_value():
     start_value = _bilinear_value(matrix, u, np.full(2, 0.5))
     assert value >= start_value - 1e-12
     assert iters >= 1
+
+
+# ---------------------------------------------------------------------------
+# face-Newton polish
+
+
+@pytest.mark.parametrize("tau", sorted(REGRESSION_TAU_VALUES))
+def test_polish_certifies_the_pinned_tau_ladder(tau):
+    gb = make_geometric_discount(0.2)
+    gs = make_geometric_discount(0.8)
+    result = tau_step_optimal(Uniform(0, 1), gb, gs, tau, starts=8, seed=1)
+    assert result.optimization.converged
+    assert result.optimization.kkt_residual <= 1e-12
+    assert abs(result.value - REGRESSION_TAU_VALUES[tau]) <= 1e-7
+
+
+def test_polish_certifies_with_a_varying_density():
+    # Beta(4, 2) has a non-zero density derivative, so Newton takes several steps
+    gb = make_geometric_discount(0.3, 3)
+    gs = make_geometric_discount(0.8, 3)
+    result = maximize_L(Beta(4, 2), gb, gs)
+    assert result.converged
+    assert result.kkt_residual <= 1e-12
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 4])
+def test_newton_steps_count_toward_max_iter(max_iter):
+    gb = make_geometric_discount(0.3, 3)
+    gs = make_geometric_discount(0.8, 3)
+    result = maximize_L(Beta(4, 2), gb, gs, max_iter=max_iter)
+    assert 1 <= result.iterations <= result.starts * max_iter
+    assert result.v_star.shape == (7,)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])

@@ -10,6 +10,7 @@ from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          expected_strategic_revenue, make_geometric_discount,
                          order_strategies, reduced_T2_functional, tree_to_v,
                          v_to_tree)
+from postedprice.reduction import _bilinear_gradient, _bilinear_hessian
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -235,6 +236,20 @@ def test_L_gradient_matches_finite_differences(dist, T, rates):
             e[i] = h
             fd = (L_value(sys_, dist, v + e) - L_value(sys_, dist, v - e)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("dist", [Uniform(0, 1), Beta(4, 2), TruncatedExponential(2.5, 0.8)],
+                         ids=lambda d: d.spec_string())
+def test_bilinear_hessian_matches_finite_differences(dist):
+    rng = np.random.default_rng(15)
+    Xi = build_system(make_geometric_discount(0.5, 3), make_geometric_discount(0.9, 3)).Xi
+    h = 1e-6
+    for _ in range(8):
+        v = random_delta_point(rng, 7, 0.1, 0.7)
+        fd = np.column_stack([(_bilinear_gradient(Xi, dist, v + h * e)
+                               - _bilinear_gradient(Xi, dist, v - h * e)) / (2 * h)
+                              for e in np.eye(7)])
+        assert _bilinear_hessian(Xi, dist, v) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
