@@ -10,7 +10,7 @@ buyer-behavior oracle.
 
 from .core import (BuyerStrategy, DiscountSequence, GameOutcome, PricingTree,
                    canonical_nodes, evaluate, make_geometric_discount,
-                   price_path, validate_discount)
+                   price_path)
 from .distributions import (Beta, TruncatedExponential, Uniform,
                             ValuationDistribution, myerson_price,
                             parse_distribution, static_revenue)
@@ -23,9 +23,8 @@ from .oracle import (BestResponse, RevenueCurve, best_response,
                      brute_force_optimal_tree, expected_strategic_revenue,
                      strategic_revenue_curve, strategy_tables)
 from .reduction import (ReductionSystem, L_gradient, L_value, build_system,
-                        check_regularity, consistent_node_order,
-                        order_strategies, reduced_T2_functional, tree_to_v,
-                        v_to_tree)
+                        consistent_node_order, order_strategies,
+                        reduced_T2_functional, tree_to_v, v_to_tree)
 from .schemes import (PatienceOrderWarning, TauStepResult, TruncatedGame,
                       big_deal, constant_myerson, tau_step_optimal, truncate)
 
@@ -34,7 +33,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuyerStrategy", "DiscountSequence", "GameOutcome", "PricingTree",
     "canonical_nodes", "evaluate", "make_geometric_discount", "price_path",
-    "validate_discount",
     "Beta", "TruncatedExponential", "Uniform", "ValuationDistribution",
     "myerson_price", "parse_distribution", "static_revenue",
     "InfeasiblePointError", "InvalidParameterError", "RegularityError",
@@ -45,8 +43,8 @@ __all__ = [
     "brute_force_optimal_tree", "expected_strategic_revenue",
     "strategic_revenue_curve", "strategy_tables",
     "ReductionSystem", "L_gradient", "L_value", "build_system",
-    "check_regularity", "consistent_node_order", "order_strategies",
-    "reduced_T2_functional", "tree_to_v", "v_to_tree",
+    "consistent_node_order", "order_strategies", "reduced_T2_functional",
+    "tree_to_v", "v_to_tree",
     "PatienceOrderWarning", "TauStepResult", "TruncatedGame", "big_deal",
     "constant_myerson", "tau_step_optimal", "truncate",
 ]

@@ -133,6 +133,16 @@ def cmd_myerson(args) -> int:
     return 0
 
 
+def _baseline(seller: DiscountSequence, h_star: float) -> float:
+    """Revenue of constant pricing at the one-shot optimal price, the
+    denominator of every `ratio`; a zero baseline is a domain error."""
+    baseline = seller.total * h_star
+    if baseline == 0.0:
+        raise InvalidParameterError(
+            "the constant-pricing baseline revenue is zero, so no ratio is defined")
+    return baseline
+
+
 def _solve(args, buyer: DiscountSequence, seller: DiscountSequence, depth: int):
     """`maximize_L` on the finite game, or on its truncation at `depth` when no
     --horizon is given; returns the result and the truncated game (or None)."""
@@ -148,6 +158,7 @@ def _solve(args, buyer: DiscountSequence, seller: DiscountSequence, depth: int):
 def cmd_optimize(args) -> int:
     """One game: the finite one (--horizon) or the tau-step infinite one (--tau)."""
     seller = make_geometric_discount(args.gs, args.horizon)
+    baseline = _baseline(seller, myerson_price(args.dist)[1])
     depth = args.tau if args.horizon is None else args.horizon
     result, game = _solve(args, make_geometric_discount(args.gb, args.horizon), seller,
                           depth)
@@ -157,8 +168,6 @@ def cmd_optimize(args) -> int:
     else:
         mode = {"tau": depth, "opt_lower": result.value,
                 "opt_upper": result.value + game.tail_bound(args.dist)}
-    _, h_star = myerson_price(args.dist)
-    baseline = seller.total * h_star
     _emit_json(args, {
         "dist": args.dist.spec_string(),
         "gs": args.gs,
@@ -201,7 +210,7 @@ def cmd_sweep(args) -> int:
         gb = float(point) if args.fix == "gs" else fixed_value
         seller = make_geometric_discount(gs, horizon)
         buyer = make_geometric_discount(gb, horizon)
-        baseline = seller.total * h_star
+        baseline = _baseline(seller, h_star)
         values = []
         for depth in depths:
             res, _ = _solve(args, buyer, seller, depth)

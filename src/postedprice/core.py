@@ -20,12 +20,10 @@ from .errors import InvalidParameterError
 
 __all__ = [
     "DiscountSequence",
-    "DiscountReport",
     "PricingTree",
     "BuyerStrategy",
     "GameOutcome",
     "make_geometric_discount",
-    "validate_discount",
     "price_path",
     "evaluate",
     "canonical_nodes",
@@ -36,55 +34,41 @@ __all__ = [
 # Discount sequences
 
 
-@dataclass(frozen=True)
-class DiscountReport:
-    """Outcome of checking a weight sequence against the discount rules."""
+def _check_weights(weights: tuple[float, ...]) -> None:
+    """Raise unless the weights form a valid discount sequence.
 
-    ok: bool
-    reason: str | None = None
-    index: int | None = None
-
-
-def validate_discount(weights) -> DiscountReport:
-    """Check a weight sequence (or DiscountSequence) against the validity rules.
-
-    Rules, in order of report precedence along the sequence: weights must be
-    finite and non-negative, the first weight must be positive, and no zero
-    may appear before a positive weight.  Returns a report naming the first
-    violated rule and its index instead of raising.
+    Weights must be finite and non-negative, the first weight must be
+    positive, and no zero may appear before a positive weight.  The message
+    names the first violated rule and its index.
     """
-    if isinstance(weights, DiscountSequence):
-        if not weights.is_finite:
-            return DiscountReport(True)
-        weights = weights.weights
-    weights = tuple(float(w) for w in weights)
     if not weights:
-        return DiscountReport(False, "empty sequence", None)
+        raise InvalidParameterError("invalid discount sequence: empty sequence")
     seen_zero = False
     for i, w in enumerate(weights):
         if not math.isfinite(w):
-            return DiscountReport(False, "non-finite weight", i)
-        if w < 0:
-            return DiscountReport(False, "negative weight", i)
-        if w == 0:
-            if i == 0:
-                return DiscountReport(False, "first weight must be positive", 0)
-            seen_zero = True
-        elif seen_zero:
-            return DiscountReport(False, "zero before positive weight", i)
-    return DiscountReport(True)
+            reason = "non-finite weight"
+        elif w < 0:
+            reason = "negative weight"
+        elif w == 0 and i == 0:
+            reason = "first weight must be positive"
+        elif w > 0 and seen_zero:
+            reason = "zero before positive weight"
+        else:
+            seen_zero = seen_zero or w == 0
+            continue
+        raise InvalidParameterError(f"invalid discount sequence: {reason} at index {i}")
 
 
 class DiscountSequence:
     """Per-round utility weights gamma_t for one side of the game.
 
-    Finite sequences store their weights explicitly.  A geometric sequence
-    without a horizon stands for the infinite game; its weights are not
-    materialized, but the total and any tail sum are computed in closed
-    form.  Instances are immutable.
+    A finite sequence is its tuple of weights, given explicitly or built
+    from a geometric `rate` and `horizon`.  A geometric rate without a
+    horizon stands for the infinite game: it keeps only the rate, and its
+    total and tail sums are in closed form.  Instances are immutable.
     """
 
-    __slots__ = ("_kind", "_weights", "_rate", "_horizon", "_total")
+    __slots__ = ("_weights", "_rate")
 
     def __init__(self, weights: Sequence[float] | None = None, *,
                  rate: float | None = None, horizon: int | None = None):
@@ -92,19 +76,10 @@ class DiscountSequence:
             raise InvalidParameterError(
                 "pass either explicit weights or a geometric rate, not both")
         if weights is not None:
-            if horizon is not None and horizon != len(tuple(weights)):
+            weights = tuple(float(x) for x in weights)
+            if horizon is not None and horizon != len(weights):
                 raise InvalidParameterError("horizon does not match weights length")
-            w = tuple(float(x) for x in weights)
-            report = validate_discount(w)
-            if not report.ok:
-                raise InvalidParameterError(
-                    f"invalid discount sequence: {report.reason}"
-                    + (f" at index {report.index}" if report.index is not None else ""))
-            self._kind = "explicit"
-            self._weights = w
-            self._rate = None
-            self._horizon = len(w)
-            self._total = math.fsum(w)
+            _check_weights(weights)
         else:
             rate = float(rate)
             if not 0.0 < rate < 1.0:
@@ -113,33 +88,17 @@ class DiscountSequence:
                 horizon = int(horizon)
                 if horizon < 1:
                     raise InvalidParameterError("horizon must be a positive integer")
-                self._weights = tuple(rate ** t for t in range(horizon))
-                self._total = (1.0 - rate ** horizon) / (1.0 - rate)
-            else:
-                self._weights = None
-                self._total = 1.0 / (1.0 - rate)
-            self._kind = "geometric"
-            self._rate = rate
-            self._horizon = horizon
-
-    # -- basic introspection ------------------------------------------------
-
-    @property
-    def kind(self) -> str:
-        return self._kind
-
-    @property
-    def rate(self) -> float | None:
-        return self._rate
+                weights, rate = tuple(rate ** t for t in range(horizon)), None
+        self._weights, self._rate = weights, rate
 
     @property
     def horizon(self) -> int | None:
         """Number of rounds, or None for the infinite game."""
-        return self._horizon
+        return None if self._weights is None else len(self._weights)
 
     @property
     def is_finite(self) -> bool:
-        return self._horizon is not None
+        return self._weights is not None
 
     @property
     def weights(self) -> tuple[float, ...]:
@@ -151,50 +110,33 @@ class DiscountSequence:
 
     @property
     def total(self) -> float:
-        """The sum Gamma of all weights (exact for geometric sequences)."""
-        return self._total
+        """The sum Gamma of all weights."""
+        return self.tail_sum(1)
 
     def weight(self, t: int) -> float:
         """Weight of round t (1-based)."""
         if t < 1:
             raise InvalidParameterError("rounds are 1-based")
-        if self._horizon is not None and t > self._horizon:
-            return 0.0
-        if self._weights is not None:
-            return self._weights[t - 1]
-        return self._rate ** (t - 1)
+        if self._weights is None:
+            return self._rate ** (t - 1)
+        return self._weights[t - 1] if t <= len(self._weights) else 0.0
 
     def tail_sum(self, start: int) -> float:
-        """Sum of weights from round `start` (1-based) onward."""
+        """Sum of weights from round `start` (1-based) onward: the `fsum` of
+        the stored weights, or the closed form for the infinite game."""
         if start < 1:
             raise InvalidParameterError("rounds are 1-based")
-        if self._weights is not None:
-            return math.fsum(self._weights[start - 1:])
-        return self._rate ** (start - 1) / (1.0 - self._rate)
+        if self._weights is None:
+            return self._rate ** (start - 1) / (1.0 - self._rate)
+        return math.fsum(self._weights[start - 1:])
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.weights, dtype=float)
 
-    # -- derived sequences ---------------------------------------------------
-
-    def scaled(self, factor: float) -> "DiscountSequence":
-        """The sequence multiplied by a positive constant."""
-        if factor <= 0:
-            raise InvalidParameterError("scale factor must be positive")
-        return DiscountSequence([factor * w for w in self.weights])
-
-    def normalized(self) -> "DiscountSequence":
-        """The sequence rescaled so the first weight equals 1."""
-        if self._kind == "geometric":
-            return self  # first weight is rate**0 == 1 already
-        return self.scaled(1.0 / self._weights[0])
-
-    # -- dunder plumbing ------------------------------------------------------
-
     def __len__(self) -> int:
-        if self._horizon is None:
+        if self._weights is None:
             raise TypeError("infinite discount sequence has no length")
-        return self._horizon
+        return len(self._weights)
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.weights)
@@ -202,20 +144,14 @@ class DiscountSequence:
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscountSequence):
             return NotImplemented
-        if self._kind != other._kind:
-            return self.is_finite and other.is_finite and self.weights == other.weights
-        if self._kind == "geometric":
-            return self._rate == other._rate and self._horizon == other._horizon
-        return self._weights == other._weights
+        return (self._weights, self._rate) == (other._weights, other._rate)
 
     def __hash__(self):
-        return hash((self._kind, self._rate, self._horizon, self._weights))
+        return hash((self._weights, self._rate))
 
     def __repr__(self) -> str:
-        if self._kind == "geometric":
-            h = self._horizon if self._horizon is not None else "inf"
-            return f"DiscountSequence(geometric rate={self._rate}, horizon={h})"
-        return f"DiscountSequence({list(self._weights)!r})"
+        arg = repr(list(self._weights)) if self._rate is None else f"rate={self._rate!r}"
+        return f"DiscountSequence({arg})"
 
 
 def _finite_weights(discount: DiscountSequence, horizon: int | None) -> np.ndarray:
@@ -228,8 +164,8 @@ def _finite_weights(discount: DiscountSequence, horizon: int | None) -> np.ndarr
 def make_geometric_discount(rate: float, horizon=None) -> DiscountSequence:
     """Geometric discount gamma_t = rate**(t-1).
 
-    `horizon` is a positive integer for the finite game, or None / math.inf
-    for the infinite one.  The total Gamma is exact in both cases.
+    `horizon` is a positive integer for the finite game, whose weights are
+    stored, or None / math.inf for the infinite one, which keeps the rate.
     """
     if horizon is not None and horizon == math.inf:
         horizon = None

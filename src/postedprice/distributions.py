@@ -179,6 +179,9 @@ class TruncatedExponential(ValuationDistribution):
     @property
     def mean(self):
         lam, b = self.rate, self.bound
+        x = lam * b
+        if x < 1e-3:  # the closed form cancels here; the series drops b x^5 / 30240
+            return b * (0.5 - x / 12.0 + x ** 3 / 720.0)
         return 1.0 / lam - b * math.exp(-lam * b) / self._mass
 
     def cdf(self, v):
@@ -228,7 +231,10 @@ def static_revenue(dist: ValuationDistribution, price: float) -> float:
 
 
 def _golden_section_max(f, a: float, b: float, tol: float) -> float:
-    """Abscissa of the maximum of a unimodal f on [a, b], to absolute tol."""
+    """Abscissa of the maximum of a unimodal f on [a, b] (0 <= a), to absolute
+    tol, or to four float spacings at b where those are wider: a bracket
+    cannot shrink below its float spacing."""
+    tol = max(tol, 4.0 * math.ulp(b))
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)

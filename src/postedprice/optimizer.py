@@ -258,12 +258,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
         raise InvalidParameterError("tol must be a finite positive number")
     p_star, _ = myerson_price(dist)
     lo, hi = dist.support
-    points = [np.full(k, p_star),
-              np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))]
     rng = np.random.default_rng(seed)
-    while len(points) < starts:
-        points.append(np.sort(rng.uniform(lo, hi, size=k)))
-    points = points[:starts]
 
     step0 = 1.0 / max(np.linalg.norm(matrix, 1), 1e-12)
     value_fn = lambda v: _bilinear_value(matrix, dist, v)
@@ -272,7 +267,13 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
 
     runs = []
     total_iters = 0
-    for x0 in points:
+    for i in range(starts):
+        if i == 0:
+            x0 = np.full(k, p_star)
+        elif i == 1:
+            x0 = np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))
+        else:
+            x0 = np.sort(rng.uniform(lo, hi, size=k))
         x, f, iters, ok, kkt = _projected_ascent(value_fn, grad_fn, hess_fn, x0,
                                                  step0, max_iter, tol)
         total_iters += iters

@@ -24,9 +24,7 @@ from .oracle import _payment_matrix, strategy_bits
 __all__ = [
     "StrategyOrder",
     "ReductionSystem",
-    "RegularityReport",
     "consistent_node_order",
-    "check_regularity",
     "order_strategies",
     "build_system",
     "tree_to_v",
@@ -58,41 +56,6 @@ def consistent_node_order(horizon: int) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class RegularityReport:
-    """Result of checking that all discounted quantities are distinct."""
-
-    ok: bool
-    pair: tuple[str, str] | None = None
-    gap: float | None = None
-
-
-def _sorted_strategies(buyer_discount: DiscountSequence, horizon: int | None
-                       ) -> tuple[np.ndarray, np.ndarray, RegularityReport]:
-    """Strategy bits and quantities in ascending quantity order, and their regularity."""
-    w = _finite_weights(buyer_discount, horizon)
-    bits = strategy_bits(len(w))
-    quantities = bits.astype(float) @ w
-    idx = np.argsort(quantities, kind="stable")
-    bits, quantities = bits[idx], quantities[idx]
-    gaps = np.diff(quantities)
-    j = int(np.argmin(gaps)) if gaps.size else 0
-    if gaps.size and gaps[j] <= QUANTITY_COLLISION_TOL:
-        to_string = lambda row: "".join(str(int(b)) for b in row)
-        pair = (to_string(bits[j]), to_string(bits[j + 1]))
-        return bits, quantities, RegularityReport(False, pair=pair, gap=float(gaps[j]))
-    return bits, quantities, RegularityReport(True)
-
-
-def check_regularity(buyer_discount: DiscountSequence,
-                     horizon: int | None = None) -> RegularityReport:
-    """Report whether every strategy yields a distinct discounted quantity.
-
-    Two quantities collide when they differ by at most `QUANTITY_COLLISION_TOL`.
-    """
-    return _sorted_strategies(buyer_discount, horizon)[2]
-
-
-@dataclass(frozen=True)
 class StrategyOrder:
     """All 2^T strategies sorted by ascending discounted quantity.
 
@@ -115,14 +78,26 @@ class StrategyOrder:
 
 def order_strategies(buyer_discount: DiscountSequence,
                      horizon: int | None = None) -> StrategyOrder:
-    """Sort strategies by buyer-discounted quantity; requires regularity."""
-    bits, quantities, report = _sorted_strategies(buyer_discount, horizon)
-    if not report.ok:
+    """Sort strategies by buyer-discounted quantity; requires regularity.
+
+    Regularity means every strategy yields a distinct discounted quantity.
+    Two quantities collide when they differ by at most
+    `QUANTITY_COLLISION_TOL`; the `RegularityError` then names the pair.
+    """
+    w = _finite_weights(buyer_discount, horizon)
+    bits = strategy_bits(len(w))
+    quantities = bits.astype(float) @ w
+    idx = np.argsort(quantities, kind="stable")
+    order = StrategyOrder(horizon=len(w), bits=bits[idx], quantities=quantities[idx])
+    gaps = np.diff(order.quantities)
+    j = int(np.argmin(gaps))
+    if gaps[j] <= QUANTITY_COLLISION_TOL:
+        pair = order.strategies[j:j + 2]
         raise RegularityError(
-            f"buyer discount is not regular: strategies {report.pair[0]} and "
-            f"{report.pair[1]} share the discounted quantity (gap {report.gap:.3g})",
-            pair=report.pair)
-    return StrategyOrder(horizon=bits.shape[1], bits=bits, quantities=quantities)
+            f"buyer discount is not regular: strategies {pair[0]} and "
+            f"{pair[1]} share the discounted quantity (gap {gaps[j]:.3g})",
+            pair=pair)
+    return order
 
 
 class ReductionSystem:

@@ -31,6 +31,12 @@ def test_myerson_beta_oracle_value(capsys):
     assert json.loads(out)["h_star"] == pytest.approx(0.409648251967, abs=1e-9)
 
 
+def test_myerson_wide_support_terminates(capsys):
+    code, out, _ = run(capsys, "myerson", "--dist", "uniform:0,1e7")
+    assert code == 0
+    assert json.loads(out)["h_star"] == pytest.approx(2.5e6, rel=1e-12)
+
+
 def test_malformed_dist_is_usage_error(capsys):
     code, _, err = run(capsys, "myerson", "--dist", "nope:1,2")
     assert code == 2
@@ -335,8 +341,13 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
     (["bigdeal", "--dist", "uniform:0,1", "--gs", "0.5", "--gb", "0.8",
       "--tau", "21"], 3),
     (["truncate", "--gb", "0.5", "--gs", "0.8", "--tau", "21"], 3),
+    (["optimize", "--dist", "texp:1e308,1", "--gs", "0.8", "--gb", "0.3",
+      "--horizon", "2"], 3),
+    (["sweep", "--dist", "beta:1e-300,1", "--fix", "gs", "--fixed-value", "0.8",
+      "--horizon", "2"], 3),
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
-        "max-iter-zero", "tol-nan", "bigdeal-tau-above-guard", "truncate-tau-above-guard"])
+        "max-iter-zero", "tol-nan", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
+        "optimize-zero-baseline", "sweep-zero-baseline"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")

@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from postedprice import (BuyerStrategy, DiscountSequence, InvalidParameterError,
                          PricingTree, canonical_nodes, evaluate,
-                         make_geometric_discount, price_path, validate_discount)
+                         make_geometric_discount, price_path)
 
 
 # ---------------------------------------------------------------------------
@@ -38,18 +39,43 @@ def test_geometric_rate_out_of_range(rate):
 
 
 def test_validate_examples():
-    assert validate_discount((1, 0.5, 0.25)).ok
-    report = validate_discount((1, 0, 0.25))
-    assert not report.ok and report.index == 2 and "zero" in report.reason
-    report = validate_discount((1, -0.1))
-    assert not report.ok and report.index == 1 and "negative" in report.reason
+    DiscountSequence((1, 0.5, 0.25))
+    with pytest.raises(InvalidParameterError,
+                       match=r"zero before positive weight at index 2$"):
+        DiscountSequence((1, 0, 0.25))
+    with pytest.raises(InvalidParameterError, match=r"negative weight at index 1$"):
+        DiscountSequence((1, -0.1))
 
 
 def test_validate_more_rules():
-    assert not validate_discount(()).ok
-    assert not validate_discount((0.0, 1.0)).ok
-    assert validate_discount((1.0, 0.5, 0.0)).ok  # trailing zeros are fine
-    assert validate_discount(make_geometric_discount(0.3, 4)).ok
+    with pytest.raises(InvalidParameterError,
+                       match=r"^invalid discount sequence: empty sequence$"):
+        DiscountSequence(())
+    with pytest.raises(InvalidParameterError,
+                       match=r"first weight must be positive at index 0$"):
+        DiscountSequence((0.0, 1.0))
+    with pytest.raises(InvalidParameterError, match=r"non-finite weight at index 1$"):
+        DiscountSequence((1.0, float("nan")))
+    DiscountSequence((1.0, 0.5, 0.0))  # trailing zeros are fine
+
+
+@pytest.mark.parametrize("rate", [0.05, 0.3, 0.5, 0.77, 0.9, 0.995])
+@pytest.mark.parametrize("horizon", [1, 2, 6, 20])
+def test_finite_geometric_is_its_weights(rate, horizon):
+    d = make_geometric_discount(rate, horizon)
+    same = DiscountSequence([rate ** t for t in range(horizon)])
+    assert d == same and hash(d) == hash(same)
+    assert d.total == d.tail_sum(1) == same.total
+    assert eval(repr(d)) == d
+    assert d != DiscountSequence(d.weights[:-1] + (d.weights[-1] * 0.5,))
+
+
+def test_equal_discounts_hash_equal():
+    assert len({make_geometric_discount(0.5, 3), DiscountSequence([1, 0.5, 0.25])}) == 1
+    assert make_geometric_discount(0.5) == make_geometric_discount(0.5, math.inf)
+    assert make_geometric_discount(0.5) != make_geometric_discount(0.25)
+    assert make_geometric_discount(0.5, 1) != make_geometric_discount(0.5)
+    assert eval(repr(make_geometric_discount(0.5))) == make_geometric_discount(0.5)
 
 
 def test_constructor_rejects_invalid_weights():
@@ -65,14 +91,6 @@ def test_weight_and_len():
     assert d.weight(1) == 1.0 and d.weight(3) == 0.25 and d.weight(9) == 0.0
     with pytest.raises(TypeError):
         len(make_geometric_discount(0.5))
-
-
-def test_normalized_and_scaled():
-    d = DiscountSequence([2.0, 1.0])
-    assert d.normalized().weights == (1.0, 0.5)
-    assert d.scaled(3.0).weights == (6.0, 3.0)
-    with pytest.raises(InvalidParameterError):
-        d.scaled(0.0)
 
 
 def test_infinite_weights_unavailable():
@@ -192,7 +210,7 @@ def test_buyer_scale_invariance(small_tree):
     gb = DiscountSequence([1.0, 0.5])
     gs = DiscountSequence([1.0, 0.8])
     base = evaluate(small_tree, "11", 0.7, gb, gs)
-    scaled = evaluate(small_tree, "11", 0.7, gb.scaled(3.0), gs)
+    scaled = evaluate(small_tree, "11", 0.7, DiscountSequence([3.0, 1.5]), gs)
     assert scaled.surplus == pytest.approx(3.0 * base.surplus)
     assert scaled.quantity == pytest.approx(3.0 * base.quantity)
     assert scaled.revenue == pytest.approx(base.revenue)

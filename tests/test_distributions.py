@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import integrate
 
 from postedprice import (Beta, InvalidParameterError, TruncatedExponential,
                          Uniform, myerson_price, parse_distribution,
@@ -32,6 +33,16 @@ def test_myerson_uniform():
     p_star, h_star = myerson_price(Uniform(0, 1))
     assert p_star == pytest.approx(0.5, abs=1e-6)
     assert h_star == pytest.approx(0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize("hi", [1e7, 1e300])
+def test_myerson_wide_uniform_support(hi):
+    # the golden-section bracket bottoms out at its float spacing here; the
+    # revenue curve is flat to second order at p*, so comparing revenues
+    # places p* only to about sqrt(eps) relative, as on U[0, 1] (1e-8)
+    p_star, h_star = myerson_price(Uniform(0, hi))
+    assert p_star == pytest.approx(hi / 2, rel=2e-8)
+    assert h_star == pytest.approx(hi / 4, rel=1e-12)
 
 
 @pytest.mark.parametrize("spec", sorted(GRID_ORACLE))
@@ -151,6 +162,15 @@ def test_texp_closed_forms():
     assert d.mean == pytest.approx(1 - 1 / (e - 1), abs=1e-12)
     assert d.cdf(1.0) == pytest.approx(1.0)
     assert d.pdf(0.0) == pytest.approx(1 / (1 - 1 / e))
+
+
+@pytest.mark.parametrize("rate", [1e-300, 1e-12, 1e-6, 1.0, 50.0, 1e4])
+def test_texp_mean_at_extreme_rates(rate):
+    d = TruncatedExponential(rate, 1.0)
+    reference, _ = integrate.quad(lambda v: v * d.pdf(v), 0.0, 1.0, epsabs=0.0,
+                                  epsrel=1e-13, limit=200,
+                                  points=[1.0 / rate] if rate > 1 else None)
+    assert d.mean == pytest.approx(reference, rel=1e-12)
 
 
 def test_beta_integer_cdf_closed_form():

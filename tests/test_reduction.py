@@ -6,7 +6,7 @@ import pytest
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          L_gradient, L_value, TruncatedExponential,
                          PricingTree, RegularityError, Uniform, best_response,
-                         build_system, check_regularity, consistent_node_order,
+                         build_system, consistent_node_order,
                          expected_strategic_revenue, make_geometric_discount,
                          order_strategies, reduced_T2_functional, tree_to_v,
                          v_to_tree)
@@ -56,11 +56,11 @@ def test_unit_weights_are_not_regular():
     assert set(excinfo.value.pair) == {"01", "10"}
 
 
-def test_check_regularity():
-    assert check_regularity(make_geometric_discount(0.5, 3)).ok
-    report = check_regularity(make_geometric_discount(GOLDEN, 3))
-    assert not report.ok
-    assert set(report.pair) == {"011", "100"}
+def test_golden_rate_is_not_regular():
+    order_strategies(make_geometric_discount(0.5, 3))
+    with pytest.raises(RegularityError) as excinfo:
+        order_strategies(make_geometric_discount(GOLDEN, 3))
+    assert set(excinfo.value.pair) == {"011", "100"}
 
 
 # ---------------------------------------------------------------------------

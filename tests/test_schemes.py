@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
-                         PatienceOrderWarning, ResourceLimitError, Uniform,
+                         PatienceOrderWarning, ResourceLimitError,
+                         TruncatedExponential, Uniform,
                          best_response, big_deal, constant_myerson,
                          expected_strategic_revenue,
                          make_geometric_discount, myerson_price,
@@ -187,6 +188,15 @@ def test_tau_step_sandwich():
     assert r3.value <= r4.value + 1e-6
     assert r4.value <= r3.opt_upper + 1e-6
     assert r3.opt_upper == pytest.approx(r3.value + 0.8**3 / 0.2 * 0.5)
+
+
+def test_tau_step_sandwich_at_tiny_texp_rate():
+    # texp at rate 1e-300 is uniform on [0, 1] to double precision, so the
+    # tail bound is the post-tau seller mass times a mean of 1/2
+    gb = make_geometric_discount(0.3)
+    gs = make_geometric_discount(0.8)
+    res = tau_step_optimal(TruncatedExponential(1e-300, 1.0), gb, gs, 3, starts=6)
+    assert res.opt_upper - res.opt_lower == pytest.approx(0.8**3 / 0.2 * 0.5)
 
 
 def test_big_deal_mixed_finite_infinite_discounts():
