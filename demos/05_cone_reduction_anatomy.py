@@ -18,7 +18,6 @@ gs = DiscountSequence([1.0, 0.8])
 system = build_system(gb, gs)
 print(f"{system!r}")
 print(f"strategy order (by quantity): {system.order.strategies}")
-print(f"node order (left subtree, root, right subtree): {system.node_order}")
 print("Xi =")
 print(np.array_str(system.Xi, precision=4, suppress_small=True))
 

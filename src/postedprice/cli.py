@@ -21,16 +21,14 @@ import numpy as np
 from .core import (DiscountSequence, PricingTree, canonical_nodes,
                    make_geometric_discount)
 from .distributions import myerson_price, parse_distribution
-from .errors import (InfeasiblePointError, InvalidParameterError,
-                     RegularityError, ResourceLimitError)
+from .errors import InvalidParameterError, RegularityError, ResourceLimitError
 from .oracle import expected_strategic_revenue, strategic_revenue_curve
 from .optimizer import maximize_L
 from .schemes import big_deal, truncate
 
 __all__ = ["main", "build_parser"]
 
-_DOMAIN_ERRORS = (InvalidParameterError, RegularityError, ResourceLimitError,
-                  InfeasiblePointError)
+_DOMAIN_ERRORS = (InvalidParameterError, RegularityError, ResourceLimitError)
 
 
 class UsageError(Exception):

@@ -199,10 +199,11 @@ class PricingTree:
         horizon = int(horizon)
         if horizon < 1:
             raise InvalidParameterError("horizon must be a positive integer")
-        expected = 2 ** horizon - 1
-        if len(prices) != expected:
+        # 2^T - 1 has T bits: compare those first, so a huge T builds no 2^T
+        if len(prices).bit_length() != horizon or len(prices) != 2 ** horizon - 1:
             raise InvalidParameterError(
-                f"expected {expected} node prices for horizon {horizon}, got {len(prices)}")
+                f"expected 2^T - 1 node prices for horizon T = {horizon}, "
+                f"got {len(prices)}")
         clean: dict[str, float] = {}
         for node, price in prices.items():
             if not isinstance(node, str) or len(node) >= horizon or set(node) - {"0", "1"}:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
+from scipy import optimize, special
 
 from .errors import InvalidParameterError
 
@@ -26,9 +26,7 @@ __all__ = [
     "myerson_price",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 MYERSON_GRID_POINTS = 10_000  # scan that brackets the static revenue maximum
-MYERSON_REFINE_TOL = 1e-10    # golden-section bracket width at exit
 
 
 class ValuationDistribution:
@@ -230,32 +228,14 @@ def static_revenue(dist: ValuationDistribution, price: float) -> float:
     return float(price * dist.sf(price))
 
 
-def _golden_section_max(f, a: float, b: float, tol: float) -> float:
-    """Abscissa of the maximum of a unimodal f on [a, b] (0 <= a), to absolute
-    tol, or to four float spacings at b where those are wider: a bracket
-    cannot shrink below its float spacing."""
-    tol = max(tol, 4.0 * math.ulp(b))
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    while b - a > tol:
-        if f1 >= f2:  # ties move left, keeping the leftmost maximizer
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-    return a if f(a) >= f(b) else 0.5 * (a + b)
-
-
 def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
     """Leftmost global maximizer of the static revenue curve, and its value.
 
     A scan of `MYERSON_GRID_POINTS` prices over the support brackets the
-    global maximum (no unimodality assumed), then golden-section search
-    refines the bracket to `MYERSON_REFINE_TOL`.  Returns (p_star, h_star).
+    global maximum (no unimodality assumed).  Where the revenue slope
+    sf(p) - p * pdf(p) falls from positive to negative across the bracket,
+    its root, found to a few float spacings, replaces the scan point if it
+    earns more.  Returns (p_star, h_star).
     """
     lo, hi = dist.support
     grid = np.linspace(lo, hi, MYERSON_GRID_POINTS)
@@ -263,5 +243,9 @@ def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
     i = int(np.argmax(values))  # argmax takes the first = leftmost among ties
     a = grid[max(i - 1, 0)]
     b = grid[min(i + 1, MYERSON_GRID_POINTS - 1)]
-    p_star = _golden_section_max(lambda p: p * dist.sf(p), a, b, MYERSON_REFINE_TOL)
+    slope = lambda p: float(dist.sf(p) - p * dist.pdf(p))
+    p_star = grid[i]
+    if slope(a) > 0.0 > slope(b):
+        root = optimize.brentq(slope, a, b, xtol=4.0 * math.ulp(b))
+        p_star = max(p_star, root, key=lambda p: p * dist.sf(p))  # ties keep the scan
     return float(p_star), static_revenue(dist, p_star)

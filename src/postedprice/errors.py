@@ -19,7 +19,3 @@ class RegularityError(ValueError):
     def __init__(self, message: str, pair: tuple[str, str] | None = None):
         super().__init__(message)
         self.pair = pair
-
-
-class InfeasiblePointError(ValueError):
-    """A reconstructed pricing tree left the non-negative price set."""

@@ -298,7 +298,7 @@ def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
     does not apply.
     """
     system = build_system(buyer_discount, seller_discount, horizon)
-    if not rate_order_satisfied(system.buyer_discount, system.seller_discount):
+    if not rate_order_satisfied(buyer_discount, seller_discount):
         warnings.warn(
             "discount rates violate nu(buyer) <= nu(seller); the optimum over "
             "completely active pricings may not be globally optimal",

@@ -33,6 +33,7 @@ __all__ = [
 
 MAX_ENUM_HORIZON = 20
 SURPLUS_TIE_RTOL = 1e-12
+ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at once
 
 
 @dataclass(frozen=True)
@@ -121,20 +122,27 @@ def strategy_tables(tree: PricingTree, buyer_discount: DiscountSequence,
     )
 
 
-def _argbest(tables: StrategyTables, surpluses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the best response per column of `surpluses`, plus tie counts.
+def _argbest(tables: StrategyTables, v) -> tuple[np.ndarray, np.ndarray]:
+    """Index of the best response at each valuation in v, plus tie counts.
 
     Ties in surplus (relative tolerance `SURPLUS_TIE_RTOL`) resolve to the
     strategy with the largest seller payment; remaining ties to the lowest
-    binary value.
+    binary value.  The surpluses are formed for blocks of valuations of at
+    most `ARGBEST_BLOCK_CELLS` cells, so memory does not grow with len(v).
     """
-    if surpluses.ndim == 1:
-        surpluses = surpluses[:, None]
-    s_max = surpluses.max(axis=0)
-    tol = SURPLUS_TIE_RTOL * np.maximum(1.0, np.abs(s_max))
-    tied = surpluses >= (s_max - tol)[None, :]
-    seller = np.where(tied, tables.seller_payments[:, None], -np.inf)
-    return np.argmax(seller, axis=0), tied.sum(axis=0)
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    step = max(1, ARGBEST_BLOCK_CELLS // len(tables.quantities))
+    idx = np.empty(v.size, dtype=np.intp)
+    ties = np.empty(v.size, dtype=np.intp)
+    for start in range(0, v.size, step):
+        block = slice(start, start + step)
+        surpluses = tables.surpluses(v[block])
+        s_max = surpluses.max(axis=0)
+        tol = SURPLUS_TIE_RTOL * np.maximum(1.0, np.abs(s_max))
+        tied = surpluses >= (s_max - tol)[None, :]
+        seller = np.where(tied, tables.seller_payments[:, None], -np.inf)
+        idx[block], ties[block] = np.argmax(seller, axis=0), tied.sum(axis=0)
+    return idx, ties
 
 
 def best_response(tree: PricingTree, v: float, buyer_discount: DiscountSequence,
@@ -148,12 +156,11 @@ def best_response(tree: PricingTree, v: float, buyer_discount: DiscountSequence,
     if v < 0:
         raise InvalidParameterError("valuation must be non-negative")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
-    surpluses = tables.surpluses(float(v))
-    idx, ties = _argbest(tables, surpluses)
+    idx, ties = _argbest(tables, v)
     j = int(idx[0])
     return BestResponse(
         strategy=BuyerStrategy(tuple(int(b) for b in tables.bits[j])),
-        surplus=float(surpluses[j]),
+        surplus=float(tables.quantities[j] * float(v) - tables.buyer_payments[j]),
         revenue=float(tables.seller_payments[j]),
         quantity=float(tables.quantities[j]),
         tie_count=int(ties[0]),
@@ -183,12 +190,10 @@ def strategic_revenue_curve(tree: PricingTree, buyer_discount: DiscountSequence,
     if np.any(v < 0) or np.any(np.diff(v) < 0):
         raise InvalidParameterError("valuation grid must be sorted and non-negative")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
-    surpluses = tables.surpluses(v)
-    idx, _ = _argbest(tables, surpluses)
-    cols = np.arange(v.size)
+    idx, _ = _argbest(tables, v)
     return RevenueCurve(
         valuations=v,
-        surplus=surpluses[idx, cols],
+        surplus=tables.quantities[idx] * v - tables.buyer_payments[idx],
         revenue=tables.seller_payments[idx],
         quantity=tables.quantities[idx],
         strategies=tuple("".join(str(int(b)) for b in tables.bits[j]) for j in idx),
@@ -244,7 +249,7 @@ def expected_strategic_revenue(tree: PricingTree, dist: ValuationDistribution,
     lo, hi = dist.support
     edges = np.concatenate(([lo], envelope_breakpoints(tables, lo, hi), [hi]))
     mid = 0.5 * (edges[:-1] + edges[1:])
-    idx, _ = _argbest(tables, tables.surpluses(mid))
+    idx, _ = _argbest(tables, mid)
     mass = np.diff(dist.cdf(edges))
     return float(tables.seller_payments[idx] @ mass)
 

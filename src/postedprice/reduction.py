@@ -17,14 +17,12 @@ import numpy as np
 
 from .core import DiscountSequence, PricingTree, _finite_weights, canonical_nodes
 from .distributions import ValuationDistribution
-from .errors import (InfeasiblePointError, InvalidParameterError,
-                     RegularityError, ResourceLimitError)
+from .errors import InvalidParameterError, RegularityError, ResourceLimitError
 from .oracle import _payment_matrix, strategy_bits
 
 __all__ = [
     "StrategyOrder",
     "ReductionSystem",
-    "consistent_node_order",
     "order_strategies",
     "build_system",
     "tree_to_v",
@@ -35,24 +33,7 @@ __all__ = [
 ]
 
 QUANTITY_COLLISION_TOL = 1e-12
-CONE_ORDER_TOL = 1e-9    # slack of v_to_tree's 0 <= v_1 <= ... <= v_k check
-PRICE_DUST_TOL = 1e-10   # negative reconstructed prices this small are zeroed
-
-
-def consistent_node_order(horizon: int) -> tuple[str, ...]:
-    """Tree nodes ordered left subtree, root, right subtree, recursively.
-
-    This in-order walk puts every node of the reject subtree before its
-    parent, which keeps the payment matrices reproducibly structured.
-    """
-    def walk(prefix: str) -> list[str]:
-        if len(prefix) >= horizon:
-            return []
-        return walk(prefix + "0") + [prefix] + walk(prefix + "1")
-
-    if horizon < 1:
-        raise InvalidParameterError("horizon must be a positive integer")
-    return tuple(walk(""))
+CONE_ORDER_TOL = 1e-9  # slack of v_to_tree's 0 <= v_1 <= ... <= v_k check
 
 
 @dataclass(frozen=True)
@@ -100,32 +81,19 @@ def order_strategies(buyer_discount: DiscountSequence,
     return order
 
 
+@dataclass(frozen=True, eq=False)
 class ReductionSystem:
     """The matrices tying completely active trees to the cone Delta^k.
 
-    W maps a tree's price vector (in consistent node order) to the vector of
-    surplus-line intersection abscissas; Xi defines the revenue form
-    L(v) = (1 - F(v))' Xi v.  Built by `build_system`; immutable after that.
+    W maps a tree's price vector (in `canonical_nodes` order) to the vector
+    of surplus-line intersection abscissas, W_inv maps back; Xi defines the
+    revenue form L(v) = (1 - F(v))' Xi v.  Built by `build_system`.
     """
 
-    def __init__(self, buyer_discount: DiscountSequence,
-                 seller_discount: DiscountSequence, order: StrategyOrder,
-                 node_order: tuple[str, ...], J: np.ndarray, z_diag: np.ndarray,
-                 K_bb: np.ndarray, K_bs: np.ndarray, W: np.ndarray,
-                 W_inv: np.ndarray, Xi: np.ndarray):
-        self.buyer_discount = buyer_discount
-        self.seller_discount = seller_discount
-        self.order = order
-        self.node_order = node_order
-        self.J = J
-        self.z_diag = z_diag
-        self.K_bb = K_bb
-        self.K_bs = K_bs
-        self.W = W
-        self.W_inv = W_inv
-        self.Xi = Xi
-        self.cond_W = float(np.linalg.cond(W))
-        self.cond_Xi = float(np.linalg.cond(Xi))
+    order: StrategyOrder
+    W: np.ndarray
+    W_inv: np.ndarray
+    Xi: np.ndarray
 
     @property
     def horizon(self) -> int:
@@ -135,29 +103,8 @@ class ReductionSystem:
     def k(self) -> int:
         return self.order.k
 
-    def export_matrices(self, path: str) -> None:
-        """Dump the system matrices as long-format CSV for debugging.
-
-        Columns matrix,row,col,value; a leading comment line records the
-        horizon and both discount sequences.
-        """
-        gb = ",".join(f"{w:.12g}" for w in self.buyer_discount.weights)
-        gs = ",".join(f"{w:.12g}" for w in self.seller_discount.weights)
-        lines = [f"# horizon={self.horizon} buyer=({gb}) seller=({gs})",
-                 "matrix,row,col,value"]
-        named = [("J", self.J), ("Z", np.diag(self.z_diag)),
-                 ("K_bb", self.K_bb), ("K_bs", self.K_bs),
-                 ("W", self.W), ("Xi", self.Xi)]
-        for name, matrix in named:
-            for i in range(matrix.shape[0]):
-                for j in range(matrix.shape[1]):
-                    lines.append(f"{name},{i},{j},{matrix[i, j]:.12g}")
-        with open(path, "w", newline="") as handle:
-            handle.write("\n".join(lines) + "\n")
-
     def __repr__(self) -> str:
-        return (f"ReductionSystem(T={self.horizon}, k={self.k}, "
-                f"cond_W={self.cond_W:.3g}, cond_Xi={self.cond_Xi:.3g})")
+        return f"ReductionSystem(T={self.horizon}, k={self.k})"
 
 
 MAX_SYSTEM_HORIZON = 6  # k = 63: dense inversion stays effectively exact
@@ -181,23 +128,17 @@ def build_system(buyer_discount: DiscountSequence,
     if np.any(gb <= 0) or np.any(gs <= 0):
         raise InvalidParameterError("all discount weights must be positive here")
     order = order_strategies(buyer_discount, len(gb))
-    T = order.horizon
     k = order.k
-    nodes = consistent_node_order(T)
 
     J = np.eye(k) - np.diag(np.ones(k - 1), -1)
     J_inv = np.tril(np.ones((k, k)))
     gaps = np.diff(order.quantities)          # q_j - q_{j-1} > 0 by regularity
-    z_diag = 1.0 / gaps
-    # K rows drop a^0 = all-reject, whose payment is zero; columns follow `nodes`
-    canonical = {node: j for j, node in enumerate(canonical_nodes(T))}
-    columns = [canonical[node] for node in nodes]
-    K_bb = _payment_matrix(order.bits[1:], gb)[:, columns]
-    K_bs = _payment_matrix(order.bits[1:], gs)[:, columns]
+    # K rows drop a^0 = all-reject, whose payment is zero
+    K_bb = _payment_matrix(order.bits[1:], gb)
+    K_bs = _payment_matrix(order.bits[1:], gs)
 
-    W = z_diag[:, None] * (J @ K_bb)
-    W_inv = np.linalg.inv(W)
-    # Xi = J K_bs K_bb^-1 J^-1 Z^-1; right-multiplying by Z^-1 scales columns
+    W = (1.0 / gaps)[:, None] * (J @ K_bb)
+    # Xi = J K_bs K_bb^-1 J^-1 Z^-1 with Z = diag(1 / gaps); Z^-1 scales columns
     Xi = (J @ np.linalg.solve(K_bb.T, K_bs.T).T @ J_inv) * gaps[None, :]
 
     if buyer_discount.weights == seller_discount.weights:
@@ -205,8 +146,7 @@ def build_system(buyer_discount: DiscountSequence,
         if np.max(np.abs(off)) > 1e-9 * max(1.0, np.max(np.abs(Xi))):
             raise RuntimeError("internal error: Xi not diagonal for equal discounts")
 
-    return ReductionSystem(buyer_discount, seller_discount, order, nodes,
-                           J, z_diag, K_bb, K_bs, W, W_inv, Xi)
+    return ReductionSystem(order, W, np.linalg.inv(W), Xi)
 
 
 def tree_to_v(system: ReductionSystem, tree: PricingTree) -> np.ndarray:
@@ -217,32 +157,24 @@ def tree_to_v(system: ReductionSystem, tree: PricingTree) -> np.ndarray:
     """
     if tree.horizon != system.horizon:
         raise InvalidParameterError("tree horizon does not match the system")
-    prices = np.array([tree.price(n) for n in system.node_order])
-    return system.W @ prices
+    return system.W @ np.fromiter(tree.prices().values(), float)
 
 
 def v_to_tree(system: ReductionSystem, v) -> PricingTree:
     """The completely active tree whose indifference points are v.
 
     v must lie in Delta^k (non-negative, non-decreasing) up to
-    `CONE_ORDER_TOL`.  A genuinely negative reconstructed price means v left
-    the image of the completely active set and is reported rather than
-    clipped; negative dust within `PRICE_DUST_TOL` is zeroed.
+    `CONE_ORDER_TOL`.  On the cone the prices W_inv @ v are non-negative up
+    to rounding; the negative dust that rounding or the cone slack leaves
+    is clamped to 0.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (system.k,):
         raise InvalidParameterError(f"v must have shape ({system.k},)")
     if v[0] < -CONE_ORDER_TOL or np.any(np.diff(v) < -CONE_ORDER_TOL):
         raise InvalidParameterError("v must satisfy 0 <= v_1 <= ... <= v_k")
-    prices = system.W_inv @ v
-    worst = prices.min(initial=0.0)
-    if worst < -PRICE_DUST_TOL:
-        node = system.node_order[int(np.argmin(prices))]
-        raise InfeasiblePointError(
-            f"reconstructed price at node {node!r} is negative ({worst:.3g}); "
-            "v is outside the completely active image")
-    prices = np.maximum(prices, 0.0)
-    return PricingTree(system.horizon, dict(zip(system.node_order, prices)))
+    prices = np.maximum(system.W_inv @ v, 0.0)
+    return PricingTree(system.horizon, dict(zip(canonical_nodes(system.horizon), prices)))
 
 
 def _bilinear_value(matrix: np.ndarray, dist: ValuationDistribution,

@@ -345,15 +345,19 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--horizon", "2"], 3),
     (["sweep", "--dist", "beta:1e-300,1", "--fix", "gs", "--fixed-value", "0.8",
       "--horizon", "2"], 3),
+    (["simulate", "--tree", "HUGE_TREE", "--dist", "uniform:0,1", "--gs", "0.5",
+      "--gb", "0.5"], 3),
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
         "max-iter-zero", "tol-nan", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
-        "optimize-zero-baseline", "sweep-zero-baseline"])
+        "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps(PricingTree.constant(2, 0.5).to_json_dict()))
-    paths = {"CONFIG": str(config), "TREE": str(tree)}
+    huge_tree = tmp_path / "huge_tree.json"
+    huge_tree.write_text(json.dumps({"horizon": 14300, "prices": {}}))
+    paths = {"CONFIG": str(config), "TREE": str(tree), "HUGE_TREE": str(huge_tree)}
     got, out, err = run(capsys, *[paths.get(a, a) for a in argv])
     assert got == code
     assert out == ""

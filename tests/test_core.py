@@ -119,6 +119,13 @@ def test_tree_completeness_enforced():
         PricingTree(2, {"": 0.5, "0": -0.01, "1": 0.5})
 
 
+def test_huge_tree_horizon_is_refused_without_building_2_to_the_T():
+    with pytest.raises(InvalidParameterError, match=r"2\^T - 1"):
+        PricingTree(14300, {})
+    with pytest.raises(InvalidParameterError, match="tree JSON"):
+        PricingTree.from_json_dict({"horizon": 10**6, "prices": {}})
+
+
 def test_tree_zero_price_is_legal():
     tree = PricingTree(2, {"": 1.0, "0": 0.0, "1": 0.0})
     assert tree.price("0") == 0.0

@@ -31,17 +31,16 @@ def test_static_revenue_rejects_negative_price():
 
 def test_myerson_uniform():
     p_star, h_star = myerson_price(Uniform(0, 1))
-    assert p_star == pytest.approx(0.5, abs=1e-6)
+    assert p_star == pytest.approx(0.5, abs=1e-15)
     assert h_star == pytest.approx(0.25, abs=1e-10)
 
 
 @pytest.mark.parametrize("hi", [1e7, 1e300])
 def test_myerson_wide_uniform_support(hi):
-    # the golden-section bracket bottoms out at its float spacing here; the
-    # revenue curve is flat to second order at p*, so comparing revenues
-    # places p* only to about sqrt(eps) relative, as on U[0, 1] (1e-8)
+    # the root of the revenue slope is found to a few float spacings of the
+    # bracket, however wide the support
     p_star, h_star = myerson_price(Uniform(0, hi))
-    assert p_star == pytest.approx(hi / 2, rel=2e-8)
+    assert p_star == pytest.approx(hi / 2, rel=1e-12)
     assert h_star == pytest.approx(hi / 4, rel=1e-12)
 
 

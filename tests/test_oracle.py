@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          evaluate, expected_strategic_revenue,
                          make_geometric_discount, maximize_L,
                          strategic_revenue_curve)
+from postedprice import oracle
 from postedprice.oracle import strategy_bits, strategy_tables, envelope_breakpoints
 
 
@@ -114,6 +117,34 @@ def test_curve_rejects_bad_grid():
 
 # ---------------------------------------------------------------------------
 # expected revenue
+
+
+def test_curve_is_the_same_in_blocks(monkeypatch):
+    rng = np.random.default_rng(12)
+    tree = random_tree(rng, 4)
+    gb, gs = make_geometric_discount(0.3, 4), make_geometric_discount(0.8, 4)
+    grid = np.linspace(0.0, 1.5, 101)
+    whole = strategic_revenue_curve(tree, gb, gs, grid)
+    monkeypatch.setattr(oracle, "ARGBEST_BLOCK_CELLS", 16 * 7)  # 7 valuations a block
+    blocked = strategic_revenue_curve(tree, gb, gs, grid)
+    assert blocked.strategies == whole.strategies
+    assert np.array_equal(blocked.surplus, whole.surplus)
+    assert np.array_equal(blocked.revenue, whole.revenue)
+
+
+def test_curve_memory_does_not_scale_with_strategies_times_grid():
+    # one 2^16 x 201 surplus matrix alone would take 100 MiB
+    rng = np.random.default_rng(16)
+    tree = random_tree(rng, 16)
+    gb, gs = make_geometric_discount(0.3, 16), make_geometric_discount(0.8, 16)
+    tracemalloc.start()
+    try:
+        curve = strategic_revenue_curve(tree, gb, gs, np.linspace(0.0, 1.5, 201))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(curve.valuations) == 201
+    assert peak < 64 * 2**20
 
 
 def test_expected_revenue_constant_myerson_price():

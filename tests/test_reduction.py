@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,7 @@ import pytest
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          L_gradient, L_value, TruncatedExponential,
                          PricingTree, RegularityError, Uniform, best_response,
-                         build_system, consistent_node_order,
-                         expected_strategic_revenue, make_geometric_discount,
+                         build_system, expected_strategic_revenue, make_geometric_discount,
                          order_strategies, reduced_T2_functional, tree_to_v,
                          v_to_tree)
 from postedprice.reduction import _bilinear_gradient, _bilinear_hessian
@@ -21,12 +21,6 @@ def random_delta_point(rng, k, lo=0.0, hi=1.0):
 
 # ---------------------------------------------------------------------------
 # orderings
-
-
-def test_consistent_node_order():
-    assert consistent_node_order(1) == ("",)
-    assert consistent_node_order(2) == ("0", "", "1")
-    assert consistent_node_order(3) == ("00", "0", "01", "", "10", "1", "11")
 
 
 def test_order_strategies_half_rate():
@@ -70,9 +64,15 @@ def test_golden_rate_is_not_regular():
 def test_payment_matrix_structure_T2():
     b = 0.37
     sys_ = build_system(DiscountSequence([1.0, b]), DiscountSequence([1.0, b]))
-    assert sys_.node_order == ("0", "", "1")
-    assert np.allclose(sys_.K_bb, [[b, 0, 0], [0, 1, 0], [0, 1, b]])
-    assert 1.0 / sys_.z_diag == pytest.approx([b, 1 - b, b])
+    # columns are the prices at nodes "", "0", "1"; rows the strategies 01, 10, 11
+    assert np.allclose(sys_.W, [[0, 1, 0], [1 / (1 - b), -b / (1 - b), 0], [0, 0, 1]])
+
+
+def test_system_holds_the_order_and_three_matrices():
+    sys_ = build_system(make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3))
+    assert [f.name for f in dataclasses.fields(sys_)] == ["order", "W", "W_inv", "Xi"]
+    assert repr(sys_) == "ReductionSystem(T=3, k=7)"
+    assert sys_.W_inv @ sys_.W == pytest.approx(np.eye(7), abs=1e-12)
 
 
 def test_xi_closed_form_T2():
@@ -99,8 +99,9 @@ def test_systems_are_well_conditioned_at_small_horizons():
         gb = make_geometric_discount(0.4, T)
         gs = make_geometric_discount(0.8, T)
         sys_ = build_system(gb, gs)
-        assert np.isfinite(sys_.cond_W) and np.isfinite(sys_.cond_Xi)
-        assert sys_.cond_W < 1e6 and sys_.cond_Xi < 1e6
+        cond_W, cond_Xi = np.linalg.cond(sys_.W), np.linalg.cond(sys_.Xi)
+        assert np.isfinite(cond_W) and np.isfinite(cond_Xi)
+        assert cond_W < 1e6 and cond_Xi < 1e6
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +153,15 @@ def test_v_to_tree_rejects_disorder():
         v_to_tree(sys_, np.array([0.5, 0.3, 0.7]))
     with pytest.raises(InvalidParameterError):
         v_to_tree(sys_, np.array([-0.2, 0.3, 0.7]))
+
+
+def test_v_to_tree_clamps_the_cone_slack():
+    # v_1 = -9e-10 is within CONE_ORDER_TOL of the cone; its price is clamped
+    sys_ = build_system(make_geometric_discount(0.2, 2), make_geometric_discount(0.8, 2))
+    tree = v_to_tree(sys_, [-9e-10, 0.5, 0.7])
+    assert tree.price("0") == 0.0
+    assert tree.price("") == pytest.approx(0.8 * 0.5)
+    assert tree.price("1") == pytest.approx(0.7)
 
 
 @pytest.mark.parametrize("T", [2, 3, 4])
@@ -283,22 +293,6 @@ def test_system_horizon_guard():
     g = make_geometric_discount(0.3, 7)
     with pytest.raises(ResourceLimitError):
         build_system(g, g)
-
-
-def test_export_matrices_csv(tmp_path):
-    gb = DiscountSequence([1.0, 0.2])
-    gs = DiscountSequence([1.0, 0.8])
-    sys_ = build_system(gb, gs)
-    path = tmp_path / "matrices.csv"
-    sys_.export_matrices(str(path))
-    lines = path.read_text().splitlines()
-    assert lines[0].startswith("# horizon=2 buyer=(1,0.2)")
-    assert lines[1] == "matrix,row,col,value"
-    cells = {tuple(line.split(",")[:3]): float(line.split(",")[3])
-             for line in lines[2:]}
-    assert cells[("Xi", "0", "0")] == pytest.approx(0.8)
-    assert cells[("Xi", "1", "0")] == pytest.approx(-0.6)
-    assert cells[("W", "0", "0")] == pytest.approx(1.0)  # v_1 reads the "0" price
 
 
 def test_reduced_T2_equal_rate_limit_is_diagonal():
