@@ -24,7 +24,7 @@ game = truncate(g, g, 10)
 print("\nbuyer behavior around the threshold p* = %.3f:" % p_star)
 for v in (0.40, 0.49, 0.51, 0.60):
     br = best_response(tree, v, game.buyer, game.seller)
-    word = "accepts" if br.strategy.decisions[0] else "rejects"
+    word = "accepts" if br.strategy[0] == "1" else "rejects"
     print(f"  v = {v:.2f}: {word} the deal "
           f"(surplus {br.surplus:+.4f}, revenue {br.revenue:.4f})")
 

@@ -8,9 +8,8 @@ form over an ordered cone) and checks everything against an exhaustive
 buyer-behavior oracle.
 """
 
-from .core import (BuyerStrategy, DiscountSequence, GameOutcome, PricingTree,
-                   canonical_nodes, evaluate, make_geometric_discount,
-                   price_path)
+from .core import (DiscountSequence, GameOutcome, PricingTree, canonical_nodes,
+                   evaluate, make_geometric_discount, price_path)
 from .distributions import (Beta, TruncatedExponential, Uniform,
                             ValuationDistribution, myerson_price,
                             parse_distribution, static_revenue)
@@ -30,7 +29,7 @@ from .schemes import (PatienceOrderWarning, TauStepResult, TruncatedGame,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BuyerStrategy", "DiscountSequence", "GameOutcome", "PricingTree",
+    "DiscountSequence", "GameOutcome", "PricingTree",
     "canonical_nodes", "evaluate", "make_geometric_discount", "price_path",
     "Beta", "TruncatedExponential", "Uniform", "ValuationDistribution",
     "myerson_price", "parse_distribution", "static_revenue",

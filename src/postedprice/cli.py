@@ -116,7 +116,7 @@ def _read_json(path: str, what: str):
 
 
 def _optimizer_opts(args) -> dict:
-    return {key: getattr(args, key) for key in ("starts", "max_iter", "tol", "seed")
+    return {key: getattr(args, key) for key in ("starts", "seed")
             if getattr(args, key) is not None}
 
 
@@ -229,8 +229,8 @@ def cmd_simulate(args) -> int:
     grid = np.linspace(lo, hi, args.grid_size)
     curve = strategic_revenue_curve(tree, buyer, seller, grid)
     revenue = expected_strategic_revenue(tree, args.dist, buyer, seller)
-    rows = [[v, s, surplus, rev, qty]
-            for (v, surplus, rev, qty), s in zip(curve, curve.strategies)]
+    rows = zip(curve.valuations, curve.strategies, curve.surplus, curve.revenue,
+               curve.quantity)
     _write_text(args.out, _csv(rows, ["v", "strategy", "S", "R", "Q"]))
     sys.stdout.write(json.dumps({"expected_revenue": revenue}, sort_keys=True) + "\n")
     return 0
@@ -279,8 +279,6 @@ _FLAGS = {
                      help="comma-separated taus: sweep the infinite game instead"),
     "seed": dict(type=_natural, default=0, help="RNG seed for optimizer starts"),
     "starts": dict(type=int, help="number of optimizer starts"),
-    "max_iter": dict(type=int, help="optimizer iteration cap"),
-    "tol": dict(type=float, help="optimizer projected-gradient tolerance"),
     "out": dict(help="output path (default: stdout)"),
     "config": dict(help="JSON object of flag values; explicit flags win"),
     "perturb": dict(type=float, nargs="?", const=1e-9,
@@ -307,7 +305,7 @@ def _command(sub, name: str, func, help: str, *required):
 def _add_solver(parser, *depth_flags) -> None:
     """The game-depth flags (exactly one of them) and the optimizer flags."""
     _add(parser.add_mutually_exclusive_group(required=True), *depth_flags)
-    _add(parser, "seed", "starts", "max_iter", "tol", "perturb")
+    _add(parser, "seed", "starts", "perturb")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence, Union
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from .errors import InvalidParameterError
 __all__ = [
     "DiscountSequence",
     "PricingTree",
-    "BuyerStrategy",
     "GameOutcome",
     "make_geometric_discount",
     "price_path",
@@ -176,11 +175,17 @@ def make_geometric_discount(rate: float, horizon=None) -> DiscountSequence:
 # Pricing trees and buyer strategies
 
 
+def _words(values, length: int) -> tuple[str, ...]:
+    """The `length`-digit binary words of `values`: word j of length T is the
+    strategy in row j of `oracle.strategy_bits(T)`, of length t < T a node."""
+    return tuple(format(j, f"0{length}b") for j in values)
+
+
 def canonical_nodes(horizon: int) -> list[str]:
     """All node identifiers of a depth-`horizon` tree, by depth then value."""
     out = [""]
     for depth in range(1, horizon):
-        out.extend(format(i, f"0{depth}b") for i in range(2 ** depth))
+        out.extend(_words(range(2 ** depth), depth))
     return out
 
 
@@ -278,55 +283,6 @@ class PricingTree:
 
 
 @dataclass(frozen=True)
-class BuyerStrategy:
-    """A buyer's full plan of accept/reject decisions, one bit per round."""
-
-    decisions: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.decisions:
-            raise InvalidParameterError("strategy must cover at least one round")
-        if any(d not in (0, 1) for d in self.decisions):
-            raise InvalidParameterError("strategy decisions must be 0 or 1")
-
-    @classmethod
-    def from_string(cls, s: str) -> "BuyerStrategy":
-        if set(s) - {"0", "1"}:
-            raise InvalidParameterError(f"strategy string must be over {{'0','1'}}, got {s!r}")
-        return cls(tuple(int(c) for c in s))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.decisions)
-
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.decisions, dtype=float)
-
-    def __len__(self) -> int:
-        return len(self.decisions)
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.decisions)
-
-
-StrategyLike = Union[BuyerStrategy, str, Sequence[int]]
-
-
-def as_strategy(strategy: StrategyLike, horizon: int | None = None) -> BuyerStrategy:
-    """Coerce a strategy given as BuyerStrategy, '0101' string, or bit sequence."""
-    if isinstance(strategy, BuyerStrategy):
-        out = strategy
-    elif isinstance(strategy, str):
-        out = BuyerStrategy.from_string(strategy)
-    else:
-        out = BuyerStrategy(tuple(int(b) for b in strategy))
-    if horizon is not None and out.horizon != horizon:
-        raise InvalidParameterError(
-            f"strategy length {out.horizon} does not match horizon {horizon}")
-    return out
-
-
-@dataclass(frozen=True)
 class GameOutcome:
     """Discounted totals of one play-through: a strategy against a tree.
 
@@ -335,7 +291,7 @@ class GameOutcome:
     surplus == quantity * v - revenue holds exactly.
     """
 
-    strategy: BuyerStrategy
+    strategy: str
     surplus: float
     revenue: float
     quantity: float
@@ -345,22 +301,21 @@ class GameOutcome:
 # Game arithmetic
 
 
-def price_path(tree: PricingTree, strategy: StrategyLike) -> np.ndarray:
+def price_path(tree: PricingTree, strategy: str) -> np.ndarray:
     """Prices consecutively offered along a strategy's decision path.
 
-    Element t is the tree's price at node a_1..a_{t-1}; prices are offered
-    (and recorded) whether or not the buyer accepts them.
+    The strategy is a '0'/'1' string with one decision per round.  Element t
+    is the tree's price at node a_1..a_{t-1}; prices are offered (and
+    recorded) whether or not the buyer accepts them.
     """
-    s = as_strategy(strategy, tree.horizon)
-    node = ""
-    out = np.empty(tree.horizon)
-    for t, decision in enumerate(s.decisions):
-        out[t] = tree.price(node)
-        node += "1" if decision else "0"
-    return out
+    T = tree.horizon
+    if not isinstance(strategy, str) or len(strategy) != T or set(strategy) - {"0", "1"}:
+        raise InvalidParameterError(
+            f"strategy must be a '0'/'1' string of length {T}, got {strategy!r}")
+    return np.array([tree.price(strategy[:t]) for t in range(T)])
 
 
-def evaluate(tree: PricingTree, strategy: StrategyLike, v: float,
+def evaluate(tree: PricingTree, strategy: str, v: float,
              buyer_discount: DiscountSequence,
              seller_discount: DiscountSequence) -> GameOutcome:
     """Play a strategy against a tree at valuation v and total the utilities.
@@ -371,12 +326,12 @@ def evaluate(tree: PricingTree, strategy: StrategyLike, v: float,
     """
     if v < 0:
         raise InvalidParameterError("valuation must be non-negative")
-    s = as_strategy(strategy, tree.horizon)
+    p = price_path(tree, strategy)  # refuses a malformed strategy
     gb = _finite_weights(buyer_discount, tree.horizon)
     gs = _finite_weights(seller_discount, tree.horizon)
-    a = s.as_array()
-    p = price_path(tree, s)
+    a = np.array([int(c) for c in strategy], dtype=float)
     surplus = float(np.dot(gb * a, v - p))
     revenue = float(np.dot(gs * a, p))
     quantity = float(np.dot(gb, a))
-    return GameOutcome(strategy=s, surplus=surplus, revenue=revenue, quantity=quantity)
+    return GameOutcome(strategy=strategy, surplus=surplus, revenue=revenue,
+                       quantity=quantity)

@@ -9,14 +9,13 @@ concave for unequal discounts, hence the multi-start.
 Each run is polished by Newton's method on the face of the cone it settles
 on (projected Newton, Bertsekas 1982), with one value per pooled block.  A
 polished point is accepted only if it is feasible, worth at least the
-ascent iterate, and passes the same gradient-mapping test at `tol` (1e-9
-by default) that certifies an ascent iterate, so `converged` means the
-same either way.
+ascent iterate, and passes the same gradient-mapping test at `KKT_TOL`
+that certifies an ascent iterate, so `converged` means one thing either
+way: certified at 1e-9.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -40,6 +39,8 @@ __all__ = [
     "t2_uniform_qp",
 ]
 
+KKT_TOL = 1e-9  # gradient-mapping norm that certifies a point
+MAX_ITER = 100_000  # iterations of one ascent start, Newton steps included
 ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 FACE_STABLE_ITERS = 2  # iterations a face must hold before Newton is tried on it
@@ -135,13 +136,13 @@ def _face(x: np.ndarray) -> np.ndarray:
 
 
 def _face_newton(value_fn, grad_fn, hess_fn, x: np.ndarray, g: np.ndarray,
-                 f: float, step0: float, tol: float, budget: int):
+                 f: float, step0: float, budget: int):
     """Newton's method on the block values of x's face, from x (gradient g).
 
     Each pooled block moves as one value, v = B u, and the block at 0 stays
     there.  Returns the steps taken and (v, value, kkt) for the first Newton
     point that is feasible, worth at least f, and certified by the gradient
-    mapping at `tol`, or None when no point within `budget` steps is.
+    mapping at `KKT_TOL`, or None when no point within `budget` steps is.
     """
     labels = np.cumsum(~_face(x))  # label 0 marks the block at 0
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
@@ -158,13 +159,12 @@ def _face_newton(value_fn, grad_fn, hess_fn, x: np.ndarray, g: np.ndarray,
         g = grad_fn(v)
         _, kkt = _gradient_mapping(v, g, step0)
         value = value_fn(v)
-        if kkt <= tol and value >= f:
+        if kkt <= KKT_TOL and value >= f:
             return step, (v, value, kkt)
     return budget, None
 
 
-def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float,
-                      max_iter: int, tol: float):
+def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float):
     """One run of projected gradient ascent with Armijo backtracking.
 
     Accepted line-search steps never decrease the objective.  Near the
@@ -175,7 +175,8 @@ def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float,
     face has held for `FACE_STABLE_ITERS` iterations, Newton's method on
     that face is tried once (`_face_newton`); each Newton step counts as
     an iteration.  The run stops when the gradient-mapping norm (at the
-    reference step) is under `tol` or stops decreasing.
+    reference step) is under `KKT_TOL` or stops decreasing, or after
+    `MAX_ITER` iterations.
     """
     x = project_to_delta(x0)
     f = value_fn(x)
@@ -185,11 +186,11 @@ def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float,
     stalled = 0
     face, face_age = _face(x), 0
     it = 0
-    while it < max_iter:
+    while it < MAX_ITER:
         it += 1
         g = grad_fn(x)
         reference, kkt = _gradient_mapping(x, g, step0)
-        if kkt <= tol:
+        if kkt <= KKT_TOL:
             return x, value_fn(x), it, True, kkt
         if kkt < best_kkt * (1.0 - 1e-4):
             best_kkt = kkt
@@ -205,7 +206,7 @@ def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float,
             face, face_age = current, 0
         if face_age == FACE_STABLE_ITERS:
             steps, polished = _face_newton(value_fn, grad_fn, hess_fn, x, g, f, step0,
-                                           tol, min(NEWTON_MAX_STEPS, max_iter - it))
+                                           min(NEWTON_MAX_STEPS, MAX_ITER - it))
             it += steps
             if polished is not None:
                 v, value, v_kkt = polished
@@ -228,7 +229,7 @@ def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float,
             x = reference
             f = value_fn(x)
             step = step0
-    return x, value_fn(x), max_iter, False, kkt
+    return x, value_fn(x), MAX_ITER, False, kkt
 
 
 def _start_count(starts: int | None, k: int) -> int:
@@ -237,8 +238,7 @@ def _start_count(starts: int | None, k: int) -> int:
 
 
 def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
-                      starts: int | None = None, max_iter: int = 100_000,
-                      tol: float = 1e-9,
+                      starts: int | None = None,
                       seed: int = 0) -> tuple[np.ndarray, float, int, bool, float]:
     """Multi-start ascent of (1 - F(v))' M v over Delta^k for a given kernel M.
 
@@ -252,10 +252,6 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     starts = _start_count(starts, k)
     if starts < 1:
         raise InvalidParameterError("needs at least one start")
-    if max_iter < 1:
-        raise InvalidParameterError("needs at least one iteration")
-    if not (math.isfinite(tol) and tol > 0):
-        raise InvalidParameterError("tol must be a finite positive number")
     p_star, _ = myerson_price(dist)
     lo, hi = dist.support
     rng = np.random.default_rng(seed)
@@ -274,8 +270,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
             x0 = np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))
         else:
             x0 = np.sort(rng.uniform(lo, hi, size=k))
-        x, f, iters, ok, kkt = _projected_ascent(value_fn, grad_fn, hess_fn, x0,
-                                                 step0, max_iter, tol)
+        x, f, iters, ok, kkt = _projected_ascent(value_fn, grad_fn, hess_fn, x0, step0)
         total_iters += iters
         runs.append((f, x, ok, kkt))
     best_f = max(r[0] for r in runs)
@@ -287,8 +282,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
 
 def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
                seller_discount: DiscountSequence, horizon: int | None = None, *,
-               starts: int | None = None, max_iter: int = 100_000,
-               tol: float = 1e-9, seed: int = 0) -> OptimizationResult:
+               starts: int | None = None, seed: int = 0) -> OptimizationResult:
     """Revenue-maximal pricing tree for one game, via the cone reduction.
 
     Builds the reduction system, ascends L from multiple starts, and maps
@@ -304,7 +298,7 @@ def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
             "completely active pricings may not be globally optimal",
             DiscountOrderWarning, stacklevel=2)
     v, value, iters, ok, kkt = maximize_bilinear(
-        system.Xi, dist, starts=starts, max_iter=max_iter, tol=tol, seed=seed)
+        system.Xi, dist, starts=starts, seed=seed)
     tree = v_to_tree(system, v)
     return OptimizationResult(v_star=v, value=value, tree=tree, iterations=iters,
                               starts=_start_count(starts, system.k),

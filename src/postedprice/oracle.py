@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BuyerStrategy, DiscountSequence, PricingTree, _finite_weights,
+from .core import (DiscountSequence, PricingTree, _finite_weights, _words,
                    canonical_nodes)
 from .distributions import ValuationDistribution
 from .errors import InvalidParameterError, ResourceLimitError
@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 MAX_ENUM_HORIZON = 20
+BRUTE_FORCE_GRID = 50  # node prices per support grid in brute_force_optimal_tree
 SURPLUS_TIE_RTOL = 1e-12
 ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at once
 
@@ -45,7 +46,7 @@ class BestResponse:
     tie-break.
     """
 
-    strategy: BuyerStrategy
+    strategy: str
     surplus: float
     revenue: float
     quantity: float
@@ -56,19 +57,16 @@ class BestResponse:
 class StrategyTables:
     """Per-strategy totals for one tree: the raw material of enumeration.
 
-    Rows are all 2^T strategies in increasing binary order.
+    Rows are all 2^T strategies in increasing binary order, so row j is the
+    strategy `format(j, f"0{T}b")`.
     """
 
-    bits: np.ndarray             # (2^T, T) 0/1
     quantities: np.ndarray       # (2^T,)  buyer-discounted quantity
     buyer_payments: np.ndarray   # (2^T,)  buyer-discounted payment
     seller_payments: np.ndarray  # (2^T,)  seller-discounted payment (revenue)
 
-    def surpluses(self, v) -> np.ndarray:
-        """Surplus of every strategy at valuation(s) v; shape (2^T,) or (2^T, n)."""
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 0:
-            return self.quantities * float(v) - self.buyer_payments
+    def surpluses(self, v: np.ndarray) -> np.ndarray:
+        """Surplus of every strategy (rows) at each valuation of the 1-d v (columns)."""
         return self.quantities[:, None] * v[None, :] - self.buyer_payments[:, None]
 
 
@@ -112,13 +110,12 @@ def strategy_tables(tree: PricingTree, buyer_discount: DiscountSequence,
     bits = strategy_bits(tree.horizon)
     gb = _finite_weights(buyer_discount, tree.horizon)
     gs = _finite_weights(seller_discount, tree.horizon)
-    paid = bits.astype(float)
-    prices = np.fromiter(tree.prices().values(), float)[_pricing_nodes(bits)]
+    paid = np.fromiter(tree.prices().values(), float)[_pricing_nodes(bits)]
+    paid *= bits  # the price of every accepted round, 0 for a rejected one
     return StrategyTables(
-        bits=bits,
-        quantities=paid @ gb,
-        buyer_payments=(paid * prices) @ gb,
-        seller_payments=(paid * prices) @ gs,
+        quantities=bits @ gb,
+        buyer_payments=paid @ gb,
+        seller_payments=paid @ gs,
     )
 
 
@@ -159,7 +156,7 @@ def best_response(tree: PricingTree, v: float, buyer_discount: DiscountSequence,
     idx, ties = _argbest(tables, v)
     j = int(idx[0])
     return BestResponse(
-        strategy=BuyerStrategy(tuple(int(b) for b in tables.bits[j])),
+        strategy=_words([j], tree.horizon)[0],
         surplus=float(tables.quantities[j] * float(v) - tables.buyer_payments[j]),
         revenue=float(tables.seller_payments[j]),
         quantity=float(tables.quantities[j]),
@@ -177,9 +174,6 @@ class RevenueCurve:
     quantity: np.ndarray
     strategies: tuple[str, ...]
 
-    def __iter__(self):
-        return iter(zip(self.valuations, self.surplus, self.revenue, self.quantity))
-
 
 def strategic_revenue_curve(tree: PricingTree, buyer_discount: DiscountSequence,
                             seller_discount: DiscountSequence, v_grid) -> RevenueCurve:
@@ -196,7 +190,7 @@ def strategic_revenue_curve(tree: PricingTree, buyer_discount: DiscountSequence,
         surplus=tables.quantities[idx] * v - tables.buyer_payments[idx],
         revenue=tables.seller_payments[idx],
         quantity=tables.quantities[idx],
-        strategies=tuple("".join(str(int(b)) for b in tables.bits[j]) for j in idx),
+        strategies=_words(idx.tolist(), tree.horizon),
     )
 
 
@@ -256,22 +250,19 @@ def expected_strategic_revenue(tree: PricingTree, dist: ValuationDistribution,
 
 def brute_force_optimal_tree(dist: ValuationDistribution,
                              buyer_discount: DiscountSequence,
-                             seller_discount: DiscountSequence,
-                             price_grid_resolution: int = 50) -> tuple[PricingTree, float]:
+                             seller_discount: DiscountSequence) -> tuple[PricingTree, float]:
     """Exhaustive grid search over all two-round trees; the slow trusted oracle.
 
-    Every combination of the three node prices on a uniform support grid is
-    scored by Gauss-Legendre quadrature (8 panels of 32 nodes), and the
-    winner is re-scored by the exact `expected_strategic_revenue`.  Both
-    discounts must have two rounds -- the point is an oracle cheap enough to
-    run and dumb enough to trust.
+    Every combination of the three node prices on a uniform support grid of
+    `BRUTE_FORCE_GRID` points is scored by Gauss-Legendre quadrature (8
+    panels of 32 nodes), and the winner is re-scored by the exact
+    `expected_strategic_revenue`.  Both discounts must have two rounds --
+    the point is an oracle cheap enough to run and dumb enough to trust.
     """
-    if not 1 <= price_grid_resolution <= 60:
-        raise InvalidParameterError("price grid resolution must be in 1..60")
     gb = _finite_weights(buyer_discount, 2)
     gs = _finite_weights(seller_discount, 2)
     lo, hi = dist.support
-    grid = np.linspace(lo, hi, price_grid_resolution)
+    grid = np.linspace(lo, hi, BRUTE_FORCE_GRID)
 
     # node prices (root, left '0', right '1') for every grid combination
     prices = np.stack([a.ravel() for a in np.meshgrid(grid, grid, grid,

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscountSequence, PricingTree, _finite_weights, canonical_nodes
+from .core import (DiscountSequence, PricingTree, _finite_weights, _words,
+                   canonical_nodes)
 from .distributions import ValuationDistribution
 from .errors import InvalidParameterError, RegularityError, ResourceLimitError
 from .oracle import _payment_matrix, strategy_bits
@@ -45,16 +46,21 @@ class StrategyOrder:
     """
 
     horizon: int
-    bits: np.ndarray        # (2^T, T), row j is strategy a^j
+    index: np.ndarray       # (2^T,), strategy a^j is row index[j] of strategy_bits
     quantities: np.ndarray  # (2^T,), strictly increasing
 
     @property
+    def bits(self) -> np.ndarray:
+        """(2^T, T) bit matrix whose row j is strategy a^j."""
+        return strategy_bits(self.horizon)[self.index]
+
+    @property
     def strategies(self) -> tuple[str, ...]:
-        return tuple("".join(str(int(b)) for b in row) for row in self.bits)
+        return _words(self.index.tolist(), self.horizon)
 
     @property
     def k(self) -> int:
-        return self.bits.shape[0] - 1
+        return len(self.index) - 1
 
 
 def order_strategies(buyer_discount: DiscountSequence,
@@ -69,7 +75,7 @@ def order_strategies(buyer_discount: DiscountSequence,
     bits = strategy_bits(len(w))
     quantities = bits.astype(float) @ w
     idx = np.argsort(quantities, kind="stable")
-    order = StrategyOrder(horizon=len(w), bits=bits[idx], quantities=quantities[idx])
+    order = StrategyOrder(horizon=len(w), index=idx, quantities=quantities[idx])
     gaps = np.diff(order.quantities)
     j = int(np.argmin(gaps))
     if gaps[j] <= QUANTITY_COLLISION_TOL:

@@ -17,6 +17,7 @@ from postedprice import (Beta, L_gradient, L_value, PricingTree, Uniform,
                          maximize_L, myerson_price, strategic_revenue_curve,
                          tau_step_optimal, tree_to_v, truncate, v_to_tree)
 from postedprice.optimizer import maximize_bilinear
+from postedprice.oracle import BRUTE_FORCE_GRID
 from postedprice.reduction import reduced_T2_functional
 
 UNIFORM = Uniform(0, 1)
@@ -66,8 +67,8 @@ def test_criterion_02_big_deal_revenue_and_threshold():
             worst = max(worst, abs(quad - g.total * h_star))
             above = best_response(tree, p_star + 1e-3, game.buyer, game.seller)
             below = best_response(tree, p_star - 1e-3, game.buyer, game.seller)
-            threshold_ok &= above.strategy.decisions[0] == 1
-            threshold_ok &= below.strategy.decisions[0] == 0
+            threshold_ok &= above.strategy[0] == "1"
+            threshold_ok &= below.strategy[0] == "0"
     ok = worst <= 1e-4 and threshold_ok
     _report(2, ok, "big deal (tau=12): the oracle matches Gamma_B*H* within 1e-4 "
                    f"(worst {worst:.2e}) and acceptance flips at p* +/- 1e-3")
@@ -158,15 +159,14 @@ def test_criterion_07_plane_collapse_at_T2():
 
 def test_criterion_08_optimizer_matches_grid_oracle():
     rng = np.random.default_rng(808)
-    resolution = 50
-    cell = 1.0 / (resolution - 1)
+    cell = 1.0 / (BRUTE_FORCE_GRID - 1)
     worst = -np.inf
     for _ in range(5):
         gs_rate = float(rng.uniform(0.5, 0.95))
         gb_rate = float(rng.uniform(0.05, gs_rate - 0.1))
         gb = make_geometric_discount(gb_rate, 2)
         gs = make_geometric_discount(gs_rate, 2)
-        _, bf_value = brute_force_optimal_tree(UNIFORM, gb, gs, resolution)
+        _, bf_value = brute_force_optimal_tree(UNIFORM, gb, gs)
         opt = maximize_L(UNIFORM, gb, gs, starts=8, seed=2)
         assert opt.value >= bf_value - 1e-6  # grid trees are feasible points
         worst = max(worst, abs(opt.value - bf_value))

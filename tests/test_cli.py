@@ -334,10 +334,6 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
     (["myerson", "--config", "CONFIG"], 3),
     (["simulate", "--tree", "TREE", "--dist", "uniform:0,1", "--gs", "0.5",
       "--gb", "0.5", "--grid-size", "-1"], 2),
-    (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2",
-      "--horizon", "2", "--max-iter", "0"], 3),
-    (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2",
-      "--horizon", "2", "--tol", "nan"], 3),
     (["bigdeal", "--dist", "uniform:0,1", "--gs", "0.5", "--gb", "0.8",
       "--tau", "21"], 3),
     (["truncate", "--gb", "0.5", "--gs", "0.8", "--tau", "21"], 3),
@@ -348,7 +344,7 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
     (["simulate", "--tree", "HUGE_TREE", "--dist", "uniform:0,1", "--gs", "0.5",
       "--gb", "0.5"], 3),
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
-        "max-iter-zero", "tol-nan", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
+        "bigdeal-tau-above-guard", "truncate-tau-above-guard",
         "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"

@@ -1,12 +1,15 @@
+import importlib
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 
-from postedprice import (BuyerStrategy, DiscountSequence, InvalidParameterError,
-                         PricingTree, canonical_nodes, evaluate,
-                         make_geometric_discount, price_path)
+import postedprice
+from postedprice import (DiscountSequence, InvalidParameterError, PricingTree,
+                         canonical_nodes, evaluate, make_geometric_discount,
+                         price_path)
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +175,12 @@ def test_price_path_length_mismatch(small_tree):
         price_path(small_tree, "101")
 
 
+@pytest.mark.parametrize("strategy", [(1, 0), "1x"])
+def test_price_path_rejects_a_strategy_that_is_not_a_binary_string(small_tree, strategy):
+    with pytest.raises(InvalidParameterError, match="'0'/'1' string"):
+        price_path(small_tree, strategy)
+
+
 def test_evaluate_constant_tree():
     d = DiscountSequence([1.0, 0.5])
     out = evaluate(PricingTree.constant(2, 0.5), "11", 0.8, d, d)
@@ -232,12 +241,14 @@ def test_monotone_dominance_under_constant_tree():
 
 
 def test_strategy_parsing():
-    s = BuyerStrategy.from_string("101")
-    assert s.decisions == (1, 0, 1) and str(s) == "101" and len(s) == 3
-    with pytest.raises(InvalidParameterError):
-        BuyerStrategy.from_string("12")
-    with pytest.raises(InvalidParameterError):
-        BuyerStrategy(())
+    d = DiscountSequence([1.0, 0.5, 0.25])
+    tree = PricingTree.constant(3, 0.4)
+    out = evaluate(tree, "101", 1.0, d, d)
+    assert out.strategy == "101" and str(out.strategy) == "101"
+    assert out.quantity == 1.25
+    for bad in ("12", "", (1, 0, 1)):
+        with pytest.raises(InvalidParameterError):
+            evaluate(tree, bad, 1.0, d, d)
 
 
 def test_evaluate_requires_finite_discounts():
@@ -247,3 +258,16 @@ def test_evaluate_requires_finite_discounts():
     fin = DiscountSequence([1.0, 0.5])
     with pytest.raises(InvalidParameterError, match="finite"):
         evaluate(tree, "11", 0.8, inf, fin)
+
+
+# ---------------------------------------------------------------------------
+# public names
+
+
+@pytest.mark.parametrize("module", ["postedprice"] + [
+    f"postedprice.{info.name}" for info in pkgutil.iter_modules(postedprice.__path__)])
+def test_every_exported_name_resolves(module):
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", [])
+    assert [name for name in exported if not hasattr(mod, name)] == []
+    assert len(set(exported)) == len(exported)

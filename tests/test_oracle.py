@@ -7,7 +7,7 @@ from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          PricingTree, ResourceLimitError, Uniform, best_response,
                          big_deal, brute_force_optimal_tree, canonical_nodes,
                          evaluate, expected_strategic_revenue,
-                         make_geometric_discount, maximize_L,
+                         make_geometric_discount, maximize_L, order_strategies,
                          strategic_revenue_curve)
 from postedprice import oracle
 from postedprice.oracle import strategy_bits, strategy_tables, envelope_breakpoints
@@ -147,6 +147,38 @@ def test_curve_memory_does_not_scale_with_strategies_times_grid():
     assert peak < 64 * 2**20
 
 
+def test_strategy_tables_form_the_paid_prices_once():
+    # each (2^16, 16) float or index matrix takes 8 MiB
+    rng = np.random.default_rng(16)
+    tree = random_tree(rng, 16)
+    gb, gs = make_geometric_discount(0.3, 16), make_geometric_discount(0.8, 16)
+    tracemalloc.start()
+    try:
+        tables = strategy_tables(tree, gb, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tables.quantities) == 2**16
+    assert peak < 20 * 2**20
+
+
+def test_every_strategy_label_agrees():
+    # row j of strategy_bits(T) is the strategy format(j, f"0{T}b") everywhere
+    rng = np.random.default_rng(33)
+    tree = random_tree(rng, 3)
+    gb, gs = make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)
+    grid = np.linspace(0.0, 1.5, 201)
+    curve = strategic_revenue_curve(tree, gb, gs, grid)
+    for v, label, revenue in zip(grid, curve.strategies, curve.revenue):
+        assert best_response(tree, float(v), gb, gs).strategy == label
+        assert evaluate(tree, label, float(v), gb, gs).revenue == pytest.approx(
+            revenue, rel=0.0, abs=1e-12)
+    buyer = make_geometric_discount(0.7, 3)
+    order = order_strategies(buyer)
+    by_quantity = np.argsort(strategy_bits(3) @ buyer.as_array())
+    assert order.strategies == tuple(format(j, "03b") for j in by_quantity)
+
+
 def test_expected_revenue_constant_myerson_price():
     u = Uniform(0, 1)
     for gs_rate in (0.3, 0.8):
@@ -193,7 +225,7 @@ def test_envelope_breakpoints_of_constant_tree():
 def test_brute_force_equal_discounts_recovers_constant_value():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5, 2)
-    tree, value = brute_force_optimal_tree(u, g, g, 50)
+    tree, value = brute_force_optimal_tree(u, g, g)
     # the optimal value is 0.25 * Gamma; the grid can only miss by one cell
     assert value == pytest.approx(0.25 * g.total, abs=0.25 * g.total / 49)
 
@@ -202,16 +234,15 @@ def test_brute_force_guards():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5, 2)
     with pytest.raises(InvalidParameterError):
-        brute_force_optimal_tree(u, g, g, price_grid_resolution=61)
-    with pytest.raises(InvalidParameterError):
         brute_force_optimal_tree(u, make_geometric_discount(0.3),
                                  make_geometric_discount(0.8))
 
 
-def test_brute_force_degenerate_grid():
+def test_brute_force_degenerate_grid(monkeypatch):
+    monkeypatch.setattr(oracle, "BRUTE_FORCE_GRID", 1)
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5, 2)
-    tree, value = brute_force_optimal_tree(u, g, g, 1)
+    tree, value = brute_force_optimal_tree(u, g, g)
     assert set(tree.prices().values()) == {0.0}  # the single grid price
     assert value == pytest.approx(0.0, abs=1e-12)
 
@@ -220,5 +251,5 @@ def test_brute_force_beats_baseline_for_impatient_buyer():
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.2, 2)
     gs = make_geometric_discount(0.8, 2)
-    _, value = brute_force_optimal_tree(u, gb, gs, 30)
+    _, value = brute_force_optimal_tree(u, gb, gs)
     assert value >= gs.total * 0.25

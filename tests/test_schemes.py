@@ -66,8 +66,8 @@ def test_big_deal_acceptance_threshold():
     p_star, _ = myerson_price(u)
     for v in np.linspace(0.0, 1.0, 50):
         br = best_response(tree, float(v), game.buyer, game.seller)
-        expected_first = 1 if v > p_star else 0
-        assert br.strategy.decisions[0] == expected_first
+        expected_first = "1" if v > p_star else "0"
+        assert br.strategy[0] == expected_first
 
 
 def test_big_deal_revenue_identity_by_quadrature():
