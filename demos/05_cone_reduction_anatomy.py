@@ -32,7 +32,7 @@ for u, expected in [(0.15, "00"), (0.4, "01"), (0.6, "10"), (0.9, "11")]:
     br = best_response(tree, u, gb, gs)
     print(f"  v = {u:.2f}: plays {br.strategy} (order predicts {expected})")
 
-lv = L_value(system, uniform, v)
+lv = L_value(system.Xi, uniform, v)
 oracle = expected_strategic_revenue(tree, uniform, gb, gs)
 print(f"\nbilinear form {lv:.12f} vs enumeration oracle {oracle:.12f}")
 

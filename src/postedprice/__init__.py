@@ -20,9 +20,9 @@ from .optimizer import (DiscountOrderWarning, OptimizationResult,
 from .oracle import (BestResponse, RevenueCurve, best_response,
                      brute_force_optimal_tree, expected_strategic_revenue,
                      strategic_revenue_curve, strategy_tables)
-from .reduction import (ReductionSystem, L_gradient, L_value, build_system,
-                        order_strategies, reduced_T2_functional, tree_to_v,
-                        v_to_tree)
+from .reduction import (ReductionSystem, L_gradient, L_hessian, L_value,
+                        build_system, order_strategies, reduced_T2_functional,
+                        tree_to_v, v_to_tree)
 from .schemes import (PatienceOrderWarning, TauStepResult, TruncatedGame,
                       big_deal, constant_myerson, tau_step_optimal, truncate)
 
@@ -39,7 +39,7 @@ __all__ = [
     "BestResponse", "RevenueCurve", "best_response",
     "brute_force_optimal_tree", "expected_strategic_revenue",
     "strategic_revenue_curve", "strategy_tables",
-    "ReductionSystem", "L_gradient", "L_value", "build_system",
+    "ReductionSystem", "L_gradient", "L_hessian", "L_value", "build_system",
     "order_strategies", "reduced_T2_functional", "tree_to_v", "v_to_tree",
     "PatienceOrderWarning", "TauStepResult", "TruncatedGame", "big_deal",
     "constant_myerson", "tau_step_optimal", "truncate",

@@ -230,10 +230,6 @@ class PricingTree:
     def horizon(self) -> int:
         return self._horizon
 
-    @property
-    def node_count(self) -> int:
-        return 2 ** self._horizon - 1
-
     def price(self, node: str) -> float:
         try:
             return self._prices[node]
@@ -324,8 +320,8 @@ def evaluate(tree: PricingTree, strategy: str, v: float,
     revenue  = sum_t gammaS_t a_t p_t
     quantity = sum_t gammaB_t a_t
     """
-    if v < 0:
-        raise InvalidParameterError("valuation must be non-negative")
+    if not (v >= 0) or not math.isfinite(v):
+        raise InvalidParameterError(f"valuation must be finite and non-negative, got {v}")
     p = price_path(tree, strategy)  # refuses a malformed strategy
     gb = _finite_weights(buyer_discount, tree.horizon)
     gs = _finite_weights(seller_discount, tree.horizon)

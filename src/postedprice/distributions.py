@@ -37,8 +37,6 @@ class ValuationDistribution:
     array of the same shape.
     """
 
-    kind: str = ""
-
     @property
     def support(self) -> tuple[float, float]:
         raise NotImplementedError
@@ -72,8 +70,6 @@ class ValuationDistribution:
 
 
 class Uniform(ValuationDistribution):
-    kind = "uniform"
-
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
         lo, hi = float(lo), float(hi)
         if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo or lo < 0:
@@ -108,8 +104,6 @@ class Uniform(ValuationDistribution):
 
 
 class Beta(ValuationDistribution):
-    kind = "beta"
-
     def __init__(self, alpha: float, beta: float):
         alpha, beta = float(alpha), float(beta)
         if not (alpha > 0 and beta > 0 and math.isfinite(alpha + beta)):
@@ -160,8 +154,6 @@ class TruncatedExponential(ValuationDistribution):
     expression (1 - exp(-x)) / (1 - exp(-1)): at unit parameters that is this
     distribution's CDF, not a density (it does not integrate to one).
     """
-
-    kind = "texp"
 
     def __init__(self, rate: float = 1.0, bound: float = 1.0):
         rate, bound = float(rate), float(bound)

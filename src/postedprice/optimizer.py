@@ -23,10 +23,10 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .core import DiscountSequence, PricingTree
-from .distributions import Uniform, ValuationDistribution, myerson_price
+from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError
-from .reduction import (_bilinear_gradient, _bilinear_hessian, _bilinear_value,
-                        build_system, reduced_T2_functional, v_to_tree)
+from .reduction import (L_gradient, L_hessian, L_value, build_system,
+                        reduced_T2_functional, v_to_tree)
 
 __all__ = [
     "OptimizationResult",
@@ -135,8 +135,8 @@ def _face(x: np.ndarray) -> np.ndarray:
     return np.concatenate(([x[0] == 0.0], x[1:] == x[:-1]))
 
 
-def _face_newton(value_fn, grad_fn, hess_fn, x: np.ndarray, g: np.ndarray,
-                 f: float, step0: float, budget: int):
+def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
+                 g: np.ndarray, f: float, step0: float, budget: int):
     """Newton's method on the block values of x's face, from x (gradient g).
 
     Each pooled block moves as one value, v = B u, and the block at 0 stays
@@ -148,7 +148,7 @@ def _face_newton(value_fn, grad_fn, hess_fn, x: np.ndarray, g: np.ndarray,
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
     v = x
     for step in range(1, budget + 1):
-        curvature = -(blocks.T @ hess_fn(v) @ blocks)
+        curvature = -(blocks.T @ L_hessian(matrix, dist, v) @ blocks)
         try:  # step only where the face's reduced Hessian is negative definite
             np.linalg.cholesky(curvature)
         except np.linalg.LinAlgError:
@@ -156,15 +156,16 @@ def _face_newton(value_fn, grad_fn, hess_fn, x: np.ndarray, g: np.ndarray,
         v = v + blocks @ np.linalg.solve(curvature, blocks.T @ g)
         if not (v[0] >= 0.0 and np.all(v[1:] >= v[:-1])):
             return step, None
-        g = grad_fn(v)
+        g = L_gradient(matrix, dist, v)
         _, kkt = _gradient_mapping(v, g, step0)
-        value = value_fn(v)
+        value = L_value(matrix, dist, v)
         if kkt <= KKT_TOL and value >= f:
             return step, (v, value, kkt)
     return budget, None
 
 
-def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float):
+def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
+                      x0: np.ndarray, step0: float):
     """One run of projected gradient ascent with Armijo backtracking.
 
     Accepted line-search steps never decrease the objective.  Near the
@@ -176,46 +177,53 @@ def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float):
     that face is tried once (`_face_newton`); each Newton step counts as
     an iteration.  The run stops when the gradient-mapping norm (at the
     reference step) is under `KKT_TOL` or stops decreasing, or after
-    `MAX_ITER` iterations.
+    `MAX_ITER` iterations.  A run never returns less than it found: if the
+    final point is worth less than the best iterate by more than rounding
+    (1e-12 relative), the best iterate is returned, certified only if it
+    passes the gradient-mapping test itself.
     """
     x = project_to_delta(x0)
-    f = value_fn(x)
+    f = L_value(matrix, dist, x)
+    best_x, best_f = x, f
     step = step0
     kkt = np.inf
     best_kkt = np.inf
     stalled = 0
     face, face_age = _face(x), 0
     it = 0
+    ok = False
     while it < MAX_ITER:
         it += 1
-        g = grad_fn(x)
+        g = L_gradient(matrix, dist, x)
         reference, kkt = _gradient_mapping(x, g, step0)
         if kkt <= KKT_TOL:
-            return x, value_fn(x), it, True, kkt
+            ok = True
+            break
         if kkt < best_kkt * (1.0 - 1e-4):
             best_kkt = kkt
             stalled = 0
         else:
             stalled += 1
             if stalled > 250:  # gradient mapping hit its noise floor
-                return x, value_fn(x), it, False, kkt
+                break
         current = _face(x)
         if np.array_equal(current, face):
             face_age += 1
         else:
             face, face_age = current, 0
         if face_age == FACE_STABLE_ITERS:
-            steps, polished = _face_newton(value_fn, grad_fn, hess_fn, x, g, f, step0,
+            steps, polished = _face_newton(matrix, dist, x, g, f, step0,
                                            min(NEWTON_MAX_STEPS, MAX_ITER - it))
             it += steps
             if polished is not None:
-                v, value, v_kkt = polished
-                return v, value, it, True, v_kkt
+                x, f, kkt = polished
+                ok = True
+                break
         t = min(step * 2.0, step0 * 1e6)
         accepted = False
         while t >= step0 * 1e-14:
             x_new = project_to_delta(x + t * g)
-            f_new = value_fn(x_new)
+            f_new = L_value(matrix, dist, x_new)
             if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
                     and f_new >= f:
                 accepted = float(np.linalg.norm(x_new - x)) > 0
@@ -227,9 +235,15 @@ def _projected_ascent(value_fn, grad_fn, hess_fn, x0: np.ndarray, step0: float):
             # objective comparisons are below float resolution; take the
             # reference step anyway and keep watching the gradient mapping
             x = reference
-            f = value_fn(x)
+            f = L_value(matrix, dist, x)
             step = step0
-    return x, value_fn(x), MAX_ITER, False, kkt
+        if f > best_f:
+            best_x, best_f = x, f
+    if f < best_f - 1e-12 * max(1.0, abs(best_f)):
+        x, f = best_x, best_f
+        _, kkt = _gradient_mapping(x, L_gradient(matrix, dist, x), step0)
+        ok = kkt <= KKT_TOL
+    return x, f, it, ok, kkt
 
 
 def _start_count(starts: int | None, k: int) -> int:
@@ -257,9 +271,6 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     rng = np.random.default_rng(seed)
 
     step0 = 1.0 / max(np.linalg.norm(matrix, 1), 1e-12)
-    value_fn = lambda v: _bilinear_value(matrix, dist, v)
-    grad_fn = lambda v: _bilinear_gradient(matrix, dist, v)
-    hess_fn = lambda v: _bilinear_hessian(matrix, dist, v)
 
     runs = []
     total_iters = 0
@@ -270,7 +281,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
             x0 = np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))
         else:
             x0 = np.sort(rng.uniform(lo, hi, size=k))
-        x, f, iters, ok, kkt = _projected_ascent(value_fn, grad_fn, hess_fn, x0, step0)
+        x, f, iters, ok, kkt = _projected_ascent(matrix, dist, x0, step0)
         total_iters += iters
         runs.append((f, x, ok, kkt))
     best_f = max(r[0] for r in runs)
@@ -313,7 +324,7 @@ def t2_uniform_qp(gs_rate: float, gb_rate: float) -> tuple[np.ndarray, float]:
     {0 <= v1 <= v2} (interior, v1 = 0, v1 = v2) solves it exactly.  Used as
     a cross-check of the gradient path, not as the default solver.
     """
-    _, M = reduced_T2_functional(gs_rate, gb_rate, Uniform(0.0, 1.0))
+    M = reduced_T2_functional(gs_rate, gb_rate)
     # L(v) = 1' M v - v' M v  for F(v) = v on [0, 1]
     value = lambda v: float(M.sum(axis=0) @ v - v @ M @ v)
     S = M + M.T

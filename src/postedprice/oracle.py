@@ -10,6 +10,7 @@ switches, so it is a sum of seller payments times CDF differences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,8 +151,8 @@ def best_response(tree: PricingTree, v: float, buyer_discount: DiscountSequence,
     seller revenue); ties occur only on a measure-zero set of valuations,
     so this choice never affects expected quantities.
     """
-    if v < 0:
-        raise InvalidParameterError("valuation must be non-negative")
+    if not (v >= 0) or not math.isfinite(v):
+        raise InvalidParameterError(f"valuation must be finite and non-negative, got {v}")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
     idx, ties = _argbest(tables, v)
     j = int(idx[0])
@@ -177,12 +178,12 @@ class RevenueCurve:
 
 def strategic_revenue_curve(tree: PricingTree, buyer_discount: DiscountSequence,
                             seller_discount: DiscountSequence, v_grid) -> RevenueCurve:
-    """Best responses at every grid valuation (grid must be sorted, >= 0)."""
+    """Best responses at every grid valuation (grid must be finite, sorted, >= 0)."""
     v = np.asarray(v_grid, dtype=float)
     if v.ndim != 1 or v.size == 0:
         raise InvalidParameterError("valuation grid must be a non-empty 1-d array")
-    if np.any(v < 0) or np.any(np.diff(v) < 0):
-        raise InvalidParameterError("valuation grid must be sorted and non-negative")
+    if not np.all(v >= 0) or not np.all(np.isfinite(v)) or np.any(np.diff(v) < 0):
+        raise InvalidParameterError("valuation grid must be finite, sorted and non-negative")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
     idx, _ = _argbest(tables, v)
     return RevenueCurve(
@@ -203,18 +204,14 @@ def envelope_breakpoints(tables: StrategyTables, lo: float, hi: float) -> np.nda
     order = np.lexsort((tables.buyer_payments, tables.quantities))
     q = tables.quantities[order]
     r = tables.buyer_payments[order]
-    # among equal slopes only the smallest payment can touch the envelope
-    keep_q: list[float] = []
-    keep_r: list[float] = []
-    for qi, ri in zip(q, r):
-        if keep_q and qi == keep_q[-1]:
-            continue  # same slope, larger payment: strictly below
-        keep_q.append(qi)
-        keep_r.append(ri)
     hull_q: list[float] = []
     hull_r: list[float] = []
     hull_x: list[float] = []  # abscissa where each hull line takes over
-    for qi, ri in zip(keep_q, keep_r):
+    for qi, ri in zip(q, r):
+        # every line is appended last, so an earlier line of the same slope
+        # is hull_q[-1]; it has the smaller payment, and this one lies below
+        if hull_q and qi == hull_q[-1]:
+            continue
         while hull_q:
             x = (ri - hull_r[-1]) / (qi - hull_q[-1])
             if x <= hull_x[-1]:

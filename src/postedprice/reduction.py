@@ -30,6 +30,7 @@ __all__ = [
     "v_to_tree",
     "L_value",
     "L_gradient",
+    "L_hessian",
     "reduced_T2_functional",
 ]
 
@@ -183,51 +184,32 @@ def v_to_tree(system: ReductionSystem, v) -> PricingTree:
     return PricingTree(system.horizon, dict(zip(canonical_nodes(system.horizon), prices)))
 
 
-def _bilinear_value(matrix: np.ndarray, dist: ValuationDistribution,
-                    v: np.ndarray) -> float:
-    tail = 1.0 - dist.cdf(v)
-    return float(tail @ (matrix @ v))
+def L_value(matrix: np.ndarray, dist: ValuationDistribution, v) -> float:
+    """The revenue form (1 - F(v))' M v of kernel M; with M = Xi, the expected
+    strategic revenue of the tree at v in Delta^k."""
+    return float((1.0 - dist.cdf(v)) @ (matrix @ v))
 
 
-def _bilinear_gradient(matrix: np.ndarray, dist: ValuationDistribution,
-                       v: np.ndarray) -> np.ndarray:
-    tail = 1.0 - dist.cdf(v)
-    return matrix.T @ tail - dist.pdf(v) * (matrix @ v)
+def L_gradient(matrix: np.ndarray, dist: ValuationDistribution, v) -> np.ndarray:
+    """Gradient M' (1 - F(v)) - diag(f(v)) M v of the revenue form."""
+    return matrix.T @ (1.0 - dist.cdf(v)) - dist.pdf(v) * (matrix @ v)
 
 
-def _bilinear_hessian(matrix: np.ndarray, dist: ValuationDistribution,
-                      v: np.ndarray) -> np.ndarray:
-    """Hessian -(M' diag f) - diag(f) M - diag(f' * M v) of (1 - F(v))' M v."""
+def L_hessian(matrix: np.ndarray, dist: ValuationDistribution, v) -> np.ndarray:
+    """Hessian -(M' diag f) - diag(f) M - diag(f' * M v) of the revenue form."""
     density = dist.pdf(v)
     hessian = -(matrix.T * density) - density[:, None] * matrix
     hessian[np.diag_indices_from(hessian)] -= dist.dpdf(v) * (matrix @ v)
     return hessian
 
 
-def L_value(system: ReductionSystem, dist: ValuationDistribution, v) -> float:
-    """The revenue form (1 - F(v))' Xi v (expected strategic revenue on Delta^k)."""
-    return _bilinear_value(system.Xi, dist, np.asarray(v, dtype=float))
+def reduced_T2_functional(gs_rate: float, gb_rate: float) -> np.ndarray:
+    """The 2x2 kernel of the T=2 problem collapsed onto the plane v_2 = v_3.
 
-
-def L_gradient(system: ReductionSystem, dist: ValuationDistribution, v) -> np.ndarray:
-    """Gradient of L: Xi' (1 - F(v)) - diag(f(v)) Xi v."""
-    return _bilinear_gradient(system.Xi, dist, np.asarray(v, dtype=float))
-
-
-def reduced_T2_functional(gs_rate: float, gb_rate: float,
-                          dist: ValuationDistribution):
-    """The 2-variate collapse of the T=2 problem onto the plane v_2 = v_3.
-
-    Returns (L2, matrix): L2(v1, v2) evaluates the reduced revenue form and
-    `matrix` is its 2x2 bilinear kernel.  The maximizer (v1, v2), embedded
-    as (v1, v2, v2), attains the full three-dimensional optimum.
+    The maximizer (v1, v2) of `L_value` with this kernel, embedded as
+    (v1, v2, v2), attains the full three-dimensional optimum.
     """
     if not 0.0 < gb_rate < gs_rate < 1.0:
         raise InvalidParameterError("rates must satisfy 0 < gb < gs < 1")
-    matrix = np.array([[gs_rate, 0.0],
-                       [-(gs_rate - gb_rate), 1.0 + gs_rate - gb_rate]])
-
-    def L2(v1: float, v2: float) -> float:
-        return _bilinear_value(matrix, dist, np.array([v1, v2], dtype=float))
-
-    return L2, matrix
+    return np.array([[gs_rate, 0.0],
+                     [-(gs_rate - gb_rate), 1.0 + gs_rate - gb_rate]])

@@ -114,7 +114,7 @@ def test_criterion_05_revenue_form_equals_oracle():
             v = np.sort(rng.uniform(0.0, 1.0, 2**horizon - 1))
             tree = v_to_tree(system, v)
             quad = expected_strategic_revenue(tree, UNIFORM, gb, gs)
-            worst = max(worst, abs(L_value(system, UNIFORM, v) - quad))
+            worst = max(worst, abs(L_value(system.Xi, UNIFORM, v) - quad))
     _report(5, worst <= 1e-5,
             f"L agrees with the oracle on 50 cone points (worst {worst:.2e})")
 
@@ -149,7 +149,7 @@ def test_criterion_07_plane_collapse_at_T2():
     gs = make_geometric_discount(0.8, 2)
     full = maximize_L(UNIFORM, gb, gs, starts=8, seed=1)
     gap = abs(full.v_star[1] - full.v_star[2])
-    _, matrix = reduced_T2_functional(0.8, 0.2, UNIFORM)
+    matrix = reduced_T2_functional(0.8, 0.2)
     _, reduced_value, _, _, _ = maximize_bilinear(matrix, UNIFORM, starts=8, seed=1)
     diff = abs(reduced_value - full.value)
     _report(7, gap <= 1e-4 and diff <= 1e-6,
@@ -264,12 +264,12 @@ def test_criterion_12_gradient_correctness():
             k = 2**horizon - 1
             for _ in range(20):
                 v = np.sort(rng.uniform(0.1, 0.9, k))
-                grad = L_gradient(system, UNIFORM, v)
+                grad = L_gradient(system.Xi, UNIFORM, v)
                 for i in range(k):
                     e = np.zeros(k)
                     e[i] = h
-                    fd = (L_value(system, UNIFORM, v + e)
-                          - L_value(system, UNIFORM, v - e)) / (2 * h)
+                    fd = (L_value(system.Xi, UNIFORM, v + e)
+                          - L_value(system.Xi, UNIFORM, v - e)) / (2 * h)
                     denom = max(abs(grad[i]), 1e-8)
                     worst = max(worst, abs(fd - grad[i]) / denom)
     _report(12, worst <= 1e-6,

@@ -1,10 +1,13 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from postedprice import PricingTree
 from postedprice.cli import main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -400,3 +403,22 @@ def test_config_null_entry_keeps_the_default(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["seed"] == 0
 
+
+
+# ---------------------------------------------------------------------------
+# recorded sweep output
+
+
+@pytest.mark.parametrize("name,argv", [
+    ("sweep_t2.csv", ["--horizon", "2", "--grid-start", "0.05",
+                      "--grid-step", "0.15", "--grid-count", "5"]),
+    ("sweep_tau_ladder.csv", ["--tau-list", "2,3,4,5,6", "--grid-start", "0.2",
+                              "--grid-count", "1"]),
+])
+def test_sweep_output_matches_the_recorded_csv(capsys, name, argv):
+    # byte for byte; a change that moves these digits on purpose re-records
+    # the file and says so
+    code, out, _ = run(capsys, "sweep", "--dist", "uniform:0,1", "--fix", "gs",
+                       "--fixed-value", "0.8", *argv)
+    assert code == 0
+    assert out == (DATA / name).read_bytes().decode()

@@ -145,7 +145,7 @@ def test_maximum_dominates_support_grid(dist):
 
 
 def test_parse_distribution():
-    assert parse_distribution("uniform:0,1").kind == "uniform"
+    assert isinstance(parse_distribution("uniform:0,1"), Uniform)
     assert parse_distribution("beta:4,2").alpha == 4
     texp = parse_distribution("texp:1,1")
     assert texp.rate == 1 and texp.bound == 1

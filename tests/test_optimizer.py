@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from postedprice import (Beta, DiscountOrderWarning, DiscountSequence,
-                         InvalidParameterError, Uniform, discount_rates,
-                         make_geometric_discount, maximize_L, project_to_delta,
+                         InvalidParameterError, L_value, Uniform, discount_rates,
+                         make_geometric_discount, maximize_L, myerson_price,
+                         parse_distribution, project_to_delta,
                          rate_order_satisfied, t2_uniform_qp, tau_step_optimal)
 from postedprice import optimizer
 from postedprice.optimizer import _pointwise_leq, maximize_bilinear
@@ -110,13 +111,13 @@ def test_warns_when_rate_order_is_violated():
 
 
 def test_result_value_is_L_at_v_star():
-    from postedprice import L_value, build_system
+    from postedprice import build_system
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.3, 2)
     gs = make_geometric_discount(0.8, 2)
     result = maximize_L(u, gb, gs, starts=8, seed=5)
     sys_ = build_system(gb, gs)
-    assert result.value == pytest.approx(L_value(sys_, u, result.v_star), abs=1e-12)
+    assert result.value == pytest.approx(L_value(sys_.Xi, u, result.v_star), abs=1e-12)
     assert result.v_star[0] >= 0 and np.all(np.diff(result.v_star) >= 0)
 
 
@@ -143,13 +144,25 @@ def test_deterministic_given_seed():
 
 def test_ascent_improves_on_every_start_value():
     u = Uniform(0, 1)
-    _, matrix = reduced_T2_functional(0.8, 0.2, u)
+    matrix = reduced_T2_functional(0.8, 0.2)
     v, value, iters, ok, kkt = maximize_bilinear(matrix, u, starts=6, seed=0)
     # the run must end at least as high as the best starting value it saw
-    from postedprice.reduction import _bilinear_value
-    start_value = _bilinear_value(matrix, u, np.full(2, 0.5))
+    start_value = L_value(matrix, u, np.full(2, 0.5))
     assert value >= start_value - 1e-12
     assert iters >= 1
+
+
+@pytest.mark.parametrize("spec", ["uniform:0,1", "uniform:2,3"])
+@pytest.mark.parametrize("T", [2, 3])
+@pytest.mark.parametrize("gb_rate", [0.1, 0.3])
+def test_value_never_below_the_constant_myerson_tree(spec, T, gb_rate):
+    # start 0 is the constant tree at p*, which lies in the cone; on
+    # uniform:2,3 the fixed-step fallback used to walk it below its start
+    dist = parse_distribution(spec)
+    seller = make_geometric_discount(0.8, T)
+    result = maximize_L(dist, make_geometric_discount(gb_rate, T), seller, starts=4)
+    _, h_star = myerson_price(dist)
+    assert result.value >= seller.total * h_star * (1 - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +202,7 @@ def test_t2_qp_matches_gradient_path():
     u = Uniform(0, 1)
     for gs_rate, gb_rate in [(0.8, 0.2), (0.6, 0.3), (0.9, 0.45)]:
         v_qp, value_qp = t2_uniform_qp(gs_rate, gb_rate)
-        _, matrix = reduced_T2_functional(gs_rate, gb_rate, u)
+        matrix = reduced_T2_functional(gs_rate, gb_rate)
         v_pg, value_pg, _, _, _ = maximize_bilinear(matrix, u, starts=8, seed=2)
         assert value_pg == pytest.approx(value_qp, abs=1e-9)
         assert v_pg == pytest.approx(v_qp, abs=1e-4)

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -53,6 +54,19 @@ def test_enumeration_guard_and_negative_valuation():
     d = DiscountSequence([1.0, 0.5])
     with pytest.raises(InvalidParameterError):
         best_response(PricingTree.constant(2, 0.5), -0.2, d, d)
+
+
+@pytest.mark.parametrize("v", [math.nan, math.inf])
+def test_non_finite_valuation_is_refused(v):
+    # a NaN compares false with every surplus, so it used to answer '00'
+    tree = PricingTree.constant(2, 0.5)
+    d = DiscountSequence([1.0, 0.5])
+    with pytest.raises(InvalidParameterError):
+        evaluate(tree, "11", v, d, d)
+    with pytest.raises(InvalidParameterError):
+        best_response(tree, v, d, d)
+    with pytest.raises(InvalidParameterError):
+        strategic_revenue_curve(tree, d, d, [0.0, 0.5, v])
 
 
 def test_best_response_beats_random_strategies():

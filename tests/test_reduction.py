@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
-                         L_gradient, L_value, TruncatedExponential,
+                         L_gradient, L_hessian, L_value, TruncatedExponential,
                          PricingTree, RegularityError, Uniform, best_response,
                          build_system, expected_strategic_revenue, make_geometric_discount,
                          order_strategies, reduced_T2_functional, tree_to_v,
                          v_to_tree)
-from postedprice.reduction import _bilinear_gradient, _bilinear_hessian
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -210,8 +209,8 @@ def test_L_at_constant_myerson_point_equal_discounts():
     sys_ = build_system(g, g)
     u = Uniform(0, 1)
     v = np.full(7, 0.5)
-    assert L_value(sys_, u, v) == pytest.approx(0.25 * g.total)
-    assert L_value(sys_, u, np.zeros(7)) == 0.0
+    assert L_value(sys_.Xi, u, v) == pytest.approx(0.25 * g.total)
+    assert L_value(sys_.Xi, u, np.zeros(7)) == 0.0
 
 
 @pytest.mark.parametrize("T,rates", [(2, (0.2, 0.8)), (3, (0.4, 0.7))])
@@ -224,7 +223,7 @@ def test_L_matches_oracle_quadrature(T, rates):
     for _ in range(12):
         v = random_delta_point(rng, 2**T - 1)
         tree = v_to_tree(sys_, v)
-        assert L_value(sys_, u, v) == pytest.approx(
+        assert L_value(sys_.Xi, u, v) == pytest.approx(
             expected_strategic_revenue(tree, u, gb, gs), abs=1e-12)
 
 
@@ -240,11 +239,11 @@ def test_L_gradient_matches_finite_differences(dist, T, rates):
     h = 1e-6
     for _ in range(8):
         v = random_delta_point(rng, k, 0.1, 0.9)
-        grad = L_gradient(sys_, dist, v)
+        grad = L_gradient(sys_.Xi, dist, v)
         for i in range(k):
             e = np.zeros(k)
             e[i] = h
-            fd = (L_value(sys_, dist, v + e) - L_value(sys_, dist, v - e)) / (2 * h)
+            fd = (L_value(sys_.Xi, dist, v + e) - L_value(sys_.Xi, dist, v - e)) / (2 * h)
             assert grad[i] == pytest.approx(fd, rel=1e-6, abs=1e-9)
 
 
@@ -256,10 +255,10 @@ def test_bilinear_hessian_matches_finite_differences(dist):
     h = 1e-6
     for _ in range(8):
         v = random_delta_point(rng, 7, 0.1, 0.7)
-        fd = np.column_stack([(_bilinear_gradient(Xi, dist, v + h * e)
-                               - _bilinear_gradient(Xi, dist, v - h * e)) / (2 * h)
+        fd = np.column_stack([(L_gradient(Xi, dist, v + h * e)
+                               - L_gradient(Xi, dist, v - h * e)) / (2 * h)
                               for e in np.eye(7)])
-        assert _bilinear_hessian(Xi, dist, v) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+        assert L_hessian(Xi, dist, v) == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -267,25 +266,25 @@ def test_bilinear_hessian_matches_finite_differences(dist):
 
 
 def test_reduced_T2_matrix():
-    L2, matrix = reduced_T2_functional(0.8, 0.2, Uniform(0, 1))
+    matrix = reduced_T2_functional(0.8, 0.2)
     assert np.allclose(matrix, [[0.8, 0.0], [-0.6, 1.6]])
     with pytest.raises(InvalidParameterError):
-        reduced_T2_functional(0.2, 0.8, Uniform(0, 1))
+        reduced_T2_functional(0.2, 0.8)
     with pytest.raises(InvalidParameterError):
-        reduced_T2_functional(0.5, 0.5, Uniform(0, 1))
+        reduced_T2_functional(0.5, 0.5)
 
 
 def test_reduced_T2_agrees_with_full_form_on_the_plane():
     u = Uniform(0, 1)
-    L2, _ = reduced_T2_functional(0.8, 0.2, u)
+    matrix = reduced_T2_functional(0.8, 0.2)
     gb = make_geometric_discount(0.2, 2)
     gs = make_geometric_discount(0.8, 2)
     sys_ = build_system(gb, gs)
     rng = np.random.default_rng(3)
     for _ in range(20):
         v1, v2 = np.sort(rng.uniform(0.0, 1.0, 2))
-        assert L2(v1, v2) == pytest.approx(
-            L_value(sys_, u, np.array([v1, v2, v2])), abs=1e-12)
+        assert L_value(matrix, u, [v1, v2]) == pytest.approx(
+            L_value(sys_.Xi, u, [v1, v2, v2]), abs=1e-12)
 
 
 def test_system_horizon_guard():
@@ -299,7 +298,7 @@ def test_reduced_T2_equal_rate_limit_is_diagonal():
     # at gb -> gs the kernel tends to diag(gs, 1) and the optimum to (p*, p*)
     u = Uniform(0, 1)
     from postedprice.optimizer import maximize_bilinear
-    _, matrix = reduced_T2_functional(0.8, 0.8 - 1e-9, u)
+    matrix = reduced_T2_functional(0.8, 0.8 - 1e-9)
     assert abs(matrix[1, 0]) < 1e-8
     v, value, _, _, _ = maximize_bilinear(matrix, u, starts=6, seed=0)
     assert v == pytest.approx([0.5, 0.5], abs=1e-4)
@@ -319,7 +318,7 @@ def test_reduction_above_the_golden_order_flip():
         v = np.sort(rng.uniform(0.0, 1.0, 7))
         tree = v_to_tree(sys_, v)
         assert tree_to_v(sys_, tree) == pytest.approx(v, abs=1e-12)
-        assert L_value(sys_, u, v) == pytest.approx(
+        assert L_value(sys_.Xi, u, v) == pytest.approx(
             expected_strategic_revenue(tree, u, gb, gs), abs=1e-12)
     v = np.array([0.1, 0.2, 0.32, 0.45, 0.6, 0.75, 0.9])
     tree = v_to_tree(sys_, v)
@@ -344,5 +343,5 @@ def test_L_matches_oracle_across_families(dist):
     for _ in range(8):
         v = np.sort(rng.uniform(lo, hi, 3))
         tree = v_to_tree(sys_, v)
-        assert L_value(sys_, dist, v) == pytest.approx(
+        assert L_value(sys_.Xi, dist, v) == pytest.approx(
             expected_strategic_revenue(tree, dist, gb, gs), abs=1e-12)
