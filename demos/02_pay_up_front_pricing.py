@@ -16,11 +16,11 @@ uniform = Uniform(0, 1)
 p_star, h_star = myerson_price(uniform)
 
 g = make_geometric_discount(0.5)  # infinite game, Gamma = 2
-tree, revenue = big_deal(uniform, g, g, tau=10)
+game = truncate(g, g, 10)  # tail aggregation keeps Gamma
+tree, revenue = big_deal(uniform, game.buyer, game.seller)
 print(f"first price {tree.price(''):.4f}, rejection price {tree.price('0'):.4f}, "
       f"revenue {revenue:.4f} (= Gamma * H(p*) = {g.total * h_star:.4f})")
 
-game = truncate(g, g, 10)
 print("\nbuyer behavior around the threshold p* = %.3f:" % p_star)
 for v in (0.40, 0.49, 0.51, 0.60):
     br = best_response(tree, v, game.buyer, game.seller)
@@ -35,7 +35,8 @@ print("\nless patient seller: the up-front trick beats constant pricing")
 for gs_rate, gb_rate in [(0.2, 0.5), (0.2, 0.8), (0.5, 0.9)]:
     gs = make_geometric_discount(gs_rate)
     gb = make_geometric_discount(gb_rate)
-    _, bd = big_deal(uniform, gb, gs, tau=10)
-    _, const = constant_myerson(uniform, gs)
+    game = truncate(gb, gs, 10)
+    _, bd = big_deal(uniform, game.buyer, game.seller)
+    _, const = constant_myerson(uniform, game.seller)
     print(f"  seller rate {gs_rate}, buyer rate {gb_rate}: "
           f"ratio {bd / const:.4f} (= Gamma_B/Gamma_S = {gb.total / gs.total:.4f})")

@@ -7,7 +7,7 @@ optimum and is within Gamma_S(beyond tau) * E[V] of it, so sweeping tau
 squeezes the unknown optimum from both sides.
 """
 
-from postedprice import Uniform, make_geometric_discount, tau_step_optimal, truncate
+from postedprice import Uniform, make_geometric_discount, maximize_L, truncate
 
 uniform = Uniform(0, 1)
 gb = make_geometric_discount(0.2)
@@ -22,11 +22,12 @@ print(f"  seller mass beyond round 3: {game.seller_tail:.4f}")
 print("\nsqueezing the infinite-game optimum:")
 print("  tau   value (lower bound)   upper bound   gap")
 for tau in range(2, 7):
-    res = tau_step_optimal(uniform, gb, gs, tau, starts=8, seed=1)
-    print(f"  {tau}     {res.opt_lower:.6f}            {res.opt_upper:.6f}"
-          f"      {res.opt_upper - res.opt_lower:.6f}")
+    game = truncate(gb, gs, tau)
+    res = maximize_L(uniform, game.buyer, game.seller, starts=8, seed=1)
+    gap = game.tail_bound(uniform)
+    print(f"  {tau}     {res.value:.6f}            {res.value + gap:.6f}"
+          f"      {gap:.6f}")
 
 baseline = gs.total * 0.25
-res = tau_step_optimal(uniform, gb, gs, 6, starts=8, seed=1)
 print(f"\nconstant pricing earns {baseline:.4f}; the 6-step optimum already "
       f"earns {res.value:.4f} (x{res.value / baseline:.3f})")

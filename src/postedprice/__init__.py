@@ -13,18 +13,17 @@ from .core import (DiscountSequence, GameOutcome, PricingTree, canonical_nodes,
 from .distributions import (Beta, TruncatedExponential, Uniform,
                             ValuationDistribution, myerson_price,
                             parse_distribution, static_revenue)
-from .errors import InvalidParameterError, RegularityError, ResourceLimitError
-from .optimizer import (DiscountOrderWarning, OptimizationResult,
-                        discount_rates, maximize_L, project_to_delta,
-                        rate_order_satisfied, t2_uniform_qp)
+from .errors import (InvalidParameterError, PatienceOrderWarning,
+                     RegularityError, ResourceLimitError)
+from .optimizer import (OptimizationResult, discount_rates, maximize_L,
+                        project_to_delta, rate_order_satisfied, t2_uniform_qp)
 from .oracle import (BestResponse, RevenueCurve, best_response,
                      brute_force_optimal_tree, expected_strategic_revenue,
                      strategic_revenue_curve, strategy_tables)
 from .reduction import (ReductionSystem, L_gradient, L_hessian, L_value,
                         build_system, order_strategies, reduced_T2_functional,
                         tree_to_v, v_to_tree)
-from .schemes import (PatienceOrderWarning, TauStepResult, TruncatedGame,
-                      big_deal, constant_myerson, tau_step_optimal, truncate)
+from .schemes import TruncatedGame, big_deal, constant_myerson, truncate
 
 __version__ = "0.1.0"
 
@@ -33,14 +32,13 @@ __all__ = [
     "canonical_nodes", "evaluate", "make_geometric_discount", "price_path",
     "Beta", "TruncatedExponential", "Uniform", "ValuationDistribution",
     "myerson_price", "parse_distribution", "static_revenue",
-    "InvalidParameterError", "RegularityError", "ResourceLimitError",
-    "DiscountOrderWarning", "OptimizationResult", "discount_rates",
+    "InvalidParameterError", "PatienceOrderWarning", "RegularityError",
+    "ResourceLimitError", "OptimizationResult", "discount_rates",
     "maximize_L", "project_to_delta", "rate_order_satisfied", "t2_uniform_qp",
     "BestResponse", "RevenueCurve", "best_response",
     "brute_force_optimal_tree", "expected_strategic_revenue",
     "strategic_revenue_curve", "strategy_tables",
     "ReductionSystem", "L_gradient", "L_hessian", "L_value", "build_system",
     "order_strategies", "reduced_T2_functional", "tree_to_v", "v_to_tree",
-    "PatienceOrderWarning", "TauStepResult", "TruncatedGame", "big_deal",
-    "constant_myerson", "tau_step_optimal", "truncate",
+    "TruncatedGame", "big_deal", "constant_myerson", "truncate",
 ]

@@ -86,6 +86,7 @@ def _checked(convert, ok, what: str):
 _rate = _checked(float, lambda x: 0.0 < x < 1.0, "a rate in (0, 1)")
 _natural = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _positive = _checked(int, lambda n: n >= 1, "a positive integer")
+_relative = _checked(float, lambda x: 0.0 <= x < 1.0, "a relative size in [0, 1)")
 _tau_list = _checked(lambda text: sorted(int(t) for t in text.split(",")),
                      lambda taus: taus[0] >= 1, "comma-separated positive integers")
 
@@ -113,11 +114,6 @@ def _read_json(path: str, what: str):
             return json.load(handle)
         except ValueError as exc:
             raise InvalidParameterError(f"{what}: not valid JSON ({exc})") from None
-
-
-def _optimizer_opts(args) -> dict:
-    return {key: getattr(args, key) for key in ("starts", "seed")
-            if getattr(args, key) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def _solve(args, buyer: DiscountSequence, seller: DiscountSequence, depth: int):
         game = truncate(buyer, seller, depth)
         buyer, seller = game.buyer, game.seller
     result = maximize_L(args.dist, _perturbed(buyer, args.perturb, args.seed),
-                        seller, depth, **_optimizer_opts(args))
+                        seller, starts=args.starts, seed=args.seed)
     return result, game
 
 
@@ -237,8 +233,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bigdeal(args) -> int:
-    tree, revenue = big_deal(args.dist, make_geometric_discount(args.gb),
-                             make_geometric_discount(args.gs), tau=args.tau)
+    game = truncate(make_geometric_discount(args.gb),
+                    make_geometric_discount(args.gs), args.tau)
+    tree, revenue = big_deal(args.dist, game.buyer, game.seller)
     _emit_json(args, {
         "dist": args.dist.spec_string(),
         "gs": args.gs,
@@ -273,15 +270,15 @@ _FLAGS = {
                                   "texp:RATE,BOUND"),
     "gs": dict(type=_rate, help="seller geometric discount rate in (0,1)"),
     "gb": dict(type=_rate, help="buyer geometric discount rate in (0,1)"),
-    "horizon": dict(type=int, help="number of rounds T of the finite game"),
-    "tau": dict(type=int, help="truncation depth for the infinite game"),
+    "horizon": dict(type=_positive, help="number of rounds T of the finite game"),
+    "tau": dict(type=_positive, help="truncation depth for the infinite game"),
     "tau_list": dict(type=_tau_list,
                      help="comma-separated taus: sweep the infinite game instead"),
     "seed": dict(type=_natural, default=0, help="RNG seed for optimizer starts"),
-    "starts": dict(type=int, help="number of optimizer starts"),
+    "starts": dict(type=_positive, help="number of optimizer starts"),
     "out": dict(help="output path (default: stdout)"),
     "config": dict(help="JSON object of flag values; explicit flags win"),
-    "perturb": dict(type=float, nargs="?", const=1e-9,
+    "perturb": dict(type=_relative, nargs="?", const=1e-9,
                     help="jitter buyer weights by this relative size to "
                          "restore regularity (default 1e-9 when bare)"),
 }

@@ -153,9 +153,9 @@ class DiscountSequence:
         return f"DiscountSequence({arg})"
 
 
-def _finite_weights(discount: DiscountSequence, horizon: int | None) -> np.ndarray:
-    """The weights of a finite discount, which must have `horizon` rounds if given."""
-    if horizon is not None and (not discount.is_finite or len(discount) != horizon):
+def _finite_weights(discount: DiscountSequence, horizon: int) -> np.ndarray:
+    """The weights of a finite discount, which must have `horizon` rounds."""
+    if not discount.is_finite or len(discount) != horizon:
         raise InvalidParameterError(f"discount must be finite with length {horizon}")
     return discount.as_array()
 

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception and warning types shared across the package."""
 
 
 class InvalidParameterError(ValueError):
@@ -19,3 +19,7 @@ class RegularityError(ValueError):
     def __init__(self, message: str, pair: tuple[str, str] | None = None):
         super().__init__(message)
         self.pair = pair
+
+
+class PatienceOrderWarning(UserWarning):
+    """The discounts do not satisfy the hypothesis of the scheme's optimality."""

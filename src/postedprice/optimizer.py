@@ -22,15 +22,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .core import DiscountSequence, PricingTree
+from .core import DiscountSequence, PricingTree, _finite_weights
 from .distributions import ValuationDistribution, myerson_price
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, PatienceOrderWarning
 from .reduction import (L_gradient, L_hessian, L_value, build_system,
                         reduced_T2_functional, v_to_tree)
 
 __all__ = [
     "OptimizationResult",
-    "DiscountOrderWarning",
     "project_to_delta",
     "discount_rates",
     "rate_order_satisfied",
@@ -46,10 +45,6 @@ ARMIJO_SHRINK = 0.5
 FACE_STABLE_ITERS = 2  # iterations a face must hold before Newton is tried on it
 NEWTON_MAX_STEPS = 10  # Newton steps per try on a face
 ORDER_TOL = 1e-12  # slack of the patience comparisons between discount sequences
-
-
-class DiscountOrderWarning(UserWarning):
-    """The per-round discount rates do not certify the optimality guarantee."""
 
 
 @dataclass(frozen=True)
@@ -85,39 +80,23 @@ def discount_rates(discount: DiscountSequence) -> tuple[float, ...]:
     return tuple(w[t + 1] / w[t] if w[t] > 0 else 0.0 for t in range(len(w) - 1))
 
 
-def _over_common_rounds(a: DiscountSequence, b: DiscountSequence):
-    """Both sequences as finite ones over rounds 1..H+1.
-
-    H is the longest finite horizon of the pair, or 1 when both are
-    infinite.  Round H+1 carries the mass an infinite sequence keeps beyond
-    every finite one (a finite one is zero there), so finite and infinite
-    sequences compare by one rule.  Finite sequences of unequal length
-    describe different games and are rejected.
-    """
-    if a.is_finite and b.is_finite and len(a) != len(b):
-        raise InvalidParameterError("discounts must have equal length")
-    H = max((d.horizon for d in (a, b) if d.is_finite), default=1)
-    return tuple(DiscountSequence([d.weight(t) for t in range(1, H + 2)])
-                 for d in (a, b))
-
-
 def rate_order_satisfied(buyer_discount: DiscountSequence,
                          seller_discount: DiscountSequence) -> bool:
     """Whether nu(buyer) <= nu(seller) holds at every round, up to `ORDER_TOL`.
 
     This is the hypothesis under which searching Delta^k is guaranteed to
-    find a globally optimal pricing.  Infinite geometric sequences compare
-    by their rates; a finite sequence drops to rate 0 after its last round.
+    find a globally optimal pricing.  Both discounts are one finite game's;
+    an infinite game is compared through its `truncate`.
     """
-    buyer, seller = _over_common_rounds(buyer_discount, seller_discount)
-    return all(b <= s + ORDER_TOL
-               for b, s in zip(discount_rates(buyer), discount_rates(seller)))
+    _finite_weights(seller_discount, len(buyer_discount.weights))
+    return all(b <= s + ORDER_TOL for b, s in zip(discount_rates(buyer_discount),
+                                                  discount_rates(seller_discount)))
 
 
 def _pointwise_leq(a: DiscountSequence, b: DiscountSequence) -> bool:
-    """Whether a_t <= b_t at every round (an infinite a outweighs a finite b)."""
-    a, b = _over_common_rounds(a, b)
-    return all(x <= y + ORDER_TOL for x, y in zip(a, b))
+    """Whether a_t <= b_t at every round of one finite game."""
+    return all(x <= y + ORDER_TOL
+               for x, y in zip(a.weights, _finite_weights(b, len(a.weights))))
 
 
 def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float):
@@ -179,8 +158,9 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     reference step) is under `KKT_TOL` or stops decreasing, or after
     `MAX_ITER` iterations.  A run never returns less than it found: if the
     final point is worth less than the best iterate by more than rounding
-    (1e-12 relative), the best iterate is returned, certified only if it
-    passes the gradient-mapping test itself.
+    (1e-12 relative), the best iterate is returned.  An uncertified run
+    reports the gradient mapping at the point it returns, and certifies if
+    that passes the test.
     """
     x = project_to_delta(x0)
     f = L_value(matrix, dist, x)
@@ -240,7 +220,8 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
         if f > best_f:
             best_x, best_f = x, f
     if f < best_f - 1e-12 * max(1.0, abs(best_f)):
-        x, f = best_x, best_f
+        x, f, ok = best_x, best_f, False
+    if not ok:
         _, kkt = _gradient_mapping(x, L_gradient(matrix, dist, x), step0)
         ok = kkt <= KKT_TOL
     return x, f, it, ok, kkt
@@ -292,22 +273,23 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
 
 
 def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
-               seller_discount: DiscountSequence, horizon: int | None = None, *,
-               starts: int | None = None, seed: int = 0) -> OptimizationResult:
-    """Revenue-maximal pricing tree for one game, via the cone reduction.
+               seller_discount: DiscountSequence, *, starts: int | None = None,
+               seed: int = 0) -> OptimizationResult:
+    """Revenue-maximal pricing tree for one finite game, via the cone reduction.
 
     Builds the reduction system, ascends L from multiple starts, and maps
-    the winning point back to its tree.  If the discount rates violate
-    nu(buyer) <= nu(seller) a warning is issued: the result is still the
-    best completely active pricing, but the global optimality guarantee
-    does not apply.
+    the winning point back to its tree.  An infinite game is solved on its
+    `truncate`.  If the discount rates violate nu(buyer) <= nu(seller) a
+    `PatienceOrderWarning` is issued: the result is still the best
+    completely active pricing, but the global optimality guarantee does
+    not apply.
     """
-    system = build_system(buyer_discount, seller_discount, horizon)
+    system = build_system(buyer_discount, seller_discount)
     if not rate_order_satisfied(buyer_discount, seller_discount):
         warnings.warn(
             "discount rates violate nu(buyer) <= nu(seller); the optimum over "
             "completely active pricings may not be globally optimal",
-            DiscountOrderWarning, stacklevel=2)
+            PatienceOrderWarning, stacklevel=2)
     v, value, iters, ok, kkt = maximize_bilinear(
         system.Xi, dist, starts=starts, seed=seed)
     tree = v_to_tree(system, v)

@@ -64,15 +64,14 @@ class StrategyOrder:
         return len(self.index) - 1
 
 
-def order_strategies(buyer_discount: DiscountSequence,
-                     horizon: int | None = None) -> StrategyOrder:
+def order_strategies(buyer_discount: DiscountSequence) -> StrategyOrder:
     """Sort strategies by buyer-discounted quantity; requires regularity.
 
     Regularity means every strategy yields a distinct discounted quantity.
     Two quantities collide when they differ by at most
     `QUANTITY_COLLISION_TOL`; the `RegularityError` then names the pair.
     """
-    w = _finite_weights(buyer_discount, horizon)
+    w = buyer_discount.as_array()
     bits = strategy_bits(len(w))
     quantities = bits.astype(float) @ w
     idx = np.argsort(quantities, kind="stable")
@@ -118,15 +117,14 @@ MAX_SYSTEM_HORIZON = 6  # k = 63: dense inversion stays effectively exact
 
 
 def build_system(buyer_discount: DiscountSequence,
-                 seller_discount: DiscountSequence,
-                 horizon: int | None = None) -> ReductionSystem:
+                 seller_discount: DiscountSequence) -> ReductionSystem:
     """Assemble the ordering and matrices for one discount pair.
 
     Requires finite discounts of equal length with all-positive weights and
     a regular buyer discount.  Horizons above 6 (k = 63) are outside the
     supported envelope of the dense linear algebra and are rejected.
     """
-    gb = _finite_weights(buyer_discount, horizon)
+    gb = buyer_discount.as_array()
     gs = _finite_weights(seller_discount, len(gb))
     if len(gb) > MAX_SYSTEM_HORIZON:
         raise ResourceLimitError(
@@ -134,7 +132,7 @@ def build_system(buyer_discount: DiscountSequence,
             f"{MAX_SYSTEM_HORIZON} (k = {2**MAX_SYSTEM_HORIZON - 1})")
     if np.any(gb <= 0) or np.any(gs <= 0):
         raise InvalidParameterError("all discount weights must be positive here")
-    order = order_strategies(buyer_discount, len(gb))
+    order = order_strategies(buyer_discount)
     k = order.k
 
     J = np.eye(k) - np.diag(np.ones(k - 1), -1)

@@ -3,9 +3,11 @@
 Two schemes admit closed-form revenue: constant pricing at the one-shot
 optimal price, and the "big deal" that charges the whole discounted value
 up front (free goods after acceptance, prohibitive prices after
-rejection).  Infinite games are approached through tau-step pricings,
-whose optimum is the optimum of a tau-round game with tail-aggregated
-discounts and sandwiches the true optimum within an explicit tail bound.
+rejection).  Both take one finite game.  The infinite game reaches them,
+and the solver, only through `truncate`: a tau-step pricing (price frozen
+after round tau) is a pricing of the tau-round game with tail-aggregated
+discounts, whose optimum sandwiches the true optimum within
+`TruncatedGame.tail_bound`.
 """
 
 from __future__ import annotations
@@ -15,23 +17,16 @@ from dataclasses import dataclass
 
 from .core import DiscountSequence, PricingTree, canonical_nodes
 from .distributions import ValuationDistribution, myerson_price
-from .errors import InvalidParameterError, ResourceLimitError
-from .optimizer import OptimizationResult, _pointwise_leq, maximize_L
+from .errors import InvalidParameterError, PatienceOrderWarning, ResourceLimitError
+from .optimizer import _pointwise_leq
 from .oracle import MAX_ENUM_HORIZON
 
 __all__ = [
     "TruncatedGame",
-    "TauStepResult",
-    "PatienceOrderWarning",
     "constant_myerson",
     "big_deal",
     "truncate",
-    "tau_step_optimal",
 ]
-
-
-class PatienceOrderWarning(UserWarning):
-    """The discounts do not satisfy the hypothesis of the scheme's optimality."""
 
 
 @dataclass(frozen=True)
@@ -76,41 +71,31 @@ def truncate(buyer_discount: DiscountSequence, seller_discount: DiscountSequence
     )
 
 
-def _materialization_depth(depth, *discounts) -> int:
-    """`depth`, else the horizon the finite discounts share, else 1; a tree
-    of more levels than the enumeration guard allows is refused."""
-    if depth is None:
-        finite = [d.horizon for d in discounts if d.is_finite]
-        if len(set(finite)) > 1:
-            raise InvalidParameterError("finite discounts must share one horizon")
-        depth = finite[0] if finite else 1
-    depth = int(depth)
-    if depth < 1:
-        raise InvalidParameterError("depth must be a positive integer")
+def _tree_depth(discount: DiscountSequence) -> int:
+    """The horizon of a finite discount; a tree of more levels than the
+    enumeration guard allows is refused before any node is built."""
+    depth = len(discount.weights)
     if depth > MAX_ENUM_HORIZON:
         raise ResourceLimitError(f"depth {depth} exceeds the enumeration guard "
                                  f"{MAX_ENUM_HORIZON} (2^{depth} - 1 tree nodes)")
     return depth
 
 
-def constant_myerson(dist: ValuationDistribution, seller_discount: DiscountSequence,
-                     horizon: int | None = None) -> tuple[PricingTree, float]:
+def constant_myerson(dist: ValuationDistribution,
+                     seller_discount: DiscountSequence) -> tuple[PricingTree, float]:
     """Constant pricing at the one-shot optimal price, and its exact revenue.
 
     The truthful buyer accepts every round or none, so the expected revenue
     is Gamma^S * p * P[V >= p], maximized by the one-shot optimal price.
-    The tree is materialized at `horizon` (a constant tree behaves the same
-    at any depth); revenue always uses the exact total Gamma^S.
     """
-    depth = _materialization_depth(horizon, seller_discount)
+    depth = _tree_depth(seller_discount)
     p_star, h_star = myerson_price(dist)
     tree = PricingTree.constant(depth, p_star)
     return tree, seller_discount.total * h_star
 
 
 def big_deal(dist: ValuationDistribution, buyer_discount: DiscountSequence,
-             seller_discount: DiscountSequence,
-             tau: int | None = None) -> tuple[PricingTree, float]:
+             seller_discount: DiscountSequence) -> tuple[PricingTree, float]:
     """Pay-everything-up-front pricing, and its exact expected revenue.
 
     The first price charges the buyer's whole discounted value of the
@@ -120,12 +105,13 @@ def big_deal(dist: ValuationDistribution, buyer_discount: DiscountSequence,
     accepts exactly when v > p_star, and the revenue collects entirely at
     round one: gamma^S_1 * p_1 * P[V >= p_star].
 
-    Infinite discounts are materialized at depth `tau` with tail-aggregated
-    weights, which leaves the threshold analysis exact because totals are
-    preserved.  Optimality requires the seller to be the less patient side
-    (seller weights pointwise below the buyer's); otherwise a warning is
+    For the infinite game, pass its `truncate`: tail aggregation preserves
+    both totals, so the threshold analysis stays exact.  Optimality
+    requires the seller to be the less patient side (seller weights
+    pointwise below the buyer's); otherwise a `PatienceOrderWarning` is
     issued and the scheme is merely a valid pricing.
     """
+    depth = _tree_depth(buyer_discount)
     gb1 = buyer_discount.weight(1)
     total_b = buyer_discount.total
     if total_b <= gb1:
@@ -135,10 +121,6 @@ def big_deal(dist: ValuationDistribution, buyer_discount: DiscountSequence,
             "seller discount is not pointwise below the buyer's; the big deal "
             "is a valid pricing but its optimality guarantee does not apply",
             PatienceOrderWarning, stacklevel=2)
-    depth = _materialization_depth(tau, buyer_discount, seller_discount)
-    if depth < 2:
-        raise InvalidParameterError(
-            "pass tau >= 2 to materialize the big deal for infinite discounts")
     p_star, h_star = myerson_price(dist)
     first_price = total_b * p_star / gb1
     penalty = 2.0 * gb1 * first_price / (total_b - gb1)
@@ -152,32 +134,3 @@ def big_deal(dist: ValuationDistribution, buyer_discount: DiscountSequence,
             prices[node] = penalty
     revenue = seller_discount.weight(1) * first_price * float(dist.sf(p_star))
     return PricingTree(depth, prices), revenue
-
-
-@dataclass(frozen=True)
-class TauStepResult:
-    """Optimal tau-step pricing with the sandwich around the true optimum."""
-
-    tree: PricingTree
-    value: float
-    opt_lower: float
-    opt_upper: float
-    optimization: OptimizationResult
-
-
-def tau_step_optimal(dist: ValuationDistribution, buyer_discount: DiscountSequence,
-                     seller_discount: DiscountSequence, tau: int,
-                     **opts) -> TauStepResult:
-    """Best pricing that freezes its price after round tau.
-
-    Equivalent to the tau-round game with tail-aggregated discounts, which
-    the cone reduction solves.  The achieved value lower-bounds the true
-    (unrestricted) optimum, and exceeding it by the post-tau seller mass
-    times E[V] upper-bounds it.
-    """
-    game = truncate(buyer_discount, seller_discount, tau)
-    result = maximize_L(dist, game.buyer, game.seller, tau, **opts)
-    bound = game.tail_bound(dist)
-    return TauStepResult(tree=result.tree, value=result.value,
-                         opt_lower=result.value, opt_upper=result.value + bound,
-                         optimization=result)

@@ -15,7 +15,7 @@ from postedprice import (Beta, L_gradient, L_value, PricingTree, Uniform,
                          build_system, canonical_nodes, constant_myerson,
                          expected_strategic_revenue, make_geometric_discount,
                          maximize_L, myerson_price, strategic_revenue_curve,
-                         tau_step_optimal, tree_to_v, truncate, v_to_tree)
+                         tree_to_v, truncate, v_to_tree)
 from postedprice.optimizer import maximize_bilinear
 from postedprice.oracle import BRUTE_FORCE_GRID
 from postedprice.reduction import reduced_T2_functional
@@ -61,8 +61,8 @@ def test_criterion_02_big_deal_revenue_and_threshold():
         p_star, h_star = myerson_price(dist)
         for rate in (0.2, 0.5, 0.8):
             g = make_geometric_discount(rate)
-            tree, closed_form = big_deal(dist, g, g, tau=12)
             game = truncate(g, g, 12)
+            tree, closed_form = big_deal(dist, game.buyer, game.seller)
             quad = expected_strategic_revenue(tree, dist, game.buyer, game.seller)
             worst = max(worst, abs(quad - g.total * h_star))
             above = best_response(tree, p_star + 1e-3, game.buyer, game.seller)
@@ -80,8 +80,9 @@ def test_criterion_03_dominance_ratio():
     for gs_rate, gb_rate in pairs:
         gs = make_geometric_discount(gs_rate)
         gb = make_geometric_discount(gb_rate)
-        _, bd = big_deal(UNIFORM, gb, gs, tau=4)
-        _, const = constant_myerson(UNIFORM, gs)
+        game = truncate(gb, gs, 4)
+        _, bd = big_deal(UNIFORM, game.buyer, game.seller)
+        _, const = constant_myerson(UNIFORM, game.seller)
         worst = max(worst, abs(bd / const - gb.total / gs.total))
     _report(3, worst <= 1e-6,
             f"big-deal / constant revenue ratio equals Gamma_B/Gamma_S "
@@ -211,8 +212,9 @@ def test_criterion_10_tau_step_sandwich():
     gs = make_geometric_discount(0.8)
     values = {}
     for tau in range(2, 7):
-        res = tau_step_optimal(UNIFORM, gb, gs, tau, starts=8, seed=1)
-        values[tau] = res.value
+        game = truncate(gb, gs, tau)
+        values[tau] = maximize_L(UNIFORM, game.buyer, game.seller, starts=8,
+                                 seed=1).value
     monotone = all(values[t] <= values[t + 1] + 1e-9 for t in range(2, 6))
     overall = values[6] - values[2] <= 0.8**2 / 0.2 * 0.5 + 1e-9
     gaps_ok = all(values[6] - values[tau] <= 0.8**tau / 0.2 * 0.5 + 1e-6

@@ -380,10 +380,18 @@ OPTIMIZE = ["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2"]
     (None, OPTIMIZE + ["--horizon", "2", "--tau", "3"]),
     (None, SWEEP + ["--horizon", "2", "--tau-list", "2"]),
     (None, ["myerson", "--dist", "beta:nan,1"]),
+    (None, OPTIMIZE + ["--horizon", "2", "--starts", "0"]),
+    (None, OPTIMIZE + ["--horizon", "0"]),
+    (None, OPTIMIZE + ["--tau", "0"]),
+    (None, ["bigdeal", "--dist", "uniform:0,1", "--gs", "0.5", "--gb", "0.8",
+            "--tau", "0"]),
+    (None, OPTIMIZE + ["--horizon", "2", "--perturb", "inf"]),
+    (None, OPTIMIZE + ["--horizon", "2", "--perturb", "-3"]),
 ], ids=["config-horizon-word", "config-grid-count-word", "config-horizon-float",
         "config-unknown-key", "config-unknown-key-with-horizon", "config-list-value",
         "grid-step-nan", "grid-start-nan", "seed-negative", "horizon-and-tau",
-        "horizon-and-tau-list", "dist-nan"])
+        "horizon-and-tau-list", "dist-nan", "starts-zero", "horizon-zero",
+        "optimize-tau-zero", "bigdeal-tau-zero", "perturb-inf", "perturb-negative"])
 def test_usage_errors_are_one_line(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "config.json"

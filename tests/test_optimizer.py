@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from postedprice import (Beta, DiscountOrderWarning, DiscountSequence,
-                         InvalidParameterError, L_value, Uniform, discount_rates,
-                         make_geometric_discount, maximize_L, myerson_price,
-                         parse_distribution, project_to_delta,
-                         rate_order_satisfied, t2_uniform_qp, tau_step_optimal)
+from postedprice import (Beta, DiscountSequence, InvalidParameterError,
+                         L_gradient, L_value, PatienceOrderWarning, Uniform,
+                         build_system, discount_rates, make_geometric_discount,
+                         maximize_L, myerson_price, parse_distribution,
+                         project_to_delta, rate_order_satisfied, t2_uniform_qp,
+                         truncate)
 from postedprice import optimizer
-from postedprice.optimizer import _pointwise_leq, maximize_bilinear
+from postedprice.optimizer import _gradient_mapping, _pointwise_leq, maximize_bilinear
 from postedprice.reduction import reduced_T2_functional
 from test_acceptance import REGRESSION_TAU_VALUES
 
@@ -60,23 +61,19 @@ def test_rate_order():
     assert rate_order_satisfied(gb, gs)
     assert not rate_order_satisfied(gs, gb)
     assert rate_order_satisfied(gb, gb)
-    # infinite geometric pairs compare by rate
-    assert rate_order_satisfied(make_geometric_discount(0.2), make_geometric_discount(0.8))
     # an aggregated tail can only raise the final seller rate
     assert rate_order_satisfied(DiscountSequence([1.0, 0.2, 0.05]),
                                 DiscountSequence([1.0, 0.8, 3.2]))
-    # mixed pairs: a finite sequence drops to rate 0 after its last round
+    assert _pointwise_leq(gb, gs) and not _pointwise_leq(gs, gb)
+
+
+@pytest.mark.parametrize("predicate", [rate_order_satisfied, _pointwise_leq])
+def test_patience_predicates_take_one_finite_game(predicate):
     g = make_geometric_discount
-    assert rate_order_satisfied(g(0.2, 3), g(0.5))
-    assert not rate_order_satisfied(g(0.5, 3), g(0.4))
-    assert not rate_order_satisfied(g(0.2), g(0.9, 3))
-    # the pointwise (patience) order reads the same rounds
-    assert _pointwise_leq(g(0.9, 3), g(0.95))
-    assert not _pointwise_leq(g(0.95), g(0.9, 3))  # mass beyond the finite horizon
-    assert _pointwise_leq(g(0.2), g(0.8)) and not _pointwise_leq(g(0.8), g(0.2))
-    for predicate in (rate_order_satisfied, _pointwise_leq):
+    for a, b in [(g(0.2, 2), g(0.8, 3)), (g(0.2), g(0.8)), (g(0.2, 3), g(0.5)),
+                 (g(0.2), g(0.9, 3))]:
         with pytest.raises(InvalidParameterError):
-            predicate(g(0.2, 2), g(0.8, 3))
+            predicate(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -106,12 +103,11 @@ def test_warns_when_rate_order_is_violated():
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.8, 2)
     gs = make_geometric_discount(0.2, 2)
-    with pytest.warns(DiscountOrderWarning):
+    with pytest.warns(PatienceOrderWarning):
         maximize_L(u, gb, gs, starts=4, seed=0)
 
 
 def test_result_value_is_L_at_v_star():
-    from postedprice import build_system
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.3, 2)
     gs = make_geometric_discount(0.8, 2)
@@ -171,11 +167,10 @@ def test_value_never_below_the_constant_myerson_tree(spec, T, gb_rate):
 
 @pytest.mark.parametrize("tau", sorted(REGRESSION_TAU_VALUES))
 def test_polish_certifies_the_pinned_tau_ladder(tau):
-    gb = make_geometric_discount(0.2)
-    gs = make_geometric_discount(0.8)
-    result = tau_step_optimal(Uniform(0, 1), gb, gs, tau, starts=8, seed=1)
-    assert result.optimization.converged
-    assert result.optimization.kkt_residual <= 1e-12
+    game = truncate(make_geometric_discount(0.2), make_geometric_discount(0.8), tau)
+    result = maximize_L(Uniform(0, 1), game.buyer, game.seller, starts=8, seed=1)
+    assert result.converged
+    assert result.kkt_residual <= 1e-12
     assert abs(result.value - REGRESSION_TAU_VALUES[tau]) <= 1e-7
 
 
@@ -234,3 +229,18 @@ def test_projection_matches_general_qp_solver():
                        method="SLSQP")
         assert ref.success
         assert proj == pytest.approx(ref.x, abs=1e-6)
+
+
+@pytest.mark.parametrize("max_iter", [1, 3, 5])
+def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
+    # a run cut off by MAX_ITER reports the gradient mapping at v_star, not
+    # at the iterate before its last move
+    monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
+    dist = Beta(4, 2)
+    gb = make_geometric_discount(0.3, 3)
+    gs = make_geometric_discount(0.8, 3)
+    result = maximize_L(dist, gb, gs, starts=1)
+    Xi = build_system(gb, gs).Xi
+    step0 = 1.0 / max(np.linalg.norm(Xi, 1), 1e-12)
+    _, kkt = _gradient_mapping(result.v_star, L_gradient(Xi, dist, result.v_star), step0)
+    assert result.kkt_residual == pytest.approx(kkt, rel=1e-12)

@@ -209,7 +209,7 @@ def test_expected_revenue_exact_under_a_singular_density():
     b = Beta(0.5, 0.5)
     gb = make_geometric_discount(0.3, 3)
     gs = make_geometric_discount(0.8, 3)
-    result = maximize_L(b, gb, gs, 3)
+    result = maximize_L(b, gb, gs)
     assert expected_strategic_revenue(result.tree, b, gb, gs) == pytest.approx(
         result.value, abs=1e-12)
 

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
-                         PatienceOrderWarning, ResourceLimitError,
+                         PatienceOrderWarning, RegularityError, ResourceLimitError,
                          TruncatedExponential, Uniform,
                          best_response, big_deal, constant_myerson,
                          expected_strategic_revenue,
-                         make_geometric_discount, myerson_price,
-                         tau_step_optimal, truncate)
+                         make_geometric_discount, maximize_L, myerson_price,
+                         truncate)
+from postedprice import schemes
 
 BETA42_H_STAR = 0.409648251967  # frozen from the 10^6-point grid oracle
 
@@ -17,8 +18,10 @@ BETA42_H_STAR = 0.409648251967  # frozen from the 10^6-point grid oracle
 
 
 def test_constant_myerson_infinite_uniform():
-    _, revenue = constant_myerson(Uniform(0, 1), make_geometric_discount(0.5))
+    g = make_geometric_discount(0.5)
+    tree, revenue = constant_myerson(Uniform(0, 1), truncate(g, g, 4).seller)
     assert revenue == pytest.approx(0.5, abs=1e-9)
+    assert tree.horizon == 4
 
 
 def test_constant_myerson_finite_weights():
@@ -30,7 +33,7 @@ def test_constant_myerson_finite_weights():
 
 def test_constant_myerson_beta():
     gs = make_geometric_discount(0.6)
-    _, revenue = constant_myerson(Beta(4, 2), gs)
+    _, revenue = constant_myerson(Beta(4, 2), truncate(gs, gs, 5).seller)
     assert revenue == pytest.approx(gs.total * BETA42_H_STAR, abs=1e-9)
 
 
@@ -41,7 +44,9 @@ def test_constant_myerson_beta():
 def test_big_deal_infinite_half_rate():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5)
-    tree, revenue = big_deal(u, g, g, tau=6)
+    game = truncate(g, g, 6)
+    tree, revenue = big_deal(u, game.buyer, game.seller)
+    assert tree.horizon == 6
     assert tree.price("") == pytest.approx(1.0, abs=1e-6)
     assert tree.price("0") == pytest.approx(2.0, abs=1e-6)
     assert all(tree.price(n) == 0.0 for n in tree.prices() if n.startswith("1"))
@@ -61,8 +66,8 @@ def test_big_deal_acceptance_threshold():
     # enumeration confirms the proof's prediction: accept iff v > p_star
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5)
-    tree, _ = big_deal(u, g, g, tau=8)
     game = truncate(g, g, 8)
+    tree, _ = big_deal(u, game.buyer, game.seller)
     p_star, _ = myerson_price(u)
     for v in np.linspace(0.0, 1.0, 50):
         br = best_response(tree, float(v), game.buyer, game.seller)
@@ -74,8 +79,8 @@ def test_big_deal_revenue_identity_by_quadrature():
     u = Uniform(0, 1)
     for rate in (0.2, 0.8):
         g = make_geometric_discount(rate)
-        tree, closed_form = big_deal(u, g, g, tau=10)
         game = truncate(g, g, 10)
+        tree, closed_form = big_deal(u, game.buyer, game.seller)
         quad = expected_strategic_revenue(tree, u, game.buyer, game.seller)
         assert quad == pytest.approx(closed_form, abs=1e-12)
         assert closed_form == pytest.approx(g.total * 0.25, abs=1e-9)
@@ -86,8 +91,9 @@ def test_big_deal_dominance_ratio():
     for gs_rate, gb_rate in [(0.2, 0.5), (0.5, 0.8), (0.3, 0.9)]:
         gs = make_geometric_discount(gs_rate)
         gb = make_geometric_discount(gb_rate)
-        _, bd = big_deal(u, gb, gs, tau=4)
-        _, base = constant_myerson(u, gs)
+        game = truncate(gb, gs, 4)
+        _, bd = big_deal(u, game.buyer, game.seller)
+        _, base = constant_myerson(u, game.seller)
         assert bd / base == pytest.approx(gb.total / gs.total, abs=1e-6)
 
 
@@ -98,10 +104,21 @@ def test_big_deal_single_round_rejected():
 
 def test_big_deal_warns_when_seller_is_more_patient():
     u = Uniform(0, 1)
-    gb = make_geometric_discount(0.2)
-    gs = make_geometric_discount(0.8)
+    game = truncate(make_geometric_discount(0.2), make_geometric_discount(0.8), 4)
     with pytest.warns(PatienceOrderWarning):
-        big_deal(u, gb, gs, tau=4)
+        big_deal(u, game.buyer, game.seller)
+
+
+def test_schemes_take_one_finite_game():
+    u = Uniform(0, 1)
+    g, g3 = make_geometric_discount(0.5), make_geometric_discount(0.5, 3)
+    for gb, gs in [(g, g), (g3, g), (g, g3)]:
+        with pytest.raises(InvalidParameterError, match="truncate it first"):
+            big_deal(u, gb, gs)
+    with pytest.raises(InvalidParameterError, match="finite with length"):
+        big_deal(u, g3, make_geometric_discount(0.5, 4))
+    with pytest.raises(InvalidParameterError, match="truncate it first"):
+        constant_myerson(u, g)
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +162,12 @@ def test_truncate_explicit_finite_tail_aggregation():
 
 
 # ---------------------------------------------------------------------------
-# tau-step pricing
+# tau-step pricing: the truncated game, solved
+
+
+def _tau_step(dist, gb, gs, tau, **opts):
+    game = truncate(gb, gs, tau)
+    return game, maximize_L(dist, game.buyer, game.seller, **opts)
 
 
 def test_tau_step_equal_discounts_is_flat_in_tau():
@@ -155,24 +177,23 @@ def test_tau_step_equal_discounts_is_flat_in_tau():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.4)
     for tau in (1, 2, 3):
-        res = tau_step_optimal(u, g, g, tau, starts=6, seed=0)
+        _, res = _tau_step(u, g, g, tau, starts=6, seed=0)
         assert res.value == pytest.approx(0.25 * g.total, abs=1e-5)
 
 
 def test_tau_step_rejects_non_regular_truncation():
     # the half-rate pathology: aggregation makes two rounds carry equal weight
-    from postedprice import RegularityError
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5)
     with pytest.raises(RegularityError):
-        tau_step_optimal(u, g, g, 2, starts=2, seed=0)
+        _tau_step(u, g, g, 2, starts=2, seed=0)
 
 
 def test_tau_one_reduces_to_single_price_problem():
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.2)
     gs = make_geometric_discount(0.8)
-    res = tau_step_optimal(u, gb, gs, 1, starts=6, seed=0)
+    _, res = _tau_step(u, gb, gs, 1, starts=6, seed=0)
     # one aggregated round: maximize Gamma^S * p * (1 - F(p)) directly
     grid = np.linspace(0.0, 1.0, 20001)
     oracle = max(gs.total * p * (1 - p) for p in grid)
@@ -183,45 +204,30 @@ def test_tau_step_sandwich():
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.2)
     gs = make_geometric_discount(0.8)
-    r3 = tau_step_optimal(u, gb, gs, 3, starts=6, seed=1)
-    r4 = tau_step_optimal(u, gb, gs, 4, starts=6, seed=1)
+    game3, r3 = _tau_step(u, gb, gs, 3, starts=6, seed=1)
+    _, r4 = _tau_step(u, gb, gs, 4, starts=6, seed=1)
+    upper3 = r3.value + game3.tail_bound(u)
     assert r3.value <= r4.value + 1e-6
-    assert r4.value <= r3.opt_upper + 1e-6
-    assert r3.opt_upper == pytest.approx(r3.value + 0.8**3 / 0.2 * 0.5)
+    assert r4.value <= upper3 + 1e-6
+    assert upper3 == pytest.approx(r3.value + 0.8**3 / 0.2 * 0.5)
 
 
 def test_tau_step_sandwich_at_tiny_texp_rate():
     # texp at rate 1e-300 is uniform on [0, 1] to double precision, so the
     # tail bound is the post-tau seller mass times a mean of 1/2
-    gb = make_geometric_discount(0.3)
-    gs = make_geometric_discount(0.8)
-    res = tau_step_optimal(TruncatedExponential(1e-300, 1.0), gb, gs, 3, starts=6)
-    assert res.opt_upper - res.opt_lower == pytest.approx(0.8**3 / 0.2 * 0.5)
+    dist = TruncatedExponential(1e-300, 1.0)
+    game = truncate(make_geometric_discount(0.3), make_geometric_discount(0.8), 3)
+    assert game.tail_bound(dist) == pytest.approx(0.8**3 / 0.2 * 0.5)
 
 
-def test_big_deal_mixed_finite_infinite_discounts():
-    # finite seller inside an infinite buyer game: depth follows the finite
-    # side, totals stay exact, and the seller is pointwise less patient
+def test_tree_deeper_than_the_enumeration_guard_is_refused(monkeypatch):
+    def no_tree(*args):
+        raise AssertionError("a tree was built")
+    monkeypatch.setattr(schemes, "canonical_nodes", no_tree)
+    monkeypatch.setattr(schemes, "PricingTree", no_tree)
     u = Uniform(0, 1)
-    gb = make_geometric_discount(0.8)
-    gs = DiscountSequence([1.0, 0.5, 0.25])
-    tree, revenue = big_deal(u, gb, gs)
-    assert tree.horizon == 3
-    assert tree.price("") == pytest.approx(gb.total * 0.5, abs=1e-6)
-    assert revenue == pytest.approx(gb.total * 0.25, abs=1e-7)
-
-
-def test_big_deal_infinite_requires_tau():
-    u = Uniform(0, 1)
-    g = make_geometric_discount(0.5)
-    with pytest.raises(InvalidParameterError, match="tau"):
-        big_deal(u, g, g, tau=1)
-
-
-def test_tree_deeper_than_the_enumeration_guard_is_refused():
-    u = Uniform(0, 1)
-    g = make_geometric_discount(0.5)
+    g = make_geometric_discount(0.5, 21)
     with pytest.raises(ResourceLimitError):
-        big_deal(u, g, g, tau=21)
+        big_deal(u, g, g)
     with pytest.raises(ResourceLimitError):
-        constant_myerson(u, g, horizon=21)
+        constant_myerson(u, g)
