@@ -216,8 +216,10 @@ def test_tau_step_sandwich_at_tiny_texp_rate():
     # texp at rate 1e-300 is uniform on [0, 1] to double precision, so the
     # tail bound is the post-tau seller mass times a mean of 1/2
     dist = TruncatedExponential(1e-300, 1.0)
-    game = truncate(make_geometric_discount(0.3), make_geometric_discount(0.8), 3)
-    assert game.tail_bound(dist) == pytest.approx(0.8**3 / 0.2 * 0.5)
+    game, res = _tau_step(dist, make_geometric_discount(0.3),
+                          make_geometric_discount(0.8), 3, starts=6)
+    upper = res.value + game.tail_bound(dist)
+    assert upper - res.value == pytest.approx(0.8**3 / 0.2 * 0.5)
 
 
 def test_tree_deeper_than_the_enumeration_guard_is_refused(monkeypatch):
