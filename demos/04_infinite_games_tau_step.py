@@ -7,11 +7,10 @@ optimum and is within Gamma_S(beyond tau) * E[V] of it, so sweeping tau
 squeezes the unknown optimum from both sides.
 """
 
-from postedprice import Uniform, make_geometric_discount, maximize_L, truncate
+from postedprice import Uniform, maximize_L, truncate
 
 uniform = Uniform(0, 1)
-gb = make_geometric_discount(0.2)
-gs = make_geometric_discount(0.8)
+gb, gs = 0.2, 0.8  # the infinite game is its two geometric rates
 
 print("tail aggregation at tau = 3 (buyer rate 0.2, seller rate 0.8):")
 game = truncate(gb, gs, 3)
@@ -28,6 +27,6 @@ for tau in range(2, 7):
     print(f"  {tau}     {res.value:.6f}            {res.value + gap:.6f}"
           f"      {gap:.6f}")
 
-baseline = gs.total * 0.25
+baseline = 0.25 / (1 - gs)
 print(f"\nconstant pricing earns {baseline:.4f}; the 6-step optimum already "
       f"earns {res.value:.4f} (x{res.value / baseline:.3f})")

@@ -127,23 +127,30 @@ def cmd_myerson(args) -> int:
     return 0
 
 
-def _baseline(seller: DiscountSequence, h_star: float) -> float:
+def _baseline(args, gs: float, h_star: float) -> float:
     """Revenue of constant pricing at the one-shot optimal price, the
-    denominator of every `ratio`; a zero baseline is a domain error."""
-    baseline = seller.total * h_star
+    denominator of every `ratio`; a zero baseline is a domain error.  The
+    seller total is the finite game's, or 1 / (1 - gs) for the infinite one."""
+    total = (1.0 / (1.0 - gs) if args.horizon is None
+             else make_geometric_discount(gs, args.horizon).total)
+    baseline = total * h_star
     if baseline == 0.0:
         raise InvalidParameterError(
             "the constant-pricing baseline revenue is zero, so no ratio is defined")
     return baseline
 
 
-def _solve(args, buyer: DiscountSequence, seller: DiscountSequence, depth: int):
-    """`maximize_L` on the finite game, or on its truncation at `depth` when no
-    --horizon is given; returns the result and the truncated game (or None)."""
-    game = None
+def _solve(args, gb: float, gs: float, depth: int):
+    """`maximize_L` on the finite game of `depth` rounds, or on the infinite
+    game's truncation at `depth` when no --horizon is given; returns the
+    result and the truncated game (or None)."""
     if args.horizon is None:
-        game = truncate(buyer, seller, depth)
+        game = truncate(gb, gs, depth)
         buyer, seller = game.buyer, game.seller
+    else:
+        game = None
+        buyer = make_geometric_discount(gb, depth)
+        seller = make_geometric_discount(gs, depth)
     result = maximize_L(args.dist, _perturbed(buyer, args.perturb, args.seed),
                         seller, starts=args.starts, seed=args.seed)
     return result, game
@@ -151,11 +158,9 @@ def _solve(args, buyer: DiscountSequence, seller: DiscountSequence, depth: int):
 
 def cmd_optimize(args) -> int:
     """One game: the finite one (--horizon) or the tau-step infinite one (--tau)."""
-    seller = make_geometric_discount(args.gs, args.horizon)
-    baseline = _baseline(seller, myerson_price(args.dist)[1])
+    baseline = _baseline(args, args.gs, myerson_price(args.dist)[1])
     depth = args.tau if args.horizon is None else args.horizon
-    result, game = _solve(args, make_geometric_discount(args.gb, args.horizon), seller,
-                          depth)
+    result, game = _solve(args, args.gb, args.gs, depth)
     if game is None:
         mode = {"horizon": depth, "v_star": [float(x) for x in result.v_star],
                 "iterations": result.iterations, "starts": result.starts}
@@ -202,12 +207,10 @@ def cmd_sweep(args) -> int:
     for point in grid:
         gs = fixed_value if args.fix == "gs" else float(point)
         gb = float(point) if args.fix == "gs" else fixed_value
-        seller = make_geometric_discount(gs, horizon)
-        buyer = make_geometric_discount(gb, horizon)
-        baseline = _baseline(seller, h_star)
+        baseline = _baseline(args, gs, h_star)
         values = []
         for depth in depths:
-            res, _ = _solve(args, buyer, seller, depth)
+            res, _ = _solve(args, gb, gs, depth)
             values.append(res.value)
         # prices come from the last solve, the deepest one
         rows.append([point] + [res.tree.price(n) for n in nodes] + values
@@ -233,8 +236,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bigdeal(args) -> int:
-    game = truncate(make_geometric_discount(args.gb),
-                    make_geometric_discount(args.gs), args.tau)
+    game = truncate(args.gb, args.gs, args.tau)
     tree, revenue = big_deal(args.dist, game.buyer, game.seller)
     _emit_json(args, {
         "dist": args.dist.spec_string(),
@@ -250,10 +252,9 @@ def cmd_bigdeal(args) -> int:
 
 
 def cmd_truncate(args) -> int:
-    game = truncate(make_geometric_discount(args.gb),
-                    make_geometric_discount(args.gs), args.tau)
+    game = truncate(args.gb, args.gs, args.tau)
     _emit_json(args, {
-        "tau": game.tau,
+        "tau": args.tau,
         "buyer_weights": list(game.buyer.weights),
         "seller_weights": list(game.seller.weights),
         "seller_tail": game.seller_tail,

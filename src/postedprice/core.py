@@ -11,6 +11,7 @@ by their own discount sequence.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
@@ -59,116 +60,71 @@ def _check_weights(weights: tuple[float, ...]) -> None:
 
 
 class DiscountSequence:
-    """Per-round utility weights gamma_t for one side of the game.
+    """Per-round utility weights gamma_t for one side of a finite game.
 
-    A finite sequence is its tuple of weights, given explicitly or built
-    from a geometric `rate` and `horizon`.  A geometric rate without a
-    horizon stands for the infinite game: it keeps only the rate, and its
-    total and tail sums are in closed form.  Instances are immutable.
+    A discount sequence is its tuple of weights, and `len(d)` is its
+    horizon.  The infinite geometric game is not a sequence: it is a rate,
+    which `schemes.truncate` turns into a finite game.  Instances are
+    immutable.
     """
 
-    __slots__ = ("_weights", "_rate")
+    __slots__ = ("_weights",)
 
-    def __init__(self, weights: Sequence[float] | None = None, *,
-                 rate: float | None = None, horizon: int | None = None):
-        if (weights is None) == (rate is None):
-            raise InvalidParameterError(
-                "pass either explicit weights or a geometric rate, not both")
-        if weights is not None:
-            weights = tuple(float(x) for x in weights)
-            if horizon is not None and horizon != len(weights):
-                raise InvalidParameterError("horizon does not match weights length")
-            _check_weights(weights)
-        else:
-            rate = float(rate)
-            if not 0.0 < rate < 1.0:
-                raise InvalidParameterError("geometric rate must lie in (0, 1)")
-            if horizon is not None:
-                horizon = int(horizon)
-                if horizon < 1:
-                    raise InvalidParameterError("horizon must be a positive integer")
-                weights, rate = tuple(rate ** t for t in range(horizon)), None
-        self._weights, self._rate = weights, rate
-
-    @property
-    def horizon(self) -> int | None:
-        """Number of rounds, or None for the infinite game."""
-        return None if self._weights is None else len(self._weights)
-
-    @property
-    def is_finite(self) -> bool:
-        return self._weights is not None
+    def __init__(self, weights: Sequence[float]):
+        weights = tuple(float(x) for x in weights)
+        _check_weights(weights)
+        self._weights = weights
 
     @property
     def weights(self) -> tuple[float, ...]:
-        if self._weights is None:
-            raise InvalidParameterError(
-                "infinite discount sequence has no materialized weights; "
-                "truncate it first")
         return self._weights
 
     @property
     def total(self) -> float:
         """The sum Gamma of all weights."""
-        return self.tail_sum(1)
-
-    def weight(self, t: int) -> float:
-        """Weight of round t (1-based)."""
-        if t < 1:
-            raise InvalidParameterError("rounds are 1-based")
-        if self._weights is None:
-            return self._rate ** (t - 1)
-        return self._weights[t - 1] if t <= len(self._weights) else 0.0
-
-    def tail_sum(self, start: int) -> float:
-        """Sum of weights from round `start` (1-based) onward: the `fsum` of
-        the stored weights, or the closed form for the infinite game."""
-        if start < 1:
-            raise InvalidParameterError("rounds are 1-based")
-        if self._weights is None:
-            return self._rate ** (start - 1) / (1.0 - self._rate)
-        return math.fsum(self._weights[start - 1:])
+        return math.fsum(self._weights)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=float)
+        return np.asarray(self._weights, dtype=float)
 
     def __len__(self) -> int:
-        if self._weights is None:
-            raise TypeError("infinite discount sequence has no length")
         return len(self._weights)
 
     def __iter__(self) -> Iterator[float]:
-        return iter(self.weights)
+        return iter(self._weights)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DiscountSequence):
             return NotImplemented
-        return (self._weights, self._rate) == (other._weights, other._rate)
+        return self._weights == other._weights
 
     def __hash__(self):
-        return hash((self._weights, self._rate))
+        return hash(self._weights)
 
     def __repr__(self) -> str:
-        arg = repr(list(self._weights)) if self._rate is None else f"rate={self._rate!r}"
-        return f"DiscountSequence({arg})"
+        return f"DiscountSequence({list(self._weights)!r})"
 
 
 def _finite_weights(discount: DiscountSequence, horizon: int) -> np.ndarray:
-    """The weights of a finite discount, which must have `horizon` rounds."""
-    if not discount.is_finite or len(discount) != horizon:
-        raise InvalidParameterError(f"discount must be finite with length {horizon}")
+    """The weights of a discount, which must have `horizon` rounds."""
+    if len(discount) != horizon:
+        raise InvalidParameterError(f"discount must have length {horizon}")
     return discount.as_array()
 
 
-def make_geometric_discount(rate: float, horizon=None) -> DiscountSequence:
-    """Geometric discount gamma_t = rate**(t-1).
+def _positive_int(n, what: str = "horizon") -> int:
+    """`n`, which must be a positive integer: 2.5 or 3.0 is refused, not rounded."""
+    if not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidParameterError(f"{what} must be a positive integer")
+    return int(n)
 
-    `horizon` is a positive integer for the finite game, whose weights are
-    stored, or None / math.inf for the infinite one, which keeps the rate.
-    """
-    if horizon is not None and horizon == math.inf:
-        horizon = None
-    return DiscountSequence(rate=rate, horizon=horizon)
+
+def make_geometric_discount(rate: float, horizon: int) -> DiscountSequence:
+    """Geometric discount gamma_t = rate**(t-1) over `horizon` rounds."""
+    rate = float(rate)
+    if not 0.0 < rate < 1.0:
+        raise InvalidParameterError("geometric rate must lie in (0, 1)")
+    return DiscountSequence([rate ** t for t in range(_positive_int(horizon))])
 
 
 # ---------------------------------------------------------------------------
@@ -201,9 +157,7 @@ class PricingTree:
     __slots__ = ("_horizon", "_prices")
 
     def __init__(self, horizon: int, prices: Mapping[str, float]):
-        horizon = int(horizon)
-        if horizon < 1:
-            raise InvalidParameterError("horizon must be a positive integer")
+        horizon = _positive_int(horizon)
         # 2^T - 1 has T bits: compare those first, so a huge T builds no 2^T
         if len(prices).bit_length() != horizon or len(prices) != 2 ** horizon - 1:
             raise InvalidParameterError(

@@ -215,8 +215,8 @@ def parse_distribution(spec: str) -> ValuationDistribution:
 
 def static_revenue(dist: ValuationDistribution, price: float) -> float:
     """One-shot expected revenue p * P[V >= p] of posting a single price."""
-    if price < 0:
-        raise InvalidParameterError("price must be non-negative")
+    if not (price >= 0) or not math.isfinite(price):
+        raise InvalidParameterError(f"price must be finite and non-negative, got {price}")
     return float(price * dist.sf(price))
 
 

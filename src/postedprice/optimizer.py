@@ -88,7 +88,7 @@ def rate_order_satisfied(buyer_discount: DiscountSequence,
     find a globally optimal pricing.  Both discounts are one finite game's;
     an infinite game is compared through its `truncate`.
     """
-    _finite_weights(seller_discount, len(buyer_discount.weights))
+    _finite_weights(seller_discount, len(buyer_discount))
     return all(b <= s + ORDER_TOL for b, s in zip(discount_rates(buyer_discount),
                                                   discount_rates(seller_discount)))
 
@@ -96,7 +96,7 @@ def rate_order_satisfied(buyer_discount: DiscountSequence,
 def _pointwise_leq(a: DiscountSequence, b: DiscountSequence) -> bool:
     """Whether a_t <= b_t at every round of one finite game."""
     return all(x <= y + ORDER_TOL
-               for x, y in zip(a.weights, _finite_weights(b, len(a.weights))))
+               for x, y in zip(a.weights, _finite_weights(b, len(a))))
 
 
 def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float):

@@ -71,12 +71,17 @@ class StrategyTables:
         return self.quantities[:, None] * v[None, :] - self.buyer_payments[:, None]
 
 
+def _enumerable(depth: int, what: str) -> int:
+    """`depth`, refused above `MAX_ENUM_HORIZON` before anything is built."""
+    if depth > MAX_ENUM_HORIZON:
+        raise ResourceLimitError(
+            f"{what} {depth} exceeds the enumeration guard {MAX_ENUM_HORIZON}")
+    return depth
+
+
 def strategy_bits(horizon: int) -> np.ndarray:
     """All strategies of a T-round game as a (2^T, T) bit matrix, binary order."""
-    if horizon > MAX_ENUM_HORIZON:
-        raise ResourceLimitError(
-            f"horizon {horizon} exceeds the enumeration guard {MAX_ENUM_HORIZON}")
-    m = 2 ** horizon
+    m = 2 ** _enumerable(horizon, "horizon")
     shifts = np.arange(horizon - 1, -1, -1)
     return ((np.arange(m)[:, None] >> shifts[None, :]) & 1).astype(np.int8)
 

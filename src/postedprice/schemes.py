@@ -15,11 +15,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import DiscountSequence, PricingTree, canonical_nodes
+from .core import (DiscountSequence, PricingTree, _positive_int, canonical_nodes,
+                   make_geometric_discount)
 from .distributions import ValuationDistribution, myerson_price
-from .errors import InvalidParameterError, PatienceOrderWarning, ResourceLimitError
+from .errors import InvalidParameterError, PatienceOrderWarning
 from .optimizer import _pointwise_leq
-from .oracle import MAX_ENUM_HORIZON
+from .oracle import _enumerable
 
 __all__ = [
     "TruncatedGame",
@@ -31,14 +32,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TruncatedGame:
-    """A tau-round stand-in for a longer (possibly infinite) game.
+    """The tau-round stand-in for the infinite geometric game.
 
     The first tau-1 weights are kept; the tau-th absorbs the whole tail, so
     totals are preserved exactly.  `seller_tail` is the seller mass beyond
     round tau, which prices the approximation error of tau-step schemes.
     """
 
-    tau: int
     buyer: DiscountSequence
     seller: DiscountSequence
     seller_tail: float
@@ -48,37 +48,21 @@ class TruncatedGame:
         return self.seller_tail * dist.mean
 
 
-def _aggregate_tail(discount: DiscountSequence, tau: int) -> DiscountSequence:
-    if tau > MAX_ENUM_HORIZON:
-        raise ResourceLimitError(f"tau {tau} exceeds the enumeration guard {MAX_ENUM_HORIZON}")
-    if discount.is_finite and len(discount) < tau:
-        raise InvalidParameterError(
-            f"cannot truncate a length-{len(discount)} discount at tau={tau}")
-    head = [discount.weight(t) for t in range(1, tau)]
-    return DiscountSequence(head + [discount.tail_sum(tau)])
+def _aggregate_tail(rate: float, tau: int) -> DiscountSequence:
+    """The first tau-1 weights of the geometric discount `rate`, then its tail sum."""
+    head = make_geometric_discount(rate, tau).weights[:-1]
+    return DiscountSequence(head + (rate ** (tau - 1) / (1.0 - rate),))
 
 
-def truncate(buyer_discount: DiscountSequence, seller_discount: DiscountSequence,
-             tau: int) -> TruncatedGame:
-    """Tail-aggregated tau-round discounts for both sides."""
-    if tau < 1:
-        raise InvalidParameterError("tau must be a positive integer")
+def truncate(buyer_rate: float, seller_rate: float, tau: int) -> TruncatedGame:
+    """The infinite game of two geometric rates as tail-aggregated tau-round
+    discounts; a bad tau is refused before any weight is built."""
+    tau = _enumerable(_positive_int(tau, "tau"), "tau")
     return TruncatedGame(
-        tau=tau,
-        buyer=_aggregate_tail(buyer_discount, tau),
-        seller=_aggregate_tail(seller_discount, tau),
-        seller_tail=seller_discount.tail_sum(tau + 1),
+        buyer=_aggregate_tail(buyer_rate, tau),
+        seller=_aggregate_tail(seller_rate, tau),
+        seller_tail=seller_rate ** tau / (1.0 - seller_rate),
     )
-
-
-def _tree_depth(discount: DiscountSequence) -> int:
-    """The horizon of a finite discount; a tree of more levels than the
-    enumeration guard allows is refused before any node is built."""
-    depth = len(discount.weights)
-    if depth > MAX_ENUM_HORIZON:
-        raise ResourceLimitError(f"depth {depth} exceeds the enumeration guard "
-                                 f"{MAX_ENUM_HORIZON} (2^{depth} - 1 tree nodes)")
-    return depth
 
 
 def constant_myerson(dist: ValuationDistribution,
@@ -88,7 +72,7 @@ def constant_myerson(dist: ValuationDistribution,
     The truthful buyer accepts every round or none, so the expected revenue
     is Gamma^S * p * P[V >= p], maximized by the one-shot optimal price.
     """
-    depth = _tree_depth(seller_discount)
+    depth = _enumerable(len(seller_discount), "depth")
     p_star, h_star = myerson_price(dist)
     tree = PricingTree.constant(depth, p_star)
     return tree, seller_discount.total * h_star
@@ -111,8 +95,8 @@ def big_deal(dist: ValuationDistribution, buyer_discount: DiscountSequence,
     pointwise below the buyer's); otherwise a `PatienceOrderWarning` is
     issued and the scheme is merely a valid pricing.
     """
-    depth = _tree_depth(buyer_discount)
-    gb1 = buyer_discount.weight(1)
+    depth = _enumerable(len(buyer_discount), "depth")
+    gb1 = buyer_discount.weights[0]
     total_b = buyer_discount.total
     if total_b <= gb1:
         raise InvalidParameterError("big deal needs a game of at least 2 rounds")
@@ -132,5 +116,5 @@ def big_deal(dist: ValuationDistribution, buyer_discount: DiscountSequence,
             prices[node] = 0.0
         else:
             prices[node] = penalty
-    revenue = seller_discount.weight(1) * first_price * float(dist.sf(p_star))
+    revenue = seller_discount.weights[0] * first_price * float(dist.sf(p_star))
     return PricingTree(depth, prices), revenue

@@ -414,19 +414,26 @@ def test_config_null_entry_keeps_the_default(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# recorded sweep output
+# recorded output
+
+
+SWEEP = ["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8"]
 
 
 @pytest.mark.parametrize("name,argv", [
-    ("sweep_t2.csv", ["--horizon", "2", "--grid-start", "0.05",
-                      "--grid-step", "0.15", "--grid-count", "5"]),
-    ("sweep_tau_ladder.csv", ["--tau-list", "2,3,4,5,6", "--grid-start", "0.2",
-                              "--grid-count", "1"]),
+    ("sweep_t2.csv", SWEEP + ["--horizon", "2", "--grid-start", "0.05",
+                              "--grid-step", "0.15", "--grid-count", "5"]),
+    ("sweep_tau_ladder.csv", SWEEP + ["--tau-list", "2,3,4,5,6", "--grid-start", "0.2",
+                                      "--grid-count", "1"]),
+    ("optimize_tau3.json", ["optimize", "--dist", "uniform:0,1", "--gs", "0.8",
+                            "--gb", "0.2", "--tau", "3"]),
+    ("bigdeal_tau5.json", ["bigdeal", "--dist", "beta:4,2", "--gb", "0.8",
+                           "--gs", "0.2", "--tau", "5"]),
+    ("truncate_tau4.json", ["truncate", "--gb", "0.5", "--gs", "0.8", "--tau", "4"]),
 ])
 def test_sweep_output_matches_the_recorded_csv(capsys, name, argv):
     # byte for byte; a change that moves these digits on purpose re-records
     # the file and says so
-    code, out, _ = run(capsys, "sweep", "--dist", "uniform:0,1", "--fix", "gs",
-                       "--fixed-value", "0.8", *argv)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
     assert out == (DATA / name).read_bytes().decode()

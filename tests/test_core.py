@@ -22,13 +22,6 @@ def test_geometric_finite():
     assert d.total == 1.5
 
 
-def test_geometric_infinite_total():
-    d = make_geometric_discount(0.5)
-    assert d.total == 2.0
-    assert not d.is_finite
-    assert d.tail_sum(2) == pytest.approx(1.0)
-
-
 def test_geometric_truncated_three_rounds():
     d = make_geometric_discount(0.8, 3)
     assert d.weights == pytest.approx((1.0, 0.8, 0.64))
@@ -68,17 +61,17 @@ def test_finite_geometric_is_its_weights(rate, horizon):
     d = make_geometric_discount(rate, horizon)
     same = DiscountSequence([rate ** t for t in range(horizon)])
     assert d == same and hash(d) == hash(same)
-    assert d.total == d.tail_sum(1) == same.total
+    assert d.total == math.fsum(d.weights) == same.total
     assert eval(repr(d)) == d
     assert d != DiscountSequence(d.weights[:-1] + (d.weights[-1] * 0.5,))
 
 
 def test_equal_discounts_hash_equal():
     assert len({make_geometric_discount(0.5, 3), DiscountSequence([1, 0.5, 0.25])}) == 1
-    assert make_geometric_discount(0.5) == make_geometric_discount(0.5, math.inf)
-    assert make_geometric_discount(0.5) != make_geometric_discount(0.25)
-    assert make_geometric_discount(0.5, 1) != make_geometric_discount(0.5)
-    assert eval(repr(make_geometric_discount(0.5))) == make_geometric_discount(0.5)
+    assert make_geometric_discount(0.5, 3) != make_geometric_discount(0.25, 3)
+    assert make_geometric_discount(0.5, 1) != make_geometric_discount(0.5, 2)
+    assert repr(make_geometric_discount(0.5, 2)) == "DiscountSequence([1.0, 0.5])"
+    assert DiscountSequence.__slots__ == ("_weights",)
 
 
 def test_constructor_rejects_invalid_weights():
@@ -91,14 +84,15 @@ def test_constructor_rejects_invalid_weights():
 def test_weight_and_len():
     d = DiscountSequence([1.0, 0.5, 0.25])
     assert len(d) == 3
-    assert d.weight(1) == 1.0 and d.weight(3) == 0.25 and d.weight(9) == 0.0
-    with pytest.raises(TypeError):
-        len(make_geometric_discount(0.5))
+    assert d.weights[0] == 1.0 and d.weights[2] == 0.25 and list(d) == [1.0, 0.5, 0.25]
 
 
-def test_infinite_weights_unavailable():
-    with pytest.raises(InvalidParameterError):
-        make_geometric_discount(0.5).weights
+@pytest.mark.parametrize("horizon", [0, 2.5, 2.0, "2", None])
+def test_a_horizon_is_a_positive_integer(horizon):
+    with pytest.raises(InvalidParameterError, match="horizon must be a positive integer"):
+        make_geometric_discount(0.5, horizon)
+    with pytest.raises(InvalidParameterError, match="horizon must be a positive integer"):
+        PricingTree(horizon, {"": 0.5, "0": 0.5, "1": 0.5})
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +246,14 @@ def test_strategy_parsing():
 
 
 def test_evaluate_requires_finite_discounts():
-    from postedprice import make_geometric_discount
+    # a discount is finite by type; one of the wrong length is refused
     tree = PricingTree.constant(2, 0.5)
-    inf = make_geometric_discount(0.5)
     fin = DiscountSequence([1.0, 0.5])
-    with pytest.raises(InvalidParameterError, match="finite"):
-        evaluate(tree, "11", 0.8, inf, fin)
+    longer = DiscountSequence([1.0, 0.5, 0.25])
+    with pytest.raises(InvalidParameterError, match="must have length 2"):
+        evaluate(tree, "11", 0.8, longer, fin)
+    with pytest.raises(InvalidParameterError, match="must have length 2"):
+        evaluate(tree, "11", 0.8, fin, longer)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ def test_static_revenue_uniform():
 
 
 def test_static_revenue_rejects_negative_price():
-    with pytest.raises(InvalidParameterError):
-        static_revenue(Uniform(0, 1), -0.1)
+    for price in (-0.1, float("nan"), float("inf")):
+        with pytest.raises(InvalidParameterError):
+            static_revenue(Uniform(0, 1), price)
 
 
 def test_myerson_uniform():

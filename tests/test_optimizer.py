@@ -70,8 +70,7 @@ def test_rate_order():
 @pytest.mark.parametrize("predicate", [rate_order_satisfied, _pointwise_leq])
 def test_patience_predicates_take_one_finite_game(predicate):
     g = make_geometric_discount
-    for a, b in [(g(0.2, 2), g(0.8, 3)), (g(0.2), g(0.8)), (g(0.2, 3), g(0.5)),
-                 (g(0.2), g(0.9, 3))]:
+    for a, b in [(g(0.2, 2), g(0.8, 3)), (g(0.2, 3), g(0.9, 2))]:
         with pytest.raises(InvalidParameterError):
             predicate(a, b)
 
@@ -167,7 +166,7 @@ def test_value_never_below_the_constant_myerson_tree(spec, T, gb_rate):
 
 @pytest.mark.parametrize("tau", sorted(REGRESSION_TAU_VALUES))
 def test_polish_certifies_the_pinned_tau_ladder(tau):
-    game = truncate(make_geometric_discount(0.2), make_geometric_discount(0.8), tau)
+    game = truncate(0.2, 0.8, tau)
     result = maximize_L(Uniform(0, 1), game.buyer, game.seller, starts=8, seed=1)
     assert result.converged
     assert result.kkt_residual <= 1e-12

@@ -56,7 +56,7 @@ def test_enumeration_guard_and_negative_valuation():
         best_response(PricingTree.constant(2, 0.5), -0.2, d, d)
 
 
-@pytest.mark.parametrize("v", [math.nan, math.inf])
+@pytest.mark.parametrize("v", [math.nan, float("inf")])
 def test_non_finite_valuation_is_refused(v):
     # a NaN compares false with every surplus, so it used to answer '00'
     tree = PricingTree.constant(2, 0.5)
@@ -248,8 +248,8 @@ def test_brute_force_guards():
     u = Uniform(0, 1)
     g = make_geometric_discount(0.5, 2)
     with pytest.raises(InvalidParameterError):
-        brute_force_optimal_tree(u, make_geometric_discount(0.3),
-                                 make_geometric_discount(0.8))
+        brute_force_optimal_tree(u, make_geometric_discount(0.3, 3),
+                                 make_geometric_discount(0.8, 3))
 
 
 def test_brute_force_degenerate_grid(monkeypatch):

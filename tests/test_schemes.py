@@ -18,8 +18,7 @@ BETA42_H_STAR = 0.409648251967  # frozen from the 10^6-point grid oracle
 
 
 def test_constant_myerson_infinite_uniform():
-    g = make_geometric_discount(0.5)
-    tree, revenue = constant_myerson(Uniform(0, 1), truncate(g, g, 4).seller)
+    tree, revenue = constant_myerson(Uniform(0, 1), truncate(0.5, 0.5, 4).seller)
     assert revenue == pytest.approx(0.5, abs=1e-9)
     assert tree.horizon == 4
 
@@ -32,9 +31,8 @@ def test_constant_myerson_finite_weights():
 
 
 def test_constant_myerson_beta():
-    gs = make_geometric_discount(0.6)
-    _, revenue = constant_myerson(Beta(4, 2), truncate(gs, gs, 5).seller)
-    assert revenue == pytest.approx(gs.total * BETA42_H_STAR, abs=1e-9)
+    _, revenue = constant_myerson(Beta(4, 2), truncate(0.6, 0.6, 5).seller)
+    assert revenue == pytest.approx(1 / (1 - 0.6) * BETA42_H_STAR, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +41,7 @@ def test_constant_myerson_beta():
 
 def test_big_deal_infinite_half_rate():
     u = Uniform(0, 1)
-    g = make_geometric_discount(0.5)
-    game = truncate(g, g, 6)
+    game = truncate(0.5, 0.5, 6)
     tree, revenue = big_deal(u, game.buyer, game.seller)
     assert tree.horizon == 6
     assert tree.price("") == pytest.approx(1.0, abs=1e-6)
@@ -65,8 +62,7 @@ def test_big_deal_ties_constant_pricing_under_equal_discounts():
 def test_big_deal_acceptance_threshold():
     # enumeration confirms the proof's prediction: accept iff v > p_star
     u = Uniform(0, 1)
-    g = make_geometric_discount(0.5)
-    game = truncate(g, g, 8)
+    game = truncate(0.5, 0.5, 8)
     tree, _ = big_deal(u, game.buyer, game.seller)
     p_star, _ = myerson_price(u)
     for v in np.linspace(0.0, 1.0, 50):
@@ -78,23 +74,21 @@ def test_big_deal_acceptance_threshold():
 def test_big_deal_revenue_identity_by_quadrature():
     u = Uniform(0, 1)
     for rate in (0.2, 0.8):
-        g = make_geometric_discount(rate)
-        game = truncate(g, g, 10)
+        game = truncate(rate, rate, 10)
         tree, closed_form = big_deal(u, game.buyer, game.seller)
         quad = expected_strategic_revenue(tree, u, game.buyer, game.seller)
         assert quad == pytest.approx(closed_form, abs=1e-12)
-        assert closed_form == pytest.approx(g.total * 0.25, abs=1e-9)
+        assert closed_form == pytest.approx(1 / (1 - rate) * 0.25, abs=1e-9)
 
 
 def test_big_deal_dominance_ratio():
     u = Uniform(0, 1)
     for gs_rate, gb_rate in [(0.2, 0.5), (0.5, 0.8), (0.3, 0.9)]:
-        gs = make_geometric_discount(gs_rate)
-        gb = make_geometric_discount(gb_rate)
-        game = truncate(gb, gs, 4)
+        game = truncate(gb_rate, gs_rate, 4)
         _, bd = big_deal(u, game.buyer, game.seller)
         _, base = constant_myerson(u, game.seller)
-        assert bd / base == pytest.approx(gb.total / gs.total, abs=1e-6)
+        assert bd / base == pytest.approx((1 / (1 - gb_rate)) / (1 / (1 - gs_rate)),
+                                          abs=1e-6)
 
 
 def test_big_deal_single_round_rejected():
@@ -104,21 +98,17 @@ def test_big_deal_single_round_rejected():
 
 def test_big_deal_warns_when_seller_is_more_patient():
     u = Uniform(0, 1)
-    game = truncate(make_geometric_discount(0.2), make_geometric_discount(0.8), 4)
+    game = truncate(0.2, 0.8, 4)
     with pytest.warns(PatienceOrderWarning):
         big_deal(u, game.buyer, game.seller)
 
 
 def test_schemes_take_one_finite_game():
     u = Uniform(0, 1)
-    g, g3 = make_geometric_discount(0.5), make_geometric_discount(0.5, 3)
-    for gb, gs in [(g, g), (g3, g), (g, g3)]:
-        with pytest.raises(InvalidParameterError, match="truncate it first"):
+    g3, g4 = make_geometric_discount(0.5, 3), make_geometric_discount(0.5, 4)
+    for gb, gs in [(g3, g4), (g4, g3)]:
+        with pytest.raises(InvalidParameterError, match="must have length"):
             big_deal(u, gb, gs)
-    with pytest.raises(InvalidParameterError, match="finite with length"):
-        big_deal(u, g3, make_geometric_discount(0.5, 4))
-    with pytest.raises(InvalidParameterError, match="truncate it first"):
-        constant_myerson(u, g)
 
 
 # ---------------------------------------------------------------------------
@@ -126,39 +116,34 @@ def test_schemes_take_one_finite_game():
 
 
 def test_truncate_examples():
-    g = make_geometric_discount(0.5)
-    assert truncate(g, g, 2).buyer.weights == pytest.approx((1.0, 1.0))
-    g8 = make_geometric_discount(0.8)
-    assert truncate(g8, g8, 3).buyer.weights == pytest.approx((1.0, 0.8, 3.2))
-    assert truncate(g, g, 1).buyer.weights == pytest.approx((2.0,))
+    assert truncate(0.5, 0.5, 2).buyer.weights == pytest.approx((1.0, 1.0))
+    assert truncate(0.8, 0.8, 3).buyer.weights == pytest.approx((1.0, 0.8, 3.2))
+    assert truncate(0.5, 0.5, 1).buyer.weights == pytest.approx((2.0,))
 
 
 def test_truncate_preserves_totals_and_tail():
-    gs = make_geometric_discount(0.8)
-    gb = make_geometric_discount(0.3)
-    game = truncate(gb, gs, 5)
-    assert game.buyer.total == pytest.approx(gb.total, abs=1e-12)
-    assert game.seller.total == pytest.approx(gs.total, abs=1e-12)
+    game = truncate(0.3, 0.8, 5)
+    assert game.buyer.total == pytest.approx(1 / (1 - 0.3), abs=1e-12)
+    assert game.seller.total == pytest.approx(1 / (1 - 0.8), abs=1e-12)
     assert game.seller_tail == pytest.approx(0.8**5 / 0.2)
     assert game.tail_bound(Uniform(0, 1)) == pytest.approx(0.8**5 / 0.2 * 0.5)
 
 
-def test_truncate_guards():
-    g = make_geometric_discount(0.5)
-    with pytest.raises(InvalidParameterError):
-        truncate(g, g, 0)
-    short = DiscountSequence([1.0, 0.5])
-    with pytest.raises(InvalidParameterError):
-        truncate(short, short, 3)
-    with pytest.raises(ResourceLimitError):
-        truncate(g, g, 21)  # refused before any weight is built
+def test_truncate_guards(monkeypatch):
+    for rate in (0.0, 1.0, -0.2, 1.5, float("nan")):
+        for rates in ((rate, 0.5), (0.5, rate)):
+            with pytest.raises(InvalidParameterError, match="rate must lie in"):
+                truncate(*rates, 3)
 
-
-def test_truncate_explicit_finite_tail_aggregation():
-    d = DiscountSequence([1.0, 0.5, 0.25, 0.125])
-    game = truncate(d, d, 2)
-    assert game.buyer.weights == pytest.approx((1.0, 0.875))
-    assert game.seller_tail == pytest.approx(0.375)
+    def no_weights(*args):
+        raise AssertionError("a weight was built")
+    monkeypatch.setattr(schemes, "make_geometric_discount", no_weights)
+    monkeypatch.setattr(schemes, "DiscountSequence", no_weights)
+    for tau in (0, -1, 2.5, 3.0, "3"):
+        with pytest.raises(InvalidParameterError, match="tau must be a positive integer"):
+            truncate(0.5, 0.5, tau)
+    with pytest.raises(ResourceLimitError, match="tau 21 exceeds"):
+        truncate(0.5, 0.5, 21)
 
 
 # ---------------------------------------------------------------------------
@@ -175,37 +160,31 @@ def test_tau_step_equal_discounts_is_flat_in_tau():
     # not -- the aggregated tail 0.5**(tau-1)/0.5 collides with the weight
     # before it at every tau)
     u = Uniform(0, 1)
-    g = make_geometric_discount(0.4)
     for tau in (1, 2, 3):
-        _, res = _tau_step(u, g, g, tau, starts=6, seed=0)
-        assert res.value == pytest.approx(0.25 * g.total, abs=1e-5)
+        _, res = _tau_step(u, 0.4, 0.4, tau, starts=6, seed=0)
+        assert res.value == pytest.approx(0.25 / (1 - 0.4), abs=1e-5)
 
 
 def test_tau_step_rejects_non_regular_truncation():
     # the half-rate pathology: aggregation makes two rounds carry equal weight
     u = Uniform(0, 1)
-    g = make_geometric_discount(0.5)
     with pytest.raises(RegularityError):
-        _tau_step(u, g, g, 2, starts=2, seed=0)
+        _tau_step(u, 0.5, 0.5, 2, starts=2, seed=0)
 
 
 def test_tau_one_reduces_to_single_price_problem():
     u = Uniform(0, 1)
-    gb = make_geometric_discount(0.2)
-    gs = make_geometric_discount(0.8)
-    _, res = _tau_step(u, gb, gs, 1, starts=6, seed=0)
+    _, res = _tau_step(u, 0.2, 0.8, 1, starts=6, seed=0)
     # one aggregated round: maximize Gamma^S * p * (1 - F(p)) directly
     grid = np.linspace(0.0, 1.0, 20001)
-    oracle = max(gs.total * p * (1 - p) for p in grid)
+    oracle = max(1 / (1 - 0.8) * p * (1 - p) for p in grid)
     assert res.value == pytest.approx(oracle, abs=1e-6)
 
 
 def test_tau_step_sandwich():
     u = Uniform(0, 1)
-    gb = make_geometric_discount(0.2)
-    gs = make_geometric_discount(0.8)
-    game3, r3 = _tau_step(u, gb, gs, 3, starts=6, seed=1)
-    _, r4 = _tau_step(u, gb, gs, 4, starts=6, seed=1)
+    game3, r3 = _tau_step(u, 0.2, 0.8, 3, starts=6, seed=1)
+    _, r4 = _tau_step(u, 0.2, 0.8, 4, starts=6, seed=1)
     upper3 = r3.value + game3.tail_bound(u)
     assert r3.value <= r4.value + 1e-6
     assert r4.value <= upper3 + 1e-6
@@ -216,8 +195,7 @@ def test_tau_step_sandwich_at_tiny_texp_rate():
     # texp at rate 1e-300 is uniform on [0, 1] to double precision, so the
     # tail bound is the post-tau seller mass times a mean of 1/2
     dist = TruncatedExponential(1e-300, 1.0)
-    game, res = _tau_step(dist, make_geometric_discount(0.3),
-                          make_geometric_discount(0.8), 3, starts=6)
+    game, res = _tau_step(dist, 0.3, 0.8, 3, starts=6)
     upper = res.value + game.tail_bound(dist)
     assert upper - res.value == pytest.approx(0.8**3 / 0.2 * 0.5)
 
