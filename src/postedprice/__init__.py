@@ -9,14 +9,15 @@ buyer-behavior oracle.
 """
 
 from .core import (DiscountSequence, GameOutcome, PricingTree, canonical_nodes,
-                   evaluate, make_geometric_discount, price_path)
+                   discount_rates, evaluate, make_geometric_discount, price_path,
+                   rate_order_satisfied)
 from .distributions import (Beta, TruncatedExponential, Uniform,
                             ValuationDistribution, myerson_price,
                             parse_distribution, static_revenue)
 from .errors import (InvalidParameterError, PatienceOrderWarning,
                      RegularityError, ResourceLimitError)
-from .optimizer import (OptimizationResult, discount_rates, maximize_L,
-                        project_to_delta, rate_order_satisfied, t2_uniform_qp)
+from .optimizer import (OptimizationResult, maximize_L, project_to_delta,
+                        t2_uniform_qp)
 from .oracle import (BestResponse, RevenueCurve, best_response,
                      brute_force_optimal_tree, expected_strategic_revenue,
                      strategic_revenue_curve, strategy_tables)

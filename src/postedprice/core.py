@@ -12,22 +12,49 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 
 __all__ = [
     "DiscountSequence",
     "PricingTree",
     "GameOutcome",
     "make_geometric_discount",
+    "discount_rates",
+    "rate_order_satisfied",
     "price_path",
     "evaluate",
     "canonical_nodes",
 ]
+
+MAX_ENUM_HORIZON = 20
+ORDER_TOL = 1e-12  # slack of the patience comparisons between discount sequences
+_REALS = (int, float, np.integer, np.floating)  # built once: `_nonnegative` is hot
+
+
+# ---------------------------------------------------------------------------
+# Input rules
+
+
+def _positive_int(n, what: str = "horizon") -> int:
+    """`n`, which must be a positive integer: 2.5, 3.0 and True are refused."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise InvalidParameterError(f"{what} must be a positive integer")
+    return int(n)
+
+
+def _nonnegative(x, what: str) -> float:
+    """`x` as a float, which must be a finite real >= 0: a bool, a str, NaN
+    and +-inf are refused."""
+    if (isinstance(x, _REALS) and not isinstance(x, bool)
+            and 0 <= x <= sys.float_info.max):  # int/float comparison is exact
+        return float(x)
+    raise InvalidParameterError(f"{what} must be finite and non-negative, got {x!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +139,6 @@ def _finite_weights(discount: DiscountSequence, horizon: int) -> np.ndarray:
     return discount.as_array()
 
 
-def _positive_int(n, what: str = "horizon") -> int:
-    """`n`, which must be a positive integer: 2.5 or 3.0 is refused, not rounded."""
-    if not isinstance(n, numbers.Integral) or n < 1:
-        raise InvalidParameterError(f"{what} must be a positive integer")
-    return int(n)
-
-
 def make_geometric_discount(rate: float, horizon: int) -> DiscountSequence:
     """Geometric discount gamma_t = rate**(t-1) over `horizon` rounds."""
     rate = float(rate)
@@ -127,14 +147,77 @@ def make_geometric_discount(rate: float, horizon: int) -> DiscountSequence:
     return DiscountSequence([rate ** t for t in range(_positive_int(horizon))])
 
 
+def discount_rates(discount: DiscountSequence) -> tuple[float, ...]:
+    """Per-round rates nu_t = gamma_{t+1} / gamma_t (0 where gamma_t = 0)."""
+    w = discount.weights
+    return tuple(w[t + 1] / w[t] if w[t] > 0 else 0.0 for t in range(len(w) - 1))
+
+
+def _pointwise_leq(a: DiscountSequence, b: DiscountSequence, per_round=tuple) -> bool:
+    """Whether per_round(a)_t <= per_round(b)_t, up to `ORDER_TOL`, at every
+    round of one finite game; `per_round` defaults to the weights."""
+    _finite_weights(b, len(a))
+    return all(x <= y + ORDER_TOL for x, y in zip(per_round(a), per_round(b)))
+
+
+def rate_order_satisfied(buyer_discount: DiscountSequence,
+                         seller_discount: DiscountSequence) -> bool:
+    """Whether nu(buyer) <= nu(seller) holds at every round, up to `ORDER_TOL`.
+
+    This is the hypothesis under which searching Delta^k is guaranteed to
+    find a globally optimal pricing.  Both discounts are one finite game's;
+    an infinite game is compared through its `truncate`.
+    """
+    return _pointwise_leq(buyer_discount, seller_discount, discount_rates)
+
+
 # ---------------------------------------------------------------------------
 # Pricing trees and buyer strategies
 
 
 def _words(values, length: int) -> tuple[str, ...]:
     """The `length`-digit binary words of `values`: word j of length T is the
-    strategy in row j of `oracle.strategy_bits(T)`, of length t < T a node."""
+    strategy in row j of `strategy_bits(T)`, of length t < T a node."""
     return tuple(format(j, f"0{length}b") for j in values)
+
+
+def _enumerable(depth: int, what: str) -> int:
+    """`depth`, refused above `MAX_ENUM_HORIZON` before anything is built."""
+    if depth > MAX_ENUM_HORIZON:
+        raise ResourceLimitError(
+            f"{what} {depth} exceeds the enumeration guard {MAX_ENUM_HORIZON}")
+    return depth
+
+
+def strategy_bits(horizon: int) -> np.ndarray:
+    """All strategies of a T-round game as a (2^T, T) bit matrix, binary order."""
+    m = 2 ** _enumerable(horizon, "horizon")
+    shifts = np.arange(horizon - 1, -1, -1)
+    return ((np.arange(m)[:, None] >> shifts[None, :]) & 1).astype(np.int8)
+
+
+def _pricing_nodes(bits: np.ndarray) -> np.ndarray:
+    """Node that prices round t of each strategy row of a (m, T) bit matrix.
+
+    Entry (i, t) is 2^t - 1 + int(a_1..a_{t-1}, 2): the position of node
+    a_1..a_{t-1} in `canonical_nodes`, which lists nodes by depth, then value.
+    """
+    T = bits.shape[1]
+    shift = np.arange(T)[None, :] - np.arange(T)[:, None] - 1  # (s, t) -> t-1-s
+    prefix = np.where(shift >= 0, 1 << np.maximum(shift, 0), 0)
+    return (1 << np.arange(T)) - 1 + bits @ prefix
+
+
+def _payment_matrix(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """K with K @ prices = discounted payments, one row per strategy in `bits`.
+
+    Columns are the nodes in `canonical_nodes` order; entry (i, j) is
+    weights[t] * a^i_t when node j prices round t on a^i's path, else 0.
+    """
+    m, T = bits.shape
+    K = np.zeros((m, 2 ** T - 1))
+    np.put_along_axis(K, _pricing_nodes(bits), bits * weights, axis=1)
+    return K
 
 
 def canonical_nodes(horizon: int) -> list[str]:
@@ -167,10 +250,7 @@ class PricingTree:
         for node, price in prices.items():
             if not isinstance(node, str) or len(node) >= horizon or set(node) - {"0", "1"}:
                 raise InvalidParameterError(f"invalid node identifier {node!r}")
-            p = float(price)
-            if not math.isfinite(p) or p < 0:
-                raise InvalidParameterError(f"price at node {node!r} must be finite and >= 0")
-            clean[node] = p
+            clean[node] = _nonnegative(price, f"price at node {node!r}")
         # count + per-key validity + dict uniqueness imply the node set is complete
         self._horizon = horizon
         self._prices = {node: clean[node] for node in canonical_nodes(horizon)}
@@ -206,17 +286,12 @@ class PricingTree:
             raise InvalidParameterError("tree JSON: missing key at '/horizon'")
         if "prices" not in obj:
             raise InvalidParameterError("tree JSON: missing key at '/prices'")
-        horizon = obj["horizon"]
-        if not isinstance(horizon, int) or isinstance(horizon, bool) or horizon < 1:
-            raise InvalidParameterError("tree JSON: '/horizon' must be a positive integer")
+        horizon = _positive_int(obj["horizon"], "tree JSON: '/horizon'")
         prices = obj["prices"]
         if not isinstance(prices, dict):
             raise InvalidParameterError("tree JSON: '/prices' must be an object")
         for node, price in prices.items():
-            if not isinstance(price, (int, float)) or isinstance(price, bool):
-                raise InvalidParameterError(f"tree JSON: '/prices/{node}' must be a number")
-            if price < 0:
-                raise InvalidParameterError(f"tree JSON: '/prices/{node}' must be >= 0")
+            _nonnegative(price, f"tree JSON: '/prices/{node}'")
         try:
             return cls(horizon, prices)
         except InvalidParameterError as exc:
@@ -274,8 +349,7 @@ def evaluate(tree: PricingTree, strategy: str, v: float,
     revenue  = sum_t gammaS_t a_t p_t
     quantity = sum_t gammaB_t a_t
     """
-    if not (v >= 0) or not math.isfinite(v):
-        raise InvalidParameterError(f"valuation must be finite and non-negative, got {v}")
+    v = _nonnegative(v, "valuation")
     p = price_path(tree, strategy)  # refuses a malformed strategy
     gb = _finite_weights(buyer_discount, tree.horizon)
     gs = _finite_weights(seller_discount, tree.horizon)

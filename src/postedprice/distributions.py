@@ -14,6 +14,7 @@ import math
 import numpy as np
 from scipy import optimize, special
 
+from .core import _nonnegative
 from .errors import InvalidParameterError
 
 __all__ = [
@@ -215,8 +216,7 @@ def parse_distribution(spec: str) -> ValuationDistribution:
 
 def static_revenue(dist: ValuationDistribution, price: float) -> float:
     """One-shot expected revenue p * P[V >= p] of posting a single price."""
-    if not (price >= 0) or not math.isfinite(price):
-        raise InvalidParameterError(f"price must be finite and non-negative, got {price}")
+    price = _nonnegative(price, "price")
     return float(price * dist.sf(price))
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .core import DiscountSequence, PricingTree, _finite_weights
+from .core import DiscountSequence, PricingTree, rate_order_satisfied
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError, PatienceOrderWarning
 from .reduction import (L_gradient, L_hessian, L_value, build_system,
@@ -31,8 +31,6 @@ from .reduction import (L_gradient, L_hessian, L_value, build_system,
 __all__ = [
     "OptimizationResult",
     "project_to_delta",
-    "discount_rates",
-    "rate_order_satisfied",
     "maximize_L",
     "maximize_bilinear",
     "t2_uniform_qp",
@@ -44,7 +42,6 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 FACE_STABLE_ITERS = 2  # iterations a face must hold before Newton is tried on it
 NEWTON_MAX_STEPS = 10  # Newton steps per try on a face
-ORDER_TOL = 1e-12  # slack of the patience comparisons between discount sequences
 
 
 @dataclass(frozen=True)
@@ -72,31 +69,6 @@ def project_to_delta(x) -> np.ndarray:
         raise InvalidParameterError("expected a non-empty 1-d vector")
     iso = isotonic_regression(x, increasing=True).x
     return np.maximum(iso, 0.0)
-
-
-def discount_rates(discount: DiscountSequence) -> tuple[float, ...]:
-    """Per-round rates nu_t = gamma_{t+1} / gamma_t (0 where gamma_t = 0)."""
-    w = discount.weights
-    return tuple(w[t + 1] / w[t] if w[t] > 0 else 0.0 for t in range(len(w) - 1))
-
-
-def rate_order_satisfied(buyer_discount: DiscountSequence,
-                         seller_discount: DiscountSequence) -> bool:
-    """Whether nu(buyer) <= nu(seller) holds at every round, up to `ORDER_TOL`.
-
-    This is the hypothesis under which searching Delta^k is guaranteed to
-    find a globally optimal pricing.  Both discounts are one finite game's;
-    an infinite game is compared through its `truncate`.
-    """
-    _finite_weights(seller_discount, len(buyer_discount))
-    return all(b <= s + ORDER_TOL for b, s in zip(discount_rates(buyer_discount),
-                                                  discount_rates(seller_discount)))
-
-
-def _pointwise_leq(a: DiscountSequence, b: DiscountSequence) -> bool:
-    """Whether a_t <= b_t at every round of one finite game."""
-    return all(x <= y + ORDER_TOL
-               for x, y in zip(a.weights, _finite_weights(b, len(a))))
 
 
 def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float):

@@ -10,15 +10,15 @@ switches, so it is a sum of seller payments times CDF differences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DiscountSequence, PricingTree, _finite_weights, _words,
-                   canonical_nodes)
+from .core import (DiscountSequence, GameOutcome, PricingTree, _finite_weights,
+                   _nonnegative, _payment_matrix, _pricing_nodes, _words,
+                   canonical_nodes, strategy_bits)
 from .distributions import ValuationDistribution
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError
 
 __all__ = [
     "BestResponse",
@@ -32,14 +32,13 @@ __all__ = [
     "brute_force_optimal_tree",
 ]
 
-MAX_ENUM_HORIZON = 20
 BRUTE_FORCE_GRID = 50  # node prices per support grid in brute_force_optimal_tree
 SURPLUS_TIE_RTOL = 1e-12
 ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at once
 
 
 @dataclass(frozen=True)
-class BestResponse:
+class BestResponse(GameOutcome):
     """A surplus-maximizing strategy and the totals it generates.
 
     `tie_count` is how many strategies achieved the maximal surplus (within
@@ -47,10 +46,6 @@ class BestResponse:
     tie-break.
     """
 
-    strategy: str
-    surplus: float
-    revenue: float
-    quantity: float
     tie_count: int
 
 
@@ -65,49 +60,6 @@ class StrategyTables:
     quantities: np.ndarray       # (2^T,)  buyer-discounted quantity
     buyer_payments: np.ndarray   # (2^T,)  buyer-discounted payment
     seller_payments: np.ndarray  # (2^T,)  seller-discounted payment (revenue)
-
-    def surpluses(self, v: np.ndarray) -> np.ndarray:
-        """Surplus of every strategy (rows) at each valuation of the 1-d v (columns)."""
-        return self.quantities[:, None] * v[None, :] - self.buyer_payments[:, None]
-
-
-def _enumerable(depth: int, what: str) -> int:
-    """`depth`, refused above `MAX_ENUM_HORIZON` before anything is built."""
-    if depth > MAX_ENUM_HORIZON:
-        raise ResourceLimitError(
-            f"{what} {depth} exceeds the enumeration guard {MAX_ENUM_HORIZON}")
-    return depth
-
-
-def strategy_bits(horizon: int) -> np.ndarray:
-    """All strategies of a T-round game as a (2^T, T) bit matrix, binary order."""
-    m = 2 ** _enumerable(horizon, "horizon")
-    shifts = np.arange(horizon - 1, -1, -1)
-    return ((np.arange(m)[:, None] >> shifts[None, :]) & 1).astype(np.int8)
-
-
-def _pricing_nodes(bits: np.ndarray) -> np.ndarray:
-    """Node that prices round t of each strategy row of a (m, T) bit matrix.
-
-    Entry (i, t) is 2^t - 1 + int(a_1..a_{t-1}, 2): the position of node
-    a_1..a_{t-1} in `canonical_nodes`, which lists nodes by depth, then value.
-    """
-    T = bits.shape[1]
-    shift = np.arange(T)[None, :] - np.arange(T)[:, None] - 1  # (s, t) -> t-1-s
-    prefix = np.where(shift >= 0, 1 << np.maximum(shift, 0), 0)
-    return (1 << np.arange(T)) - 1 + bits @ prefix
-
-
-def _payment_matrix(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """K with K @ prices = discounted payments, one row per strategy in `bits`.
-
-    Columns are the nodes in `canonical_nodes` order; entry (i, j) is
-    weights[t] * a^i_t when node j prices round t on a^i's path, else 0.
-    """
-    m, T = bits.shape
-    K = np.zeros((m, 2 ** T - 1))
-    np.put_along_axis(K, _pricing_nodes(bits), bits * weights, axis=1)
-    return K
 
 
 def strategy_tables(tree: PricingTree, buyer_discount: DiscountSequence,
@@ -139,7 +91,7 @@ def _argbest(tables: StrategyTables, v) -> tuple[np.ndarray, np.ndarray]:
     ties = np.empty(v.size, dtype=np.intp)
     for start in range(0, v.size, step):
         block = slice(start, start + step)
-        surpluses = tables.surpluses(v[block])
+        surpluses = tables.quantities[:, None] * v[None, block] - tables.buyer_payments[:, None]
         s_max = surpluses.max(axis=0)
         tol = SURPLUS_TIE_RTOL * np.maximum(1.0, np.abs(s_max))
         tied = surpluses >= (s_max - tol)[None, :]
@@ -156,14 +108,13 @@ def best_response(tree: PricingTree, v: float, buyer_discount: DiscountSequence,
     seller revenue); ties occur only on a measure-zero set of valuations,
     so this choice never affects expected quantities.
     """
-    if not (v >= 0) or not math.isfinite(v):
-        raise InvalidParameterError(f"valuation must be finite and non-negative, got {v}")
+    v = _nonnegative(v, "valuation")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
     idx, ties = _argbest(tables, v)
     j = int(idx[0])
     return BestResponse(
         strategy=_words([j], tree.horizon)[0],
-        surplus=float(tables.quantities[j] * float(v) - tables.buyer_payments[j]),
+        surplus=float(tables.quantities[j] * v - tables.buyer_payments[j]),
         revenue=float(tables.seller_payments[j]),
         quantity=float(tables.quantities[j]),
         tie_count=int(ties[0]),

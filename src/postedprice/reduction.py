@@ -15,11 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DiscountSequence, PricingTree, _finite_weights, _words,
-                   canonical_nodes)
+from .core import (DiscountSequence, PricingTree, _finite_weights, _payment_matrix,
+                   _words, canonical_nodes, strategy_bits)
 from .distributions import ValuationDistribution
 from .errors import InvalidParameterError, RegularityError, ResourceLimitError
-from .oracle import _payment_matrix, strategy_bits
 
 __all__ = [
     "StrategyOrder",

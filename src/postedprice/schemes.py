@@ -15,12 +15,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import (DiscountSequence, PricingTree, _positive_int, canonical_nodes,
-                   make_geometric_discount)
+from .core import (DiscountSequence, PricingTree, _enumerable, _pointwise_leq,
+                   _positive_int, canonical_nodes, make_geometric_discount)
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError, PatienceOrderWarning
-from .optimizer import _pointwise_leq
-from .oracle import _enumerable
 
 __all__ = [
     "TruncatedGame",

@@ -335,6 +335,7 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
     (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
       "--tau-list", ","], 2),
     (["myerson", "--config", "CONFIG"], 3),
+    (["myerson", "--config", "CONFIG_ARRAY"], 3),
     (["simulate", "--tree", "TREE", "--dist", "uniform:0,1", "--gs", "0.5",
       "--gb", "0.5", "--grid-size", "-1"], 2),
     (["bigdeal", "--dist", "uniform:0,1", "--gs", "0.5", "--gb", "0.8",
@@ -346,17 +347,20 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--horizon", "2"], 3),
     (["simulate", "--tree", "HUGE_TREE", "--dist", "uniform:0,1", "--gs", "0.5",
       "--gb", "0.5"], 3),
-], ids=["tau-list-word", "tau-list-empty", "config-not-json", "grid-size-negative",
-        "bigdeal-tau-above-guard", "truncate-tau-above-guard",
+], ids=["tau-list-word", "tau-list-empty", "config-not-json", "config-array",
+        "grid-size-negative", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
         "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")
+    config_array = tmp_path / "config_array.json"
+    config_array.write_text(json.dumps(["--dist", "uniform:0,1"]))
     tree = tmp_path / "tree.json"
     tree.write_text(json.dumps(PricingTree.constant(2, 0.5).to_json_dict()))
     huge_tree = tmp_path / "huge_tree.json"
     huge_tree.write_text(json.dumps({"horizon": 14300, "prices": {}}))
-    paths = {"CONFIG": str(config), "TREE": str(tree), "HUGE_TREE": str(huge_tree)}
+    paths = {"CONFIG": str(config), "CONFIG_ARRAY": str(config_array), "TREE": str(tree),
+             "HUGE_TREE": str(huge_tree)}
     got, out, err = run(capsys, *[paths.get(a, a) for a in argv])
     assert got == code
     assert out == ""
@@ -380,6 +384,7 @@ OPTIMIZE = ["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2"]
     (None, OPTIMIZE + ["--horizon", "2", "--tau", "3"]),
     (None, SWEEP + ["--horizon", "2", "--tau-list", "2"]),
     (None, ["myerson", "--dist", "beta:nan,1"]),
+    (None, ["myerson", "--dist", "beta:x,1"]),
     (None, OPTIMIZE + ["--horizon", "2", "--starts", "0"]),
     (None, OPTIMIZE + ["--horizon", "0"]),
     (None, OPTIMIZE + ["--tau", "0"]),
@@ -390,7 +395,7 @@ OPTIMIZE = ["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.2"]
 ], ids=["config-horizon-word", "config-grid-count-word", "config-horizon-float",
         "config-unknown-key", "config-unknown-key-with-horizon", "config-list-value",
         "grid-step-nan", "grid-start-nan", "seed-negative", "horizon-and-tau",
-        "horizon-and-tau-list", "dist-nan", "starts-zero", "horizon-zero",
+        "horizon-and-tau-list", "dist-nan", "dist-word", "starts-zero", "horizon-zero",
         "optimize-tau-zero", "bigdeal-tau-zero", "perturb-inf", "perturb-negative"])
 def test_usage_errors_are_one_line(tmp_path, capsys, config, argv):
     if config is not None:

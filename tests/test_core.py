@@ -87,7 +87,7 @@ def test_weight_and_len():
     assert d.weights[0] == 1.0 and d.weights[2] == 0.25 and list(d) == [1.0, 0.5, 0.25]
 
 
-@pytest.mark.parametrize("horizon", [0, 2.5, 2.0, "2", None])
+@pytest.mark.parametrize("horizon", [0, 2.5, 2.0, "2", None, True, False])
 def test_a_horizon_is_a_positive_integer(horizon):
     with pytest.raises(InvalidParameterError, match="horizon must be a positive integer"):
         make_geometric_discount(0.5, horizon)
@@ -128,6 +128,23 @@ def test_tree_zero_price_is_legal():
     assert tree.price("0") == 0.0
 
 
+def test_a_bool_is_neither_a_horizon_nor_a_price():
+    with pytest.raises(InvalidParameterError, match="horizon must be a positive integer"):
+        PricingTree(True, {"": 0.5})
+    for price in ("0.5", True, float("nan"), 10**400):
+        with pytest.raises(InvalidParameterError,
+                           match="price at node '' must be finite and non-negative, got"):
+            PricingTree(1, {"": price})
+    with pytest.raises(InvalidParameterError, match="price at node '0'"):
+        PricingTree(2, {"": 0.5, "0": True, "1": 0.5})
+    assert PricingTree(1, {"": np.float64(0.5)}).price("") == 0.5
+
+
+def test_price_of_a_node_outside_the_tree():
+    with pytest.raises(InvalidParameterError, match="no node '00' in a horizon-2 tree"):
+        PricingTree.constant(2, 0.5).price("00")
+
+
 def test_tree_json_round_trip():
     tree = PricingTree(2, {"": 0.6, "0": 0.3, "1": 0.9})
     obj = tree.to_json_dict()
@@ -142,10 +159,13 @@ def test_tree_json_round_trip():
     ({"horizon": 0, "prices": {}}, "/horizon"),
     ({"horizon": 2, "prices": {"": 0.5, "0": "x", "1": 0.5}}, "/prices/0"),
     ({"horizon": 2, "prices": {"": 0.5, "0": -1.0, "1": 0.5}}, "/prices/0"),
+    ({"horizon": True, "prices": {"": 0.5}}, "/horizon"),
+    ({"horizon": 2, "prices": {"": 0.5, "0": 0.5, "1": False}}, "/prices/1"),
 ])
 def test_tree_json_schema_errors(obj, fragment):
-    with pytest.raises(InvalidParameterError, match="tree JSON"):
+    with pytest.raises(InvalidParameterError, match="tree JSON") as info:
         PricingTree.from_json_dict(obj)
+    assert fragment in str(info.value)
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@ def test_static_revenue_uniform():
 
 
 def test_static_revenue_rejects_negative_price():
-    for price in (-0.1, float("nan"), float("inf")):
-        with pytest.raises(InvalidParameterError):
+    for price in (-0.1, float("nan"), float("inf"), "0.5", True):
+        with pytest.raises(InvalidParameterError,
+                           match="price must be finite and non-negative, got"):
             static_revenue(Uniform(0, 1), price)
 
 

@@ -8,7 +8,8 @@ from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          project_to_delta, rate_order_satisfied, t2_uniform_qp,
                          truncate)
 from postedprice import optimizer
-from postedprice.optimizer import _gradient_mapping, _pointwise_leq, maximize_bilinear
+from postedprice.core import _pointwise_leq
+from postedprice.optimizer import _gradient_mapping, maximize_bilinear
 from postedprice.reduction import reduced_T2_functional
 from test_acceptance import REGRESSION_TAU_VALUES
 
@@ -96,6 +97,12 @@ def test_optimum_beats_constant_baseline():
         gs = make_geometric_discount(gs_rate, 2)
         result = maximize_L(u, gb, gs, starts=8, seed=1)
         assert result.value >= gs.total * 0.25 - 1e-6
+
+
+def test_maximize_needs_at_least_one_start():
+    g = make_geometric_discount(0.5, 2)
+    with pytest.raises(InvalidParameterError, match="needs at least one start"):
+        maximize_L(Uniform(0, 1), g, g, starts=0)
 
 
 def test_warns_when_rate_order_is_violated():

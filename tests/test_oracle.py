@@ -1,10 +1,11 @@
+import dataclasses
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from postedprice import (Beta, DiscountSequence, InvalidParameterError,
+from postedprice import (Beta, DiscountSequence, GameOutcome, InvalidParameterError,
                          PricingTree, ResourceLimitError, Uniform, best_response,
                          big_deal, brute_force_optimal_tree, canonical_nodes,
                          evaluate, expected_strategic_revenue,
@@ -54,6 +55,32 @@ def test_enumeration_guard_and_negative_valuation():
     d = DiscountSequence([1.0, 0.5])
     with pytest.raises(InvalidParameterError):
         best_response(PricingTree.constant(2, 0.5), -0.2, d, d)
+
+
+@pytest.mark.parametrize("v", ["0.5", True, None])
+def test_a_valuation_that_is_not_a_real_number_is_refused(v):
+    tree = PricingTree.constant(2, 0.5)
+    d = DiscountSequence([1.0, 0.5])
+    with pytest.raises(InvalidParameterError,
+                       match="valuation must be finite and non-negative, got"):
+        evaluate(tree, "11", v, d, d)
+    with pytest.raises(InvalidParameterError,
+                       match="valuation must be finite and non-negative, got"):
+        best_response(tree, v, d, d)
+
+
+def test_a_best_response_is_a_game_outcome_plus_its_tie_count():
+    d = DiscountSequence([1.0, 0.5])
+    tree = PricingTree.constant(2, 0.5)
+    br = best_response(tree, 0.8, d, d)
+    assert isinstance(br, GameOutcome)
+    assert [f.name for f in dataclasses.fields(br)] == [
+        "strategy", "surplus", "revenue", "quantity", "tie_count"]
+    assert repr(br).startswith("BestResponse(strategy='11', surplus=")
+    assert repr(br).endswith(", tie_count=1)")
+    out = evaluate(tree, br.strategy, 0.8, d, d)
+    assert (br.surplus, br.revenue, br.quantity) == pytest.approx(
+        (out.surplus, out.revenue, out.quantity), abs=1e-12)
 
 
 @pytest.mark.parametrize("v", [math.nan, float("inf")])
@@ -127,6 +154,13 @@ def test_curve_rejects_bad_grid():
         strategic_revenue_curve(tree, g, g, [0.5, 0.25])
     with pytest.raises(InvalidParameterError):
         strategic_revenue_curve(tree, g, g, [-0.5, 0.25])
+
+
+@pytest.mark.parametrize("grid", [[], [[0.25, 0.5]]], ids=["empty", "2-d"])
+def test_curve_needs_a_non_empty_1d_grid(grid):
+    g = DiscountSequence([1.0, 0.5])
+    with pytest.raises(InvalidParameterError, match="non-empty 1-d array"):
+        strategic_revenue_curve(PricingTree.constant(2, 0.5), g, g, grid)
 
 
 # ---------------------------------------------------------------------------

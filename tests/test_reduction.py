@@ -154,6 +154,15 @@ def test_v_to_tree_rejects_disorder():
         v_to_tree(sys_, np.array([-0.2, 0.3, 0.7]))
 
 
+def test_the_maps_refuse_a_tree_or_point_of_another_size():
+    g = DiscountSequence([1.0, 0.5])
+    sys_ = build_system(g, g)
+    with pytest.raises(InvalidParameterError, match="tree horizon does not match"):
+        tree_to_v(sys_, PricingTree.constant(3, 0.5))
+    with pytest.raises(InvalidParameterError, match=r"v must have shape \(3,\)"):
+        v_to_tree(sys_, np.array([0.3, 0.5, 0.7, 0.9]))
+
+
 def test_v_to_tree_clamps_the_cone_slack():
     # v_1 = -9e-10 is within CONE_ORDER_TOL of the cone; its price is clamped
     sys_ = build_system(make_geometric_discount(0.2, 2), make_geometric_discount(0.8, 2))

@@ -139,7 +139,7 @@ def test_truncate_guards(monkeypatch):
         raise AssertionError("a weight was built")
     monkeypatch.setattr(schemes, "make_geometric_discount", no_weights)
     monkeypatch.setattr(schemes, "DiscountSequence", no_weights)
-    for tau in (0, -1, 2.5, 3.0, "3"):
+    for tau in (0, -1, 2.5, 3.0, "3", True):
         with pytest.raises(InvalidParameterError, match="tau must be a positive integer"):
             truncate(0.5, 0.5, tau)
     with pytest.raises(ResourceLimitError, match="tau 21 exceeds"):
