@@ -51,8 +51,10 @@ def _positive_int(n, what: str = "horizon") -> int:
 def _nonnegative(x, what: str) -> float:
     """`x` as a float, which must be a finite real >= 0: a bool, a str, NaN
     and +-inf are refused."""
-    if (isinstance(x, _REALS) and not isinstance(x, bool)
-            and 0 <= x <= sys.float_info.max):  # int/float comparison is exact
+    if (isinstance(x, _REALS) and not isinstance(x, bool) and 0 <= x
+            # an int compares exactly with the float range, where float(x) may
+            # overflow; a NumPy float32 may not, as the bound overflows its cast
+            and (x <= sys.float_info.max if isinstance(x, int) else math.isfinite(x))):
         return float(x)
     raise InvalidParameterError(f"{what} must be finite and non-negative, got {x!r}")
 
@@ -64,7 +66,7 @@ def _nonnegative(x, what: str) -> float:
 def _check_weights(weights: tuple[float, ...]) -> None:
     """Raise unless the weights form a valid discount sequence.
 
-    Weights must be finite and non-negative, the first weight must be
+    The weights have passed `_nonnegative`.  The first weight must be
     positive, and no zero may appear before a positive weight.  The message
     names the first violated rule and its index.
     """
@@ -72,11 +74,7 @@ def _check_weights(weights: tuple[float, ...]) -> None:
         raise InvalidParameterError("invalid discount sequence: empty sequence")
     seen_zero = False
     for i, w in enumerate(weights):
-        if not math.isfinite(w):
-            reason = "non-finite weight"
-        elif w < 0:
-            reason = "negative weight"
-        elif w == 0 and i == 0:
+        if w == 0 and i == 0:
             reason = "first weight must be positive"
         elif w > 0 and seen_zero:
             reason = "zero before positive weight"
@@ -98,7 +96,8 @@ class DiscountSequence:
     __slots__ = ("_weights",)
 
     def __init__(self, weights: Sequence[float]):
-        weights = tuple(float(x) for x in weights)
+        weights = tuple(_nonnegative(x, f"invalid discount sequence: weight at index {i}")
+                        for i, x in enumerate(weights))
         _check_weights(weights)
         self._weights = weights
 
@@ -141,7 +140,7 @@ def _finite_weights(discount: DiscountSequence, horizon: int) -> np.ndarray:
 
 def make_geometric_discount(rate: float, horizon: int) -> DiscountSequence:
     """Geometric discount gamma_t = rate**(t-1) over `horizon` rounds."""
-    rate = float(rate)
+    rate = _nonnegative(rate, "geometric rate")
     if not 0.0 < rate < 1.0:
         raise InvalidParameterError("geometric rate must lie in (0, 1)")
     return DiscountSequence([rate ** t for t in range(_positive_int(horizon))])

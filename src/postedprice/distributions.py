@@ -72,8 +72,8 @@ class ValuationDistribution:
 
 class Uniform(ValuationDistribution):
     def __init__(self, lo: float = 0.0, hi: float = 1.0):
-        lo, hi = float(lo), float(hi)
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo or lo < 0:
+        lo, hi = _nonnegative(lo, "uniform lo"), _nonnegative(hi, "uniform hi")
+        if hi <= lo:
             raise InvalidParameterError("uniform needs 0 <= lo < hi, both finite")
         self.lo, self.hi = lo, hi
 
@@ -106,7 +106,7 @@ class Uniform(ValuationDistribution):
 
 class Beta(ValuationDistribution):
     def __init__(self, alpha: float, beta: float):
-        alpha, beta = float(alpha), float(beta)
+        alpha, beta = _nonnegative(alpha, "beta alpha"), _nonnegative(beta, "beta beta")
         if not (alpha > 0 and beta > 0 and math.isfinite(alpha + beta)):
             raise InvalidParameterError("beta needs finite alpha > 0 and beta > 0")
         self.alpha, self.beta = alpha, beta
@@ -157,7 +157,7 @@ class TruncatedExponential(ValuationDistribution):
     """
 
     def __init__(self, rate: float = 1.0, bound: float = 1.0):
-        rate, bound = float(rate), float(bound)
+        rate, bound = _nonnegative(rate, "texp rate"), _nonnegative(bound, "texp bound")
         if not (rate > 0 and bound > 0 and math.isfinite(rate + bound)):
             raise InvalidParameterError("texp needs finite rate > 0 and bound > 0")
         self.rate, self.bound = rate, bound

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import isotonic_regression
 
-from .core import DiscountSequence, PricingTree, rate_order_satisfied
+from .core import DiscountSequence, PricingTree, _positive_int, rate_order_satisfied
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError, PatienceOrderWarning
 from .reduction import (L_gradient, L_hessian, L_value, build_system,
@@ -200,8 +200,8 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
 
 
 def _start_count(starts: int | None, k: int) -> int:
-    """The number of ascent starts: `starts`, or max(16, 4k) when it is None."""
-    return max(16, 4 * k) if starts is None else starts
+    """The number of ascent starts: `starts` (a positive integer), or max(16, 4k) if None."""
+    return max(16, 4 * k) if starts is None else _positive_int(starts, "starts")
 
 
 def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
@@ -217,8 +217,6 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     """
     k = matrix.shape[0]
     starts = _start_count(starts, k)
-    if starts < 1:
-        raise InvalidParameterError("needs at least one start")
     p_star, _ = myerson_price(dist)
     lo, hi = dist.support
     rng = np.random.default_rng(seed)

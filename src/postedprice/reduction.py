@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DiscountSequence, PricingTree, _finite_weights, _payment_matrix,
-                   _words, canonical_nodes, strategy_bits)
+from .core import (DiscountSequence, PricingTree, _finite_weights, _nonnegative,
+                   _payment_matrix, _words, canonical_nodes, strategy_bits)
 from .distributions import ValuationDistribution
 from .errors import InvalidParameterError, RegularityError, ResourceLimitError
 
@@ -206,6 +206,7 @@ def reduced_T2_functional(gs_rate: float, gb_rate: float) -> np.ndarray:
     The maximizer (v1, v2) of `L_value` with this kernel, embedded as
     (v1, v2, v2), attains the full three-dimensional optimum.
     """
+    gs_rate, gb_rate = _nonnegative(gs_rate, "gs_rate"), _nonnegative(gb_rate, "gb_rate")
     if not 0.0 < gb_rate < gs_rate < 1.0:
         raise InvalidParameterError("rates must satisfy 0 < gb < gs < 1")
     return np.array([[gs_rate, 0.0],

@@ -15,8 +15,8 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import (DiscountSequence, PricingTree, _enumerable, _pointwise_leq,
-                   _positive_int, canonical_nodes, make_geometric_discount)
+from .core import (DiscountSequence, PricingTree, _enumerable, _nonnegative,
+                   _pointwise_leq, _positive_int, canonical_nodes, make_geometric_discount)
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError, PatienceOrderWarning
 
@@ -56,6 +56,7 @@ def truncate(buyer_rate: float, seller_rate: float, tau: int) -> TruncatedGame:
     """The infinite game of two geometric rates as tail-aggregated tau-round
     discounts; a bad tau is refused before any weight is built."""
     tau = _enumerable(_positive_int(tau, "tau"), "tau")
+    buyer_rate, seller_rate = (_nonnegative(r, "geometric rate") for r in (buyer_rate, seller_rate))
     return TruncatedGame(
         buyer=_aggregate_tail(buyer_rate, tau),
         seller=_aggregate_tail(seller_rate, tau),

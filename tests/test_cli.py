@@ -55,6 +55,15 @@ def test_no_command_prints_usage(capsys):
     assert run(capsys)[0] == 2
 
 
+@pytest.mark.parametrize("argv, usage", [
+    (["--help"], "usage: postedprice"),
+    (["optimize", "--help"], "usage: postedprice optimize"),
+])
+def test_help_prints_usage_to_stdout(capsys, argv, usage):
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and out.startswith(usage) and err == ""
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -420,9 +429,6 @@ def test_config_null_entry_keeps_the_default(tmp_path, capsys):
 
 # ---------------------------------------------------------------------------
 # recorded output
-
-
-SWEEP = ["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8"]
 
 
 @pytest.mark.parametrize("name,argv", [

@@ -28,9 +28,9 @@ def test_geometric_truncated_three_rounds():
     assert d.total == pytest.approx(2.44)
 
 
-@pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, 1.5])
+@pytest.mark.parametrize("rate", [0.0, 1.0, -0.2, 1.5, float("nan"), "0.5", True])
 def test_geometric_rate_out_of_range(rate):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="^geometric rate must"):
         make_geometric_discount(rate, 2)
 
 
@@ -39,7 +39,8 @@ def test_validate_examples():
     with pytest.raises(InvalidParameterError,
                        match=r"zero before positive weight at index 2$"):
         DiscountSequence((1, 0, 0.25))
-    with pytest.raises(InvalidParameterError, match=r"negative weight at index 1$"):
+    with pytest.raises(InvalidParameterError,
+                       match=r"weight at index 1 must be finite and non-negative, got -0.1$"):
         DiscountSequence((1, -0.1))
 
 
@@ -50,7 +51,8 @@ def test_validate_more_rules():
     with pytest.raises(InvalidParameterError,
                        match=r"first weight must be positive at index 0$"):
         DiscountSequence((0.0, 1.0))
-    with pytest.raises(InvalidParameterError, match=r"non-finite weight at index 1$"):
+    with pytest.raises(InvalidParameterError,
+                       match=r"weight at index 1 must be finite and non-negative, got nan$"):
         DiscountSequence((1.0, float("nan")))
     DiscountSequence((1.0, 0.5, 0.0))  # trailing zeros are fine
 
@@ -79,6 +81,10 @@ def test_constructor_rejects_invalid_weights():
         DiscountSequence([1.0, -0.1])
     with pytest.raises(InvalidParameterError):
         DiscountSequence([1.0, 0.0, 0.5])
+    for bad in (True, "0.5", None, float("inf"), -float("inf"), float("nan"), -0.5,
+                np.float32("inf")):
+        with pytest.raises(InvalidParameterError, match="weight at index 1 must be"):
+            DiscountSequence([1.0, bad])
 
 
 def test_weight_and_len():
@@ -131,13 +137,18 @@ def test_tree_zero_price_is_legal():
 def test_a_bool_is_neither_a_horizon_nor_a_price():
     with pytest.raises(InvalidParameterError, match="horizon must be a positive integer"):
         PricingTree(True, {"": 0.5})
-    for price in ("0.5", True, float("nan"), 10**400):
+    for price in ("0.5", True, float("nan"), 10**400, np.float32("inf"), np.float32("nan")):
         with pytest.raises(InvalidParameterError,
                            match="price at node '' must be finite and non-negative, got"):
             PricingTree(1, {"": price})
     with pytest.raises(InvalidParameterError, match="price at node '0'"):
         PricingTree(2, {"": 0.5, "0": True, "1": 0.5})
     assert PricingTree(1, {"": np.float64(0.5)}).price("") == 0.5
+
+
+def test_a_numpy_float32_is_read_exactly_and_without_a_warning():
+    assert PricingTree(1, {"": np.float32(0.3)}).price("") == float(np.float32(0.3))
+    assert DiscountSequence([1, np.float32(0.5)]).weights == (1.0, 0.5)
 
 
 def test_price_of_a_node_outside_the_tree():
@@ -161,6 +172,7 @@ def test_tree_json_round_trip():
     ({"horizon": 2, "prices": {"": 0.5, "0": -1.0, "1": 0.5}}, "/prices/0"),
     ({"horizon": True, "prices": {"": 0.5}}, "/horizon"),
     ({"horizon": 2, "prices": {"": 0.5, "0": 0.5, "1": False}}, "/prices/1"),
+    ({"horizon": 2, "prices": [0.5, 0.5, 0.5]}, "'/prices' must be an object"),
 ])
 def test_tree_json_schema_errors(obj, fragment):
     with pytest.raises(InvalidParameterError, match="tree JSON") as info:

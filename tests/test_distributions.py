@@ -157,6 +157,29 @@ def test_parse_distribution():
             parse_distribution(bad)
 
 
+@pytest.mark.parametrize("family, args, what", [
+    (Uniform, ("0", "1"), "uniform lo"),
+    (Uniform, (0, float("inf")), "uniform hi"),
+    (Uniform, (-1, 1), "uniform lo"),
+    (Beta, (True, 2), "beta alpha"),
+    (Beta, (2, -1), "beta beta"),
+    (TruncatedExponential, ("1", 1), "texp rate"),
+    (TruncatedExponential, (1, float("nan")), "texp bound"),
+])
+def test_parameters_go_through_the_nonnegative_rule(family, args, what):
+    with pytest.raises(InvalidParameterError, match=f"^{what} must be finite and non-negative"):
+        family(*args)
+
+
+@pytest.mark.parametrize("family, args", [
+    (Uniform, (1, 1)), (Uniform, (1, 0.5)), (Beta, (0, 1)), (Beta, (1e308, 1e308)),
+    (TruncatedExponential, (1, 0)), (TruncatedExponential, (1e308, 1e308)),
+])
+def test_range_checks_stay_with_each_family(family, args):
+    with pytest.raises(InvalidParameterError, match="needs"):
+        family(*args)
+
+
 def test_texp_closed_forms():
     d = TruncatedExponential(1, 1)
     e = np.e

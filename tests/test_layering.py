@@ -1,9 +1,10 @@
-"""The package's layers, checked on its import statements.
+"""The package's layers, checked on its source.
 
 `core` holds the rules of the game; the solver (`reduction`, `optimizer`),
 the checker (`oracle`) and the closed-form schemes (`schemes`) build on it.
 A private name is shared only from `core`, and the solver and the schemes
-never reach into the checker or each other.
+never reach into the checker or each other.  A scalar argument is read by
+one of core's two input rules, never by a `float()` or `int()` of its own.
 """
 
 import ast
@@ -16,6 +17,9 @@ FORBIDDEN = {
     "reduction": {"oracle"},
     "schemes": {"oracle", "optimizer", "reduction"},
 }
+# the functions allowed to convert a parameter; `cli` is skipped whole, since
+# its argparse types convert flag text
+CONVERTERS = {("core", "_positive_int"), ("core", "_nonnegative")}
 
 
 def _sibling_imports():
@@ -50,4 +54,34 @@ def test_the_solver_and_the_schemes_do_not_import_the_checker_or_each_other():
     offending = [(module, sibling, line)
                  for module, sibling, _, line in _sibling_imports()
                  if sibling in FORBIDDEN.get(module, ())]
+    assert offending == []
+
+
+def _parameter_coercions(module, source):
+    """(module, function, line) for every `float(p)` or `int(p)` of a parameter
+    `p` of the enclosing function."""
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.Lambda)):
+            continue
+        name = getattr(func, "name", "<lambda>")
+        if (module, name) in CONVERTERS:
+            continue
+        args = func.args
+        params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None}
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("float", "int") and node.args
+                    and isinstance(node.args[0], ast.Name) and node.args[0].id in params):
+                yield module, name, node.lineno
+
+
+def test_the_coercion_check_sees_a_coerced_parameter():
+    source = "def f(x, y):\n    return float(x) + float(y * 2)\ng = lambda n: int(n)\n"
+    assert list(_parameter_coercions("m", source)) == [("m", "f", 2), ("m", "<lambda>", 3)]
+
+
+def test_no_parameter_is_coerced_outside_the_input_rules_and_the_cli():
+    offending = [hit for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"
+                 for hit in _parameter_coercions(path.stem, path.read_text())]
     assert offending == []

@@ -101,8 +101,9 @@ def test_optimum_beats_constant_baseline():
 
 def test_maximize_needs_at_least_one_start():
     g = make_geometric_discount(0.5, 2)
-    with pytest.raises(InvalidParameterError, match="needs at least one start"):
-        maximize_L(Uniform(0, 1), g, g, starts=0)
+    for starts in (0, -1, 2.5, "3", True):
+        with pytest.raises(InvalidParameterError, match="starts must be a positive integer"):
+            maximize_L(Uniform(0, 1), g, g, starts=starts)
 
 
 def test_warns_when_rate_order_is_violated():
@@ -212,6 +213,8 @@ def test_t2_qp_matches_gradient_path():
 def test_t2_qp_rejects_bad_rates():
     with pytest.raises(InvalidParameterError):
         t2_uniform_qp(0.2, 0.8)
+    with pytest.raises(InvalidParameterError, match="gs_rate must be"):
+        t2_uniform_qp("0.8", 0.2)
 
 
 def test_projection_input_validation():

@@ -281,6 +281,10 @@ def test_reduced_T2_matrix():
         reduced_T2_functional(0.2, 0.8)
     with pytest.raises(InvalidParameterError):
         reduced_T2_functional(0.5, 0.5)
+    for rates, what in [(("0.8", 0.2), "gs_rate"), ((0.8, True), "gb_rate"),
+                        ((float("nan"), 0.2), "gs_rate")]:
+        with pytest.raises(InvalidParameterError, match=f"{what} must be finite"):
+            reduced_T2_functional(*rates)
 
 
 def test_reduced_T2_agrees_with_full_form_on_the_plane():

@@ -129,10 +129,16 @@ def test_truncate_preserves_totals_and_tail():
     assert game.tail_bound(Uniform(0, 1)) == pytest.approx(0.8**5 / 0.2 * 0.5)
 
 
+def test_truncate_reads_its_rates_as_floats():
+    game = truncate(0.5, np.float32(0.3), 3)
+    assert game == truncate(0.5, float(np.float32(0.3)), 3)
+    assert type(game.seller_tail) is float
+
+
 def test_truncate_guards(monkeypatch):
-    for rate in (0.0, 1.0, -0.2, 1.5, float("nan")):
+    for rate in (0.0, 1.0, -0.2, 1.5, float("nan"), "0.5", True):
         for rates in ((rate, 0.5), (0.5, rate)):
-            with pytest.raises(InvalidParameterError, match="rate must lie in"):
+            with pytest.raises(InvalidParameterError, match="^geometric rate must"):
                 truncate(*rates, 3)
 
     def no_weights(*args):
