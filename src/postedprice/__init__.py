@@ -16,11 +16,10 @@ from .distributions import (Beta, TruncatedExponential, Uniform,
                             parse_distribution, static_revenue)
 from .errors import (InvalidParameterError, PatienceOrderWarning,
                      RegularityError, ResourceLimitError)
-from .optimizer import (OptimizationResult, maximize_L, project_to_delta,
-                        t2_uniform_qp)
+from .optimizer import OptimizationResult, maximize_L, project_to_delta
 from .oracle import (BestResponse, RevenueCurve, best_response,
                      brute_force_optimal_tree, expected_strategic_revenue,
-                     strategic_revenue_curve, strategy_tables)
+                     strategic_revenue_curve, strategy_tables, uniform_face_optimum)
 from .reduction import (ReductionSystem, L_gradient, L_hessian, L_value,
                         build_system, order_strategies, reduced_T2_functional,
                         tree_to_v, v_to_tree)
@@ -35,10 +34,10 @@ __all__ = [
     "myerson_price", "parse_distribution", "static_revenue",
     "InvalidParameterError", "PatienceOrderWarning", "RegularityError",
     "ResourceLimitError", "OptimizationResult", "discount_rates",
-    "maximize_L", "project_to_delta", "rate_order_satisfied", "t2_uniform_qp",
+    "maximize_L", "project_to_delta", "rate_order_satisfied",
     "BestResponse", "RevenueCurve", "best_response",
     "brute_force_optimal_tree", "expected_strategic_revenue",
-    "strategic_revenue_curve", "strategy_tables",
+    "strategic_revenue_curve", "strategy_tables", "uniform_face_optimum",
     "ReductionSystem", "L_gradient", "L_hessian", "L_value", "build_system",
     "order_strategies", "reduced_T2_functional", "tree_to_v", "v_to_tree",
     "TruncatedGame", "big_deal", "constant_myerson", "truncate",

@@ -83,7 +83,7 @@ class Uniform(ValuationDistribution):
 
     @property
     def mean(self):
-        return 0.5 * (self.lo + self.hi)
+        return self.lo + 0.5 * (self.hi - self.lo)
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)

@@ -25,15 +25,13 @@ from scipy.optimize import isotonic_regression
 from .core import DiscountSequence, PricingTree, _positive_int, rate_order_satisfied
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError, PatienceOrderWarning
-from .reduction import (L_gradient, L_hessian, L_value, build_system,
-                        reduced_T2_functional, v_to_tree)
+from .reduction import L_gradient, L_hessian, L_value, build_system, v_to_tree
 
 __all__ = [
     "OptimizationResult",
     "project_to_delta",
     "maximize_L",
     "maximize_bilinear",
-    "t2_uniform_qp",
 ]
 
 KKT_TOL = 1e-9  # gradient-mapping norm that certifies a point
@@ -267,29 +265,3 @@ def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
                               starts=_start_count(starts, system.k),
                               converged=ok, kkt_residual=kkt)
 
-
-def t2_uniform_qp(gs_rate: float, gb_rate: float) -> tuple[np.ndarray, float]:
-    """Exact solution of the reduced two-round problem for U[0, 1].
-
-    With a uniform valuation the reduced form is a strictly concave
-    quadratic, so enumerating the boundary configurations of
-    {0 <= v1 <= v2} (interior, v1 = 0, v1 = v2) solves it exactly.  Used as
-    a cross-check of the gradient path, not as the default solver.
-    """
-    M = reduced_T2_functional(gs_rate, gb_rate)
-    # L(v) = 1' M v - v' M v  for F(v) = v on [0, 1]
-    value = lambda v: float(M.sum(axis=0) @ v - v @ M @ v)
-    S = M + M.T
-    candidates = []
-    v_int = np.linalg.solve(S, M.sum(axis=0))
-    if 0.0 <= v_int[0] <= v_int[1] <= 1.0:
-        candidates.append(v_int)
-    # v1 = 0: maximize the scalar quadratic in v2
-    v2 = M.sum(axis=0)[1] / S[1, 1]
-    candidates.append(np.array([0.0, min(max(v2, 0.0), 1.0)]))
-    # v1 = v2 = w: the constant pricing line
-    w = M.sum() / S.sum()
-    w = min(max(w, 0.0), 1.0)
-    candidates.append(np.array([w, w]))
-    best = max(candidates, key=value)
-    return best, value(best)

@@ -11,14 +11,15 @@ switches, so it is a sum of seller payments times CDF differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations_with_replacement, product
 
 import numpy as np
 
 from .core import (DiscountSequence, GameOutcome, PricingTree, _finite_weights,
                    _nonnegative, _payment_matrix, _pricing_nodes, _words,
                    canonical_nodes, strategy_bits)
-from .distributions import ValuationDistribution
-from .errors import InvalidParameterError
+from .distributions import Uniform, ValuationDistribution
+from .errors import InvalidParameterError, ResourceLimitError
 
 __all__ = [
     "BestResponse",
@@ -30,11 +31,13 @@ __all__ = [
     "expected_strategic_revenue",
     "envelope_breakpoints",
     "brute_force_optimal_tree",
+    "uniform_face_optimum",
 ]
 
 BRUTE_FORCE_GRID = 50  # node prices per support grid in brute_force_optimal_tree
 SURPLUS_TIE_RTOL = 1e-12
 ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at once
+MAX_FACE_K = 7  # uniform_face_optimum's ceiling: Xi at T <= 3, 502 faces at k = 7
 
 
 @dataclass(frozen=True)
@@ -157,6 +160,9 @@ def envelope_breakpoints(tables: StrategyTables, lo: float, hi: float) -> np.nda
     These are the breakpoints of the upper envelope of the surplus lines
     S_a(v) = q_a v - r_a, computed by the convex-hull sweep over slopes.
     """
+    lo, hi = _nonnegative(lo, "breakpoint lo"), _nonnegative(hi, "breakpoint hi")
+    if lo >= hi:
+        raise InvalidParameterError(f"breakpoints need lo < hi, got {lo} and {hi}")
     order = np.lexsort((tables.buyer_payments, tables.quantities))
     q = tables.quantities[order]
     r = tables.buyer_payments[order]
@@ -248,3 +254,43 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
             best_index = start + j
     tree = PricingTree(2, dict(zip(canonical_nodes(2), prices[best_index])))
     return tree, expected_strategic_revenue(tree, dist, buyer_discount, seller_discount)
+
+
+def uniform_face_optimum(matrix, dist: ValuationDistribution) -> tuple[np.ndarray, float]:
+    """Exact maximum (v, value) of (1 - F(v))' M v over 0 <= v_1 <= ... <= v_k, F uniform.
+
+    Each face puts every value at 0, at lo, free in [lo, hi] (adjacent free
+    values pooled or not) or at hi.  F is affine there, so L is a quadratic
+    in the free block values, and the best feasible stationary point over
+    all faces, scored by its face quadratic, is the global maximum:
+    - below lo, L is linear in a block's value, so 0 or lo is as good;
+    - above hi, L is linear with a coefficient <= 0 (on a game's kernel L is
+      a tree's revenue, so bounded), so hi is as good;
+    - a face whose system is singular or whose solution is infeasible has
+      its maximum on a lower face, since the free values lie in [lo, hi].
+    """
+    if not isinstance(dist, Uniform):
+        raise InvalidParameterError(f"face enumeration needs a Uniform valuation, got {dist!r}")
+    matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1] or not np.isfinite(matrix).all():
+        raise InvalidParameterError(f"kernel must be finite and square, got shape {matrix.shape}")
+    k = len(matrix)
+    if k > MAX_FACE_K:
+        raise ResourceLimitError(f"kernel size {k} exceeds the face ceiling {MAX_FACE_K}")
+    lo, hi = dist.support
+    best_v, best = None, -np.inf
+    for a, b, c in combinations_with_replacement(range(k + 1), 3):
+        counts = (a, b - a, c - b, k - c)  # values at 0, at lo, free, at hi
+        base = np.repeat([0.0, lo, 0.0, hi], counts)
+        tail = np.repeat([1.0, 1.0, hi / (hi - lo), 0.0], counts)  # 1 - F(v) + free v / (hi - lo)
+        for cuts in product((0, 1), repeat=max(c - b - 1, 0)):
+            blocks = np.zeros((k, c - b))
+            blocks[np.arange(b, c), np.cumsum((0,) + cuts)[:c - b]] = 1.0
+            blocks = blocks[:, blocks.any(axis=0)]
+            quad = blocks.T @ matrix @ blocks / (hi - lo)
+            lin = blocks.T @ (matrix.T @ tail - matrix @ base / (hi - lo))
+            u = np.linalg.lstsq(quad + quad.T, lin)[0]  # the face's stationary point
+            value = float(tail @ matrix @ base + lin @ u - u @ quad @ u)
+            if np.all(np.diff(u) >= 0) and np.all((lo <= u) & (u <= hi)) and value > best:
+                best_v, best = base + blocks @ u, value
+    return best_v, best

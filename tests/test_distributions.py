@@ -197,6 +197,12 @@ def test_texp_mean_at_extreme_rates(rate):
     assert d.mean == pytest.approx(reference, rel=1e-12)
 
 
+def test_uniform_mean_near_the_float_ceiling_is_finite():
+    mean = Uniform(1e308, 1.7e308).mean
+    assert np.isfinite(mean)
+    assert mean == pytest.approx(1.35e308, rel=1e-15)
+
+
 def test_beta_integer_cdf_closed_form():
     d = Beta(4, 2)
     v = np.linspace(0, 1, 11)

@@ -2,9 +2,11 @@
 
 `core` holds the rules of the game; the solver (`reduction`, `optimizer`),
 the checker (`oracle`) and the closed-form schemes (`schemes`) build on it.
-A private name is shared only from `core`, and the solver and the schemes
-never reach into the checker or each other.  A scalar argument is read by
-one of core's two input rules, never by a `float()` or `int()` of its own.
+A private name is shared only from `core`.  `reduction`, `oracle` and
+`schemes` import only `core` and `distributions` (and `errors`), so the
+checker never reaches into the solver or the schemes, nor they into the
+checker or each other.  A scalar argument is read by one of core's two
+input rules, never by a `float()` or `int()` of its own.
 """
 
 import ast
@@ -14,7 +16,8 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "postedprice"
 
 # module -> siblings it must not import from
 FORBIDDEN = {
-    "reduction": {"oracle"},
+    "oracle": {"reduction", "optimizer", "schemes"},
+    "reduction": {"oracle", "optimizer", "schemes"},
     "schemes": {"oracle", "optimizer", "reduction"},
 }
 # the functions allowed to convert a parameter; `cli` is skipped whole, since

@@ -5,13 +5,14 @@ from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          L_gradient, L_value, PatienceOrderWarning, Uniform,
                          build_system, discount_rates, make_geometric_discount,
                          maximize_L, myerson_price, parse_distribution,
-                         project_to_delta, rate_order_satisfied, t2_uniform_qp,
-                         truncate)
+                         project_to_delta, rate_order_satisfied, truncate,
+                         uniform_face_optimum)
 from postedprice import optimizer
 from postedprice.core import _pointwise_leq
 from postedprice.optimizer import _gradient_mapping, maximize_bilinear
 from postedprice.reduction import reduced_T2_functional
 from test_acceptance import REGRESSION_TAU_VALUES
+from test_oracle import UNIFORM_EDGE_OPTIMA
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +201,47 @@ def test_newton_steps_count_toward_max_iter(monkeypatch, max_iter):
     assert result.v_star.shape == (7,)
 
 
-def test_t2_qp_matches_gradient_path():
+# the exact T = 2 plane-collapse optima on U[0, 1], as (gs, gb): (v, value)
+T2_KERNEL_OPTIMA = {
+    (0.8, 0.2): ([0.3361344537815126, 0.5630252100840336], 0.48403361344537815),
+    (0.6, 0.3): ([0.38613861386138615, 0.5445544554455446], 0.4118811881188119),
+    (0.9, 0.45): ([0.390134529147982, 0.5605381165919282], 0.4941704035874439),
+}
+
+
+def test_face_optimum_matches_gradient_path_on_the_T2_kernel():
     u = Uniform(0, 1)
-    for gs_rate, gb_rate in [(0.8, 0.2), (0.6, 0.3), (0.9, 0.45)]:
-        v_qp, value_qp = t2_uniform_qp(gs_rate, gb_rate)
-        matrix = reduced_T2_functional(gs_rate, gb_rate)
+    for rates, (v_exact, value_exact) in T2_KERNEL_OPTIMA.items():
+        matrix = reduced_T2_functional(*rates)
+        v, value = uniform_face_optimum(matrix, u)
+        assert value == pytest.approx(value_exact, abs=1e-15)
+        assert v == pytest.approx(v_exact, abs=1e-15)
         v_pg, value_pg, _, _, _ = maximize_bilinear(matrix, u, starts=8, seed=2)
-        assert value_pg == pytest.approx(value_qp, abs=1e-9)
-        assert v_pg == pytest.approx(v_qp, abs=1e-4)
+        assert value_pg == pytest.approx(value, abs=1e-9)
+        assert v_pg == pytest.approx(v, abs=1e-4)
 
 
-def test_t2_qp_rejects_bad_rates():
-    with pytest.raises(InvalidParameterError):
-        t2_uniform_qp(0.2, 0.8)
-    with pytest.raises(InvalidParameterError, match="gs_rate must be"):
-        t2_uniform_qp("0.8", 0.2)
+@pytest.mark.parametrize("T, gb_rates", [
+    (2, 0.01 + 0.005 * np.arange(0, 149, 4)),  # every 4th point of the sweep grid
+    (3, [0.05, 0.2, 0.3, 0.5, 0.62, 0.75]),  # Xi + Xi' is indefinite at 0.62
+], ids=["T2-sweep-grid", "T3"])
+def test_maximize_L_is_globally_optimal_on_uniform(T, gb_rates):
+    u = Uniform(0, 1)
+    gs = make_geometric_discount(0.8, T)
+    for gb_rate in gb_rates:
+        gb = make_geometric_discount(gb_rate, T)
+        _, exact = uniform_face_optimum(build_system(gb, gs).Xi, u)
+        assert maximize_L(u, gb, gs).value == pytest.approx(exact, rel=1e-12), gb_rate
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP D6 step 2: the ascent does not reach "
+                          "optima on the support's lower edge")
+def test_maximize_L_reaches_the_exact_uniform_edge_optima():
+    for spec, T, gb_rate, exact in UNIFORM_EDGE_OPTIMA:
+        gb, gs = make_geometric_discount(gb_rate, T), make_geometric_discount(0.8, T)
+        result = maximize_L(parse_distribution(spec), gb, gs)
+        assert result.value == pytest.approx(exact, rel=1e-12), (spec, T, gb_rate)
 
 
 def test_projection_input_validation():

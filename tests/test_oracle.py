@@ -9,8 +9,9 @@ from postedprice import (Beta, DiscountSequence, GameOutcome, InvalidParameterEr
                          PricingTree, ResourceLimitError, Uniform, best_response,
                          big_deal, brute_force_optimal_tree, canonical_nodes,
                          evaluate, expected_strategic_revenue,
-                         make_geometric_discount, maximize_L, order_strategies,
-                         strategic_revenue_curve)
+                         L_value, build_system, make_geometric_discount, maximize_L,
+                         order_strategies, parse_distribution,
+                         strategic_revenue_curve, uniform_face_optimum, v_to_tree)
 from postedprice import oracle
 from postedprice.oracle import strategy_bits, strategy_tables, envelope_breakpoints
 
@@ -266,6 +267,18 @@ def test_envelope_breakpoints_of_constant_tree():
     assert cuts == pytest.approx([0.5])
 
 
+@pytest.mark.parametrize("lo, hi", [(float("nan"), 1.0), (0.0, float("inf")), (-1.0, 1.0),
+                                    ("0", 1.0), (0.0, True), (1.0, 0.0), (0.5, 0.5)],
+                         ids=["nan-lo", "inf-hi", "negative-lo", "string-lo", "bool-hi",
+                              "lo-above-hi", "empty-interval"])
+def test_envelope_breakpoints_refuse_a_bad_interval(lo, hi):
+    g = make_geometric_discount(0.5, 2)
+    tables = strategy_tables(PricingTree(2, {"": 0.5, "0": 0.2, "1": 0.9}), g, g)
+    assert envelope_breakpoints(tables, 0, 1) == pytest.approx([0.2, 0.8, 0.9])
+    with pytest.raises(InvalidParameterError):
+        envelope_breakpoints(tables, lo, hi)
+
+
 # ---------------------------------------------------------------------------
 # brute force
 
@@ -301,3 +314,68 @@ def test_brute_force_beats_baseline_for_impatient_buyer():
     gs = make_geometric_discount(0.8, 2)
     _, value = brute_force_optimal_tree(u, gb, gs)
     assert value >= gs.total * 0.25
+
+
+# ---------------------------------------------------------------------------
+# exact uniform reference: face enumeration over the cone
+
+# (spec, T, gb_rate, exact value) at gs = 0.8: optima on the support's lower
+# edge, v_1 = lo, which the ascent misses (ROADMAP break 3)
+UNIFORM_EDGE_OPTIMA = [
+    ("uniform:1,3", 2, 0.16, 2.196219512195121),
+    ("uniform:2,3", 3, 0.1, 4.891684549356244),
+    ("uniform:2,3", 3, 0.3, 4.880304878048783),
+    ("uniform:1,3", 3, 0.05, 3.2043003567435027),
+]
+
+
+@pytest.mark.parametrize("spec, T, gb_rate, exact", UNIFORM_EDGE_OPTIMA)
+def test_face_optimum_at_the_support_edge_is_a_tree_revenue(spec, T, gb_rate, exact):
+    dist = parse_distribution(spec)
+    gb, gs = make_geometric_discount(gb_rate, T), make_geometric_discount(0.8, T)
+    system = build_system(gb, gs)
+    v, value = uniform_face_optimum(system.Xi, dist)
+    assert value == pytest.approx(exact, rel=1e-12)
+    assert v[0] == dist.lo
+    revenue = expected_strategic_revenue(v_to_tree(system, v), dist, gb, gs)
+    assert revenue == pytest.approx(value, rel=1e-12)
+
+
+def test_face_optimum_value_is_the_revenue_form_at_its_point():
+    # any square kernel: the point is in the cone and its value is L there
+    rng = np.random.default_rng(16)
+    for _ in range(60):
+        k = int(rng.integers(1, 5))
+        matrix = rng.normal(size=(k, k))
+        dist = Uniform(*np.sort(rng.uniform(0.0, 3.0, 2)))
+        v, value = uniform_face_optimum(matrix, dist)
+        assert v[0] >= 0.0 and np.all(np.diff(v) >= 0.0)
+        assert value == pytest.approx(L_value(matrix, dist, v), rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("spec", ["uniform:0,1", "uniform:2,3"])
+def test_no_sampled_cone_point_beats_the_face_optimum(spec):
+    dist = parse_distribution(spec)
+    rng = np.random.default_rng(7)
+    for T in (2, 3):
+        system = build_system(make_geometric_discount(0.3, T), make_geometric_discount(0.8, T))
+        _, value = uniform_face_optimum(system.Xi, dist)
+        samples = np.sort(rng.uniform(0.0, 1.5 * dist.hi, (2000, system.k)), axis=1)
+        sampled = (1.0 - dist.cdf(samples)) * (samples @ system.Xi.T)
+        assert sampled.sum(axis=1).max() <= value * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("dist, matrix, error", [
+    (Beta(2, 2), np.eye(3), InvalidParameterError),
+    ("uniform:0,1", np.eye(3), InvalidParameterError),
+    (Uniform(0, 1), np.ones((2, 3)), InvalidParameterError),
+    (Uniform(0, 1), np.ones(3), InvalidParameterError),
+    (Uniform(0, 1), np.full((3, 3), np.nan), InvalidParameterError),
+    (Uniform(0, 1), np.eye(8), ResourceLimitError),
+], ids=["beta", "spec-string", "non-square", "vector", "nan", "k-8"])
+def test_face_optimum_refuses_before_any_face_is_built(monkeypatch, dist, matrix, error):
+    def enumerate_faces(*args):
+        raise AssertionError("a face was enumerated")
+    monkeypatch.setattr(oracle, "combinations_with_replacement", enumerate_faces)
+    with pytest.raises(error):
+        uniform_face_optimum(matrix, dist)
