@@ -129,14 +129,15 @@ def cmd_myerson(args) -> int:
 
 def _baseline(args, gs: float, h_star: float) -> float:
     """Revenue of constant pricing at the one-shot optimal price, the
-    denominator of every `ratio`; a zero baseline is a domain error.  The
-    seller total is the finite game's, or 1 / (1 - gs) for the infinite one."""
+    denominator of every `ratio`; a zero or overflowing baseline is a domain
+    error.  The seller total is the finite game's, or 1 / (1 - gs) for the
+    infinite one."""
     total = (1.0 / (1.0 - gs) if args.horizon is None
              else make_geometric_discount(gs, args.horizon).total)
     baseline = total * h_star
-    if baseline == 0.0:
+    if baseline == 0.0 or not np.isfinite(baseline):
         raise InvalidParameterError(
-            "the constant-pricing baseline revenue is zero, so no ratio is defined")
+            f"the constant-pricing baseline revenue is {baseline}, so no ratio is defined")
     return baseline
 
 

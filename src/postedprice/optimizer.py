@@ -1,10 +1,11 @@
 """Maximization of the revenue form over the ordered cone Delta^k.
 
 Multi-start projected gradient ascent with Armijo backtracking.  The
-feasible set {0 <= v_1 <= ... <= v_k} admits an exact Euclidean projection
-(isotonic regression followed by clamping at zero, which commute on this
-cone), so no general-purpose NLP solver is needed.  The form is not
-concave for unequal discounts, hence the multi-start.
+feasible set {lo <= v_1 <= ... <= v_k}, lo the support's lower end, admits
+an exact Euclidean projection (isotonic regression, then clamped at `lo`;
+the two commute on this cone), so no general-purpose NLP solver is
+needed.  The form is not concave for unequal discounts, hence the
+multi-start.
 
 Each run is polished by Newton's method on the face of the cone it settles
 on (projected Newton, Bertsekas 1982), with one value per pooled block.  A
@@ -55,45 +56,46 @@ class OptimizationResult:
     kkt_residual: float
 
 
-def project_to_delta(x) -> np.ndarray:
-    """Euclidean projection onto {0 <= v_1 <= ... <= v_k}.
+def project_to_delta(x, lo) -> np.ndarray:
+    """Euclidean projection onto {lo <= v_1 <= ... <= v_k}.
 
     Isotonic regression (pool-adjacent-violators) enforces the ordering;
-    clamping negatives to zero enforces non-negativity.  The two steps
-    commute for this cone, so the composition is the exact projection.
+    the result is then clamped at `lo`.  The two steps commute for this
+    cone, so the composition is the exact projection.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise InvalidParameterError("expected a non-empty 1-d vector")
     iso = isotonic_regression(x, increasing=True).x
-    return np.maximum(iso, 0.0)
+    return np.maximum(iso, lo)
 
 
-def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float):
+def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float, lo: float):
     """project(x + step0 g) and its distance from x over step0: 0 exactly at a KKT point."""
-    reference = project_to_delta(x + step0 * g)
+    reference = project_to_delta(x + step0 * g, lo)
     return reference, float(np.linalg.norm(reference - x) / step0)
 
 
-def _face(x: np.ndarray) -> np.ndarray:
-    """The face of Delta^k that x lies on: [x_1 == 0, x_2 == x_1, ..., x_k == x_{k-1}].
+def _face(x: np.ndarray, lo: float) -> np.ndarray:
+    """The face of the cone that x lies on: [x_1 == lo, x_2 == x_1, ..., x_k == x_{k-1}].
 
     Exact comparisons suffice: the projection leaves pooled values equal
-    and clamped ones at 0.
+    and the ones it clamped at `lo` equal to `lo`.
     """
-    return np.concatenate(([x[0] == 0.0], x[1:] == x[:-1]))
+    return np.concatenate(([x[0] == lo], x[1:] == x[:-1]))
 
 
 def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
-                 g: np.ndarray, f: float, step0: float, budget: int):
+                 g: np.ndarray, f: float, step0: float, budget: int, lo: float):
     """Newton's method on the block values of x's face, from x (gradient g).
 
-    Each pooled block moves as one value, v = B u, and the block at 0 stays
-    there.  Returns the steps taken and (v, value, kkt) for the first Newton
-    point that is feasible, worth at least f, and certified by the gradient
-    mapping at `KKT_TOL`, or None when no point within `budget` steps is.
+    Each pooled block moves as one value, v = B u, and the block at `lo`
+    stays there.  Returns the steps taken and (v, value, kkt) for the first
+    Newton point that is feasible, worth at least f, and certified by the
+    gradient mapping at `KKT_TOL`, or None when no point within `budget`
+    steps is.
     """
-    labels = np.cumsum(~_face(x))  # label 0 marks the block at 0
+    labels = np.cumsum(~_face(x, lo))  # label 0 marks the block at lo
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
     v = x
     for step in range(1, budget + 1):
@@ -103,10 +105,10 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
         except np.linalg.LinAlgError:
             return step, None
         v = v + blocks @ np.linalg.solve(curvature, blocks.T @ g)
-        if not (v[0] >= 0.0 and np.all(v[1:] >= v[:-1])):
+        if not (v[0] >= lo and np.all(v[1:] >= v[:-1])):
             return step, None
         g = L_gradient(matrix, dist, v)
-        _, kkt = _gradient_mapping(v, g, step0)
+        _, kkt = _gradient_mapping(v, g, step0, lo)
         value = L_value(matrix, dist, v)
         if kkt <= KKT_TOL and value >= f:
             return step, (v, value, kkt)
@@ -114,7 +116,7 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
 
 
 def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
-                      x0: np.ndarray, step0: float):
+                      x0: np.ndarray, step0: float, lo: float):
     """One run of projected gradient ascent with Armijo backtracking.
 
     Accepted line-search steps never decrease the objective.  Near the
@@ -132,20 +134,20 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     reports the gradient mapping at the point it returns, and certifies if
     that passes the test.
     """
-    x = project_to_delta(x0)
+    x = project_to_delta(x0, lo)
     f = L_value(matrix, dist, x)
     best_x, best_f = x, f
     step = step0
     kkt = np.inf
     best_kkt = np.inf
     stalled = 0
-    face, face_age = _face(x), 0
+    face, face_age = _face(x, lo), 0
     it = 0
     ok = False
     while it < MAX_ITER:
         it += 1
         g = L_gradient(matrix, dist, x)
-        reference, kkt = _gradient_mapping(x, g, step0)
+        reference, kkt = _gradient_mapping(x, g, step0, lo)
         if kkt <= KKT_TOL:
             ok = True
             break
@@ -156,14 +158,14 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             stalled += 1
             if stalled > 250:  # gradient mapping hit its noise floor
                 break
-        current = _face(x)
+        current = _face(x, lo)
         if np.array_equal(current, face):
             face_age += 1
         else:
             face, face_age = current, 0
         if face_age == FACE_STABLE_ITERS:
             steps, polished = _face_newton(matrix, dist, x, g, f, step0,
-                                           min(NEWTON_MAX_STEPS, MAX_ITER - it))
+                                           min(NEWTON_MAX_STEPS, MAX_ITER - it), lo)
             it += steps
             if polished is not None:
                 x, f, kkt = polished
@@ -172,7 +174,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
         t = min(step * 2.0, step0 * 1e6)
         accepted = False
         while t >= step0 * 1e-14:
-            x_new = project_to_delta(x + t * g)
+            x_new = project_to_delta(x + t * g, lo)
             f_new = L_value(matrix, dist, x_new)
             if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
                     and f_new >= f:
@@ -192,7 +194,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     if f < best_f - 1e-12 * max(1.0, abs(best_f)):
         x, f, ok = best_x, best_f, False
     if not ok:
-        _, kkt = _gradient_mapping(x, L_gradient(matrix, dist, x), step0)
+        _, kkt = _gradient_mapping(x, L_gradient(matrix, dist, x), step0, lo)
         ok = kkt <= KKT_TOL
     return x, f, it, ok, kkt
 
@@ -205,13 +207,38 @@ def _start_count(starts: int | None, k: int) -> int:
 def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
                       starts: int | None = None,
                       seed: int = 0) -> tuple[np.ndarray, float, int, bool, float]:
-    """Multi-start ascent of (1 - F(v))' M v over Delta^k for a given kernel M.
+    """Multi-start ascent of (1 - F(v))' M v over lo <= v_1 <= ... <= v_k for kernel M.
 
     Start points: the constant vector at the one-shot optimal price, the
     distribution's quantiles, and seeded random sorted draws.  Among runs
     tying for the best value (within 1e-10) a certified run is preferred,
     then the lexicographically smallest point, so results are stable and
-    `converged` holds whenever a tied run certified.
+    `converged` holds whenever a tied run certified.  The solve is refused
+    with `InvalidParameterError` as soon as a run's value is not finite:
+    the form overflowed there, and the best finite run would understate an
+    optimum that overflows too.
+
+    The cone's floor is the support's lower end lo, not 0.  On a game's
+    kernel (`build_system`'s Xi, or the 2x2 `reduced_T2_functional`
+    kernel) this loses nothing.  With s = 1 - F(v), L(v) = s' M v, and s = 1 wherever v <= lo,
+    so moving values that lie below lo, within [0, lo], leaves s alone and
+    changes L by s' M d, d the move.  Raising the values below lo to lo is
+    a sum of moves that raise a run of consecutive values together, and
+    each such move is worth s' M e_[l..m] >= 0:
+    - Xi = J K_bs K_bb^-1 J^-1 diag(gaps) (`build_system`), and summing by
+      parts, J^-1 diag(gaps) e_[l..m] = sum_{l <= j <= m} gap_j e_{>=j},
+      with every gap > 0 by regularity;
+    - K_bb^-1 e_{>=j} is the tree that charges every strategy ranked >= j a
+      buyer-discounted 1 and every other strategy 0.  Its price at the
+      node after history h, in round t, is the payment of h 1 0..0 minus
+      that of h 0 0..0, over gb_t > 0.  Accepting in round t raises the
+      quantity and so the rank, so no price is negative;
+    - K_bs >= 0 entrywise, and s' J >= 0 since s is non-negative and
+      non-increasing on the cone.
+    For M = [[gs, 0], [-(gs - gb), 1 + gs - gb]] and s_1 >= s_2 >= 0
+    directly: s' M e_1 >= s_2 gb, s' M e_2 >= 0 and s' M e_[1..2] >= 0.
+    For other kernels the floor can cut the optimum off: M = [[-1, 0],
+    [0, 1]] over Uniform(1, 2) is best at v_1 = 0.
     """
     k = matrix.shape[0]
     starts = _start_count(starts, k)
@@ -230,8 +257,10 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
             x0 = np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))
         else:
             x0 = np.sort(rng.uniform(lo, hi, size=k))
-        x, f, iters, ok, kkt = _projected_ascent(matrix, dist, x0, step0)
+        x, f, iters, ok, kkt = _projected_ascent(matrix, dist, x0, step0, lo)
         total_iters += iters
+        if not np.isfinite(f):
+            raise InvalidParameterError(f"the revenue form is not finite at start {i}")
         runs.append((f, x, ok, kkt))
     best_f = max(r[0] for r in runs)
     tied = [r for r in runs if r[0] >= best_f - 1e-10]

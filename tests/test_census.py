@@ -1,0 +1,47 @@
+"""The start census: 13 solves that a change to starts, steps or faces must keep.
+
+Deselected by default (about 45 s); run with `pytest -m census`.  Every
+solve uses gs = 0.8 and the default starts and seed, and must certify.
+Its value is pinned to 1e-12 relative: on supports starting at 0 to the
+value recorded before the cone's floor moved to `lo` (those solves run the
+same arithmetic).  The uniform edge optima (`UNIFORM_EDGE_OPTIMA`, and
+`uniform:2,3` at T = 2) are checked against `uniform_face_optimum` in
+tier-1 (`test_optimizer.py`), so they are not repeated here.
+"""
+
+import pytest
+
+from postedprice import make_geometric_discount, maximize_L, parse_distribution, truncate
+
+pytestmark = pytest.mark.census
+
+# (spec, "T<n>" or "tau<n>", gb) -> value
+CENSUS = {
+    ("uniform:0,1", "T6", 0.3): 1.1601430811586457,
+    ("uniform:0,1", "T3", 0.62): 0.6255309568854978,
+    ("uniform:0,1", "tau6", 0.2): 1.7711812169537322,
+    ("beta:4,2", "T3", 0.3): 1.072397474066283,
+    ("beta:4,2", "T5", 0.3): 1.5618097058097709,
+    ("beta:4,2", "tau6", 0.2): 2.557293666381432,
+    ("beta:0.5,0.5", "T3", 0.3): 0.7098106452623213,
+    ("beta:0.5,0.5", "T5", 0.3): 1.0640918380086224,
+    ("beta:0.5,0.5", "tau6", 0.2): 1.8220408780997457,
+    ("texp:50,1", "T3", 0.3): 0.021015382452953316,
+    ("texp:50,1", "T4", 0.3): 0.027357946438212575,
+    ("texp:50,1", "tau6", 0.2): 0.06113738779277095,
+    # k = 15 is past the face enumeration: pinned at the first certified solve
+    ("uniform:2,3", "T4", 0.3): 5.932227317554244,
+}
+
+
+@pytest.mark.parametrize("spec, depth, gb_rate", list(CENSUS))
+def test_census_solve_certifies_at_its_pinned_value(spec, depth, gb_rate):
+    n = int(depth.removeprefix("tau").removeprefix("T"))
+    if depth.startswith("tau"):
+        game = truncate(gb_rate, 0.8, n)
+        buyer, seller = game.buyer, game.seller
+    else:
+        buyer, seller = make_geometric_discount(gb_rate, n), make_geometric_discount(0.8, n)
+    result = maximize_L(parse_distribution(spec), buyer, seller)
+    assert result.converged
+    assert result.value == pytest.approx(CENSUS[spec, depth, gb_rate], rel=1e-12)

@@ -356,9 +356,17 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--horizon", "2"], 3),
     (["simulate", "--tree", "HUGE_TREE", "--dist", "uniform:0,1", "--gs", "0.5",
       "--gb", "0.5"], 3),
+    *[pytest.param(["optimize", "--dist", "uniform:1e308,1.7e308", "--gs", "0.8", "--gb", "0.3",
+                    *mode, "--starts", "2"], 3)  # the baseline overflows
+      for mode in (["--tau", "2"], ["--horizon", "2"], ["--horizon", "3"])],
+    pytest.param(["optimize", "--dist", "uniform:0,1.7e308", "--gs", "0.8", "--gb", "0.3",
+                  "--horizon", "2", "--starts", "2"], 3,  # the baseline is finite, the form is not
+                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "config-array",
         "grid-size-negative", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
-        "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon"])
+        "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon",
+        "optimize-baseline-overflows-tau2", "optimize-baseline-overflows-T2",
+        "optimize-baseline-overflows-T3", "optimize-form-overflows"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")

@@ -1,10 +1,12 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          L_gradient, L_value, PatienceOrderWarning, Uniform,
-                         build_system, discount_rates, make_geometric_discount,
-                         maximize_L, myerson_price, parse_distribution,
+                         build_system, discount_rates, expected_strategic_revenue,
+                         make_geometric_discount, maximize_L, myerson_price, parse_distribution,
                          project_to_delta, rate_order_satisfied, truncate,
                          uniform_face_optimum)
 from postedprice import optimizer
@@ -20,19 +22,19 @@ from test_oracle import UNIFORM_EDGE_OPTIMA
 
 
 def test_projection_pools_violators():
-    assert project_to_delta([3.0, 1.0, 2.0]) == pytest.approx([2.0, 2.0, 2.0])
+    assert project_to_delta([3.0, 1.0, 2.0], 0.0) == pytest.approx([2.0, 2.0, 2.0])
 
 
 def test_projection_is_identity_on_feasible_points():
     x = np.array([0.0, 0.2, 0.2, 0.9])
-    assert project_to_delta(x) == pytest.approx(x)
-    assert project_to_delta(project_to_delta([3.0, -1.0, 2.0])) == pytest.approx(
-        project_to_delta([3.0, -1.0, 2.0]))
+    assert project_to_delta(x, 0.0) == pytest.approx(x)
+    assert project_to_delta(project_to_delta([3.0, -1.0, 2.0], 0.0), 0.0) == pytest.approx(
+        project_to_delta([3.0, -1.0, 2.0], 0.0))
 
 
 def test_projection_clamps_negatives():
-    assert project_to_delta([-3.0, -1.0, -2.0]) == pytest.approx([0.0, 0.0, 0.0])
-    assert project_to_delta([-1.0, 0.5]) == pytest.approx([0.0, 0.5])
+    assert project_to_delta([-3.0, -1.0, -2.0], 0.0) == pytest.approx([0.0, 0.0, 0.0])
+    assert project_to_delta([-1.0, 0.5], 0.0) == pytest.approx([0.0, 0.5])
 
 
 def test_projection_is_closest_feasible_point():
@@ -40,7 +42,7 @@ def test_projection_is_closest_feasible_point():
     for _ in range(100):
         k = int(rng.integers(2, 9))
         x = rng.normal(0.0, 2.0, k)
-        proj = project_to_delta(x)
+        proj = project_to_delta(x, 0.0)
         d_proj = np.linalg.norm(x - proj)
         for _ in range(50):
             candidate = np.sort(np.abs(rng.normal(0.0, 2.0, k)))
@@ -169,6 +171,29 @@ def test_value_never_below_the_constant_myerson_tree(spec, T, gb_rate):
     assert result.value >= seller.total * h_star * (1 - 1e-12)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the form overflows, by design
+@pytest.mark.parametrize("spec", ["uniform:1e308,1.7e308", "uniform:0,1.7e308"])
+def test_a_form_that_is_not_finite_at_a_start_is_refused(spec):
+    game = truncate(0.3, 0.8, 2)
+    with pytest.raises(InvalidParameterError, match="not finite at start 0"):
+        maximize_L(parse_distribution(spec), game.buyer, game.seller, starts=2)
+
+
+def test_a_non_finite_later_run_refuses_the_solve(monkeypatch):
+    # the finite runs would understate an optimum that overflows
+    matrix, u = reduced_T2_functional(0.8, 0.2), Uniform(0, 1)
+    ascent, calls = optimizer._projected_ascent, []
+
+    def second_run_nan(*args):
+        x, f, it, ok, kkt = ascent(*args)
+        calls.append(None)
+        return x, (np.nan if len(calls) == 2 else f), it, ok, kkt
+
+    monkeypatch.setattr(optimizer, "_projected_ascent", second_run_nan)
+    with pytest.raises(InvalidParameterError, match="not finite at start 1"):
+        maximize_bilinear(matrix, u, starts=6)
+
+
 # ---------------------------------------------------------------------------
 # face-Newton polish
 
@@ -226,42 +251,80 @@ def test_face_optimum_matches_gradient_path_on_the_T2_kernel():
     (3, [0.05, 0.2, 0.3, 0.5, 0.62, 0.75]),  # Xi + Xi' is indefinite at 0.62
 ], ids=["T2-sweep-grid", "T3"])
 def test_maximize_L_is_globally_optimal_on_uniform(T, gb_rates):
-    u = Uniform(0, 1)
     gs = make_geometric_discount(0.8, T)
-    for gb_rate in gb_rates:
-        gb = make_geometric_discount(gb_rate, T)
-        _, exact = uniform_face_optimum(build_system(gb, gs).Xi, u)
-        assert maximize_L(u, gb, gs).value == pytest.approx(exact, rel=1e-12), gb_rate
+    for spec, gb_rate in product(["uniform:0,1", "uniform:2,3", "uniform:0.5,1"], gb_rates):
+        dist, gb = parse_distribution(spec), make_geometric_discount(gb_rate, T)
+        _, exact = uniform_face_optimum(build_system(gb, gs).Xi, dist)
+        result = maximize_L(dist, gb, gs)
+        assert result.value == pytest.approx(exact, rel=1e-12), (spec, gb_rate)
+        assert result.converged, (spec, gb_rate)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="ROADMAP D6 step 2: the ascent does not reach "
-                          "optima on the support's lower edge")
 def test_maximize_L_reaches_the_exact_uniform_edge_optima():
     for spec, T, gb_rate, exact in UNIFORM_EDGE_OPTIMA:
         gb, gs = make_geometric_discount(gb_rate, T), make_geometric_discount(0.8, T)
         result = maximize_L(parse_distribution(spec), gb, gs)
         assert result.value == pytest.approx(exact, rel=1e-12), (spec, T, gb_rate)
+        assert result.converged, (spec, T, gb_rate)
+
+
+def test_maximize_L_certifies_the_T2_optimum_on_the_support_edge():
+    dist = parse_distribution("uniform:2,3")
+    gb, gs = make_geometric_discount(0.3, 2), make_geometric_discount(0.8, 2)
+    result = maximize_L(dist, gb, gs)
+    assert result.converged
+    assert result.value == pytest.approx(3.6, rel=1e-12)
+    revenue = expected_strategic_revenue(result.tree, dist, gb, gs)
+    assert revenue == pytest.approx(result.value, rel=1e-12)
+
+
+def test_no_move_below_the_floor_raises_L_on_a_game():
+    # the floor's premise: below lo, L is linear, and raising any top run
+    # of those values together never lowers it (every suffix sum of the
+    # gradient over them is >= 0); see `maximize_bilinear`
+    rng = np.random.default_rng(17)
+    for _ in range(150):
+        T = int(rng.integers(2, 5))
+        gs_rate = rng.uniform(0.3, 0.95)
+        gb = make_geometric_discount(rng.uniform(0.05, gs_rate), T)
+        Xi = build_system(gb, make_geometric_discount(gs_rate, T)).Xi
+        lo = rng.uniform(0.1, 2.0)
+        dist = Uniform(lo, lo + rng.uniform(0.1, 2.0))
+        for _ in range(10):
+            m = int(rng.integers(1, len(Xi) + 1))  # values below lo
+            v = np.sort(np.concatenate((rng.uniform(0.0, lo, m),
+                                        rng.uniform(lo, dist.hi * 1.2, len(Xi) - m))))
+            suffix_sums = np.cumsum(L_gradient(Xi, dist, v)[:m][::-1])
+            assert suffix_sums.min() >= -1e-12
+
+
+def test_the_floor_premise_fails_off_a_game_kernel():
+    # negative control: raising v_1 toward lo lowers L, and the exact
+    # reference still searches below lo and finds the optimum there
+    matrix, dist = np.array([[-1.0, 0.0], [0.0, 1.0]]), Uniform(1, 2)
+    assert L_gradient(matrix, dist, np.array([0.5, 1.5]))[0] < 0
+    v, _ = uniform_face_optimum(matrix, dist)
+    assert v[0] == 0.0
 
 
 def test_projection_input_validation():
     with pytest.raises(InvalidParameterError):
-        project_to_delta(np.zeros((2, 2)))
+        project_to_delta(np.zeros((2, 2)), 0.0)
 
 
 def test_projection_matches_general_qp_solver():
     # independent oracle: solve the projection QP with SLSQP and compare
     from scipy.optimize import minimize
     rng = np.random.default_rng(31)
-    for _ in range(10):
+    for lo, _ in product([0.0, 0.7], range(10)):
         k = int(rng.integers(2, 7))
         x = rng.normal(0.0, 2.0, k)
-        proj = project_to_delta(x)
+        proj = project_to_delta(x, lo)
         constraints = [{"type": "ineq", "fun": lambda v, i=i: v[i + 1] - v[i]}
                        for i in range(k - 1)]
-        constraints.append({"type": "ineq", "fun": lambda v: v[0]})
+        constraints.append({"type": "ineq", "fun": lambda v: v[0] - lo})
         ref = minimize(lambda v: 0.5 * np.sum((v - x) ** 2),
-                       np.maximum(np.sort(x), 0.0), constraints=constraints,
+                       np.maximum(np.sort(x), lo), constraints=constraints,
                        method="SLSQP")
         assert ref.success
         assert proj == pytest.approx(ref.x, abs=1e-6)
@@ -278,5 +341,6 @@ def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
     result = maximize_L(dist, gb, gs, starts=1)
     Xi = build_system(gb, gs).Xi
     step0 = 1.0 / max(np.linalg.norm(Xi, 1), 1e-12)
-    _, kkt = _gradient_mapping(result.v_star, L_gradient(Xi, dist, result.v_star), step0)
+    _, kkt = _gradient_mapping(result.v_star, L_gradient(Xi, dist, result.v_star), step0,
+                               dist.support[0])
     assert result.kkt_residual == pytest.approx(kkt, rel=1e-12)
