@@ -132,10 +132,14 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     final point is worth less than the best iterate by more than rounding
     (1e-12 relative), the best iterate is returned.  An uncertified run
     reports the gradient mapping at the point it returns, and certifies if
-    that passes the test.
+    that passes the test.  A start whose value is not finite returns at
+    once, after no iterations.
     """
     x = project_to_delta(x0, lo)
-    f = L_value(matrix, dist, x)
+    with np.errstate(invalid="ignore", over="ignore"):
+        f = L_value(matrix, dist, x)
+    if not np.isfinite(f):  # the form overflowed at the start; no step can mend that
+        return x, f, 0, False, np.inf
     best_x, best_f = x, f
     step = step0
     kkt = np.inf

@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_GRID = 50  # node prices per support grid in brute_force_optimal_tree
+BRUTE_FORCE_CHUNK = 256  # trees scored at once in brute_force_optimal_tree
 SURPLUS_TIE_RTOL = 1e-12
 ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at once
 MAX_FACE_K = 7  # uniform_face_optimum's ceiling: Xi at T <= 3, 502 faces at k = 7
@@ -217,6 +218,12 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     panels of 32 nodes), and the winner is re-scored by the exact
     `expected_strategic_revenue`.  Both discounts must have two rounds --
     the point is an oracle cheap enough to run and dumb enough to trust.
+
+    At each node the buyer takes the strategy of largest surplus; among
+    equal surpluses, the first in `strategy_bits` order.  Among equal
+    scores the first tree in grid order wins.  Trees are scored
+    `BRUTE_FORCE_CHUNK` at a time, each chunk holding three float64
+    (chunk, 256) arrays (512 KiB each at 256 trees) and one boolean mask.
     """
     gb = _finite_weights(buyer_discount, 2)
     gs = _finite_weights(seller_discount, 2)
@@ -227,8 +234,9 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     prices = np.stack([a.ravel() for a in np.meshgrid(grid, grid, grid,
                                                       indexing="ij")], axis=1)
     bits = strategy_bits(2)
-    r_buyer = prices @ _payment_matrix(bits, gb).T
-    r_seller = prices @ _payment_matrix(bits, gs).T
+    # (strategies, trees), so each strategy's payments are one contiguous row
+    r_buyer = (prices @ _payment_matrix(bits, gb).T).T.copy()
+    r_seller = (prices @ _payment_matrix(bits, gs).T).T.copy()
     q = bits @ gb
 
     x, w = np.polynomial.legendre.leggauss(32)
@@ -236,17 +244,20 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
     fw = (half * w).ravel() * dist.pdf(nodes)
+    lines = q[:, None] * nodes  # each strategy's buyer value at every node
 
     best_value = -np.inf
     best_index = 0
-    n_trees = prices.shape[0]
-    chunk = 4096
-    for start in range(0, n_trees, chunk):
-        sl = slice(start, min(start + chunk, n_trees))
-        surplus = q[None, :, None] * nodes[None, None, :] - r_buyer[sl][:, :, None]
-        pick = np.argmax(surplus, axis=1)
-        rows = np.arange(pick.shape[0])[:, None]
-        revenue = r_seller[sl][rows, pick]
+    for start in range(0, prices.shape[0], BRUTE_FORCE_CHUNK):
+        sl = slice(start, start + BRUTE_FORCE_CHUNK)
+        # the running best response: its surplus and seller revenue per (tree, node)
+        best = lines[0] - r_buyer[0, sl, None]
+        revenue = np.repeat(r_seller[0, sl, None], len(nodes), axis=1)
+        for j in range(1, len(bits)):
+            surplus = lines[j] - r_buyer[j, sl, None]
+            better = surplus > best  # strict, so the first maximal strategy stays
+            np.copyto(best, surplus, where=better)
+            np.copyto(revenue, r_seller[j, sl, None], where=better)
         values = revenue @ fw
         j = int(np.argmax(values))
         if values[j] > best_value:

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -62,6 +65,15 @@ def test_no_command_prints_usage(capsys):
 def test_help_prints_usage_to_stdout(capsys, argv, usage):
     code, out, err = run(capsys, *argv)
     assert code == 0 and out.startswith(usage) and err == ""
+
+
+def test_the_package_runs_as_a_module():
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "postedprice", "--help"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: postedprice")
 
 
 # ---------------------------------------------------------------------------
@@ -359,9 +371,8 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
     *[pytest.param(["optimize", "--dist", "uniform:1e308,1.7e308", "--gs", "0.8", "--gb", "0.3",
                     *mode, "--starts", "2"], 3)  # the baseline overflows
       for mode in (["--tau", "2"], ["--horizon", "2"], ["--horizon", "3"])],
-    pytest.param(["optimize", "--dist", "uniform:0,1.7e308", "--gs", "0.8", "--gb", "0.3",
-                  "--horizon", "2", "--starts", "2"], 3,  # the baseline is finite, the form is not
-                 marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+    (["optimize", "--dist", "uniform:0,1.7e308", "--gs", "0.8", "--gb", "0.3",
+      "--horizon", "2", "--starts", "2"], 3),  # the baseline is finite, the form is not
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "config-array",
         "grid-size-negative", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
         "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon",
@@ -381,7 +392,7 @@ def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     got, out, err = run(capsys, *[paths.get(a, a) for a in argv])
     assert got == code
     assert out == ""
-    assert err.startswith("usage error: " if code == 2 else "error: ")
+    assert err.startswith("usage error: " if code == 2 else "error: ") and err.count("\n") == 1
 
 
 SWEEP = ["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8"]

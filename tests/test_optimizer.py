@@ -171,12 +171,20 @@ def test_value_never_below_the_constant_myerson_tree(spec, T, gb_rate):
     assert result.value >= seller.total * h_star * (1 - 1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the form overflows, by design
 @pytest.mark.parametrize("spec", ["uniform:1e308,1.7e308", "uniform:0,1.7e308"])
-def test_a_form_that_is_not_finite_at_a_start_is_refused(spec):
+def test_a_form_that_is_not_finite_at_a_start_is_refused(monkeypatch, spec):
+    # refused after the start's own projection, with no RuntimeWarning
+    project, calls = optimizer.project_to_delta, []
+
+    def counted(x, lo):
+        calls.append(None)
+        return project(x, lo)
+
+    monkeypatch.setattr(optimizer, "project_to_delta", counted)
     game = truncate(0.3, 0.8, 2)
     with pytest.raises(InvalidParameterError, match="not finite at start 0"):
         maximize_L(parse_distribution(spec), game.buyer, game.seller, starts=2)
+    assert len(calls) == 1
 
 
 def test_a_non_finite_later_run_refuses_the_solve(monkeypatch):

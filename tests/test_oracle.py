@@ -13,6 +13,7 @@ from postedprice import (Beta, DiscountSequence, GameOutcome, InvalidParameterEr
                          order_strategies, parse_distribution,
                          strategic_revenue_curve, uniform_face_optimum, v_to_tree)
 from postedprice import oracle
+from postedprice.core import _finite_weights, _payment_matrix
 from postedprice.oracle import strategy_bits, strategy_tables, envelope_breakpoints
 
 
@@ -314,6 +315,60 @@ def test_brute_force_beats_baseline_for_impatient_buyer():
     gs = make_geometric_discount(0.8, 2)
     _, value = brute_force_optimal_tree(u, gb, gs)
     assert value >= gs.total * 0.25
+
+
+def argmax_grid_search(dist, buyer, seller):
+    """The grid search in its first form: one (trees, 4, nodes) surplus array,
+    the best response by argmax over the strategies, and the first best score."""
+    gb, gs = _finite_weights(buyer, 2), _finite_weights(seller, 2)
+    lo, hi = dist.support
+    grid = np.linspace(lo, hi, oracle.BRUTE_FORCE_GRID)
+    prices = np.stack([a.ravel() for a in np.meshgrid(grid, grid, grid, indexing="ij")],
+                      axis=1)
+    bits = strategy_bits(2)
+    r_buyer = prices @ _payment_matrix(bits, gb).T
+    r_seller = prices @ _payment_matrix(bits, gs).T
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(lo, hi, 9)
+    half = 0.5 * np.diff(edges)[:, None]
+    nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
+    fw = (half * w).ravel() * dist.pdf(nodes)
+    surplus = (bits @ gb)[None, :, None] * nodes[None, None, :] - r_buyer[:, :, None]
+    revenue = np.take_along_axis(r_seller, np.argmax(surplus, axis=1), axis=1)
+    tree = PricingTree(2, dict(zip(canonical_nodes(2), prices[np.argmax(revenue @ fw)])))
+    return tree, expected_strategic_revenue(tree, dist, buyer, seller)
+
+
+@pytest.mark.parametrize("spec,gb_rate,gs_rate", [
+    ("uniform:0,1", 0.3, 0.8), ("beta:0.5,0.5", 0.3, 0.8), ("beta:4,2", 0.3, 0.8),
+    ("texp:50,1", 0.3, 0.8), ("uniform:2,3", 0.3, 0.8),
+    ("uniform:0,1", 0.5, 0.5), ("beta:4,2", 0.5, 0.5),
+])
+def test_brute_force_picks_the_argmax_winner(monkeypatch, spec, gb_rate, gs_rate):
+    # 1,728 trees in chunks of 100, so the last chunk is partial
+    monkeypatch.setattr(oracle, "BRUTE_FORCE_GRID", 12)
+    monkeypatch.setattr(oracle, "BRUTE_FORCE_CHUNK", 100)
+    dist = parse_distribution(spec)
+    buyer, seller = make_geometric_discount(gb_rate, 2), make_geometric_discount(gs_rate, 2)
+    tree, value = brute_force_optimal_tree(dist, buyer, seller)
+    expected_tree, expected_value = argmax_grid_search(dist, buyer, seller)
+    assert tree.prices() == expected_tree.prices()
+    assert value == expected_value
+
+
+@pytest.mark.parametrize("spec,prices,value", [
+    ("uniform:0,1", (0.5102040816326531, 0.36734693877551017, 0.5714285714285714),
+     0.4745522698875469),
+    ("beta:4,2", (0.5510204081632653, 0.44897959183673464, 0.5918367346938775),
+     0.760527079175474),
+])
+def test_brute_force_full_grid_winner_is_pinned(spec, prices, value):
+    # recorded with the (trees, 4, nodes) argmax kernel, gb 0.3 and gs 0.8
+    tree, got = brute_force_optimal_tree(parse_distribution(spec),
+                                         make_geometric_discount(0.3, 2),
+                                         make_geometric_discount(0.8, 2))
+    assert tuple(tree.prices().values()) == prices
+    assert got == value
 
 
 # ---------------------------------------------------------------------------
