@@ -73,7 +73,7 @@ def project_to_delta(x, lo) -> np.ndarray:
 def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float, lo: float):
     """project(x + step0 g) and its distance from x over step0: 0 exactly at a KKT point."""
     reference = project_to_delta(x + step0 * g, lo)
-    return reference, float(np.linalg.norm(reference - x) / step0)
+    return reference, float(np.linalg.norm((reference - x) / step0))
 
 
 def _face(x: np.ndarray, lo: float) -> np.ndarray:
@@ -133,13 +133,18 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     (1e-12 relative), the best iterate is returned.  An uncertified run
     reports the gradient mapping at the point it returns, and certifies if
     that passes the test.  A start whose value is not finite returns at
-    once, after no iterations.
+    once, after no iterations; otherwise a reference step so large that
+    the line search's longest step, 1e6 of them, overflows is refused
+    with `InvalidParameterError`, since no search could end.
     """
     x = project_to_delta(x0, lo)
     with np.errstate(invalid="ignore", over="ignore"):
         f = L_value(matrix, dist, x)
     if not np.isfinite(f):  # the form overflowed at the start; no step can mend that
         return x, f, 0, False, np.inf
+    if not step0 <= np.finfo(float).max / 1e6:  # the line search's longest step overflows
+        raise InvalidParameterError(
+            f"the support is too wide for the ascent: (hi - lo) / ||M||_1 = {step0:g}")
     best_x, best_f = x, f
     step = step0
     kkt = np.inf
@@ -182,7 +187,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             f_new = L_value(matrix, dist, x_new)
             if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
                     and f_new >= f:
-                accepted = float(np.linalg.norm(x_new - x)) > 0
+                accepted = bool((x_new != x).any())
                 break
             t *= ARMIJO_SHRINK
         if accepted:
@@ -195,7 +200,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             step = step0
         if f > best_f:
             best_x, best_f = x, f
-    if f < best_f - 1e-12 * max(1.0, abs(best_f)):
+    if f < best_f - 1e-12 * abs(best_f):
         x, f, ok = best_x, best_f, False
     if not ok:
         _, kkt = _gradient_mapping(x, L_gradient(matrix, dist, x), step0, lo)
@@ -215,12 +220,20 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
 
     Start points: the constant vector at the one-shot optimal price, the
     distribution's quantiles, and seeded random sorted draws.  Among runs
-    tying for the best value (within 1e-10) a certified run is preferred,
-    then the lexicographically smallest point, so results are stable and
-    `converged` holds whenever a tied run certified.  The solve is refused
-    with `InvalidParameterError` as soon as a run's value is not finite:
-    the form overflowed there, and the best finite run would understate an
-    optimum that overflows too.
+    tying for the best value (within 1e-10 relative) a certified run is
+    preferred, then the lexicographically smallest point, so results are
+    stable and `converged` holds whenever a tied run certified.  The solve
+    is refused with `InvalidParameterError` as soon as a run's value is not
+    finite: the form overflowed there, and the best finite run would
+    understate an optimum that overflows too.
+
+    Steps are in support widths: the reference step is (hi - lo) / ||M||_1.
+    L is homogeneous of degree 1 in v and its gradient does not change with
+    the scale, so scaling the support by H scales every iterate by H, and
+    `KKT_TOL` means the same at every width.  A support so wide that the
+    line search's longest step, 1e6 reference steps, is not finite is
+    refused with `InvalidParameterError` (after a start whose value is not
+    finite, if any).
 
     The cone's floor is the support's lower end lo, not 0.  On a game's
     kernel (`build_system`'s Xi, or the 2x2 `reduced_T2_functional`
@@ -250,7 +263,8 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     lo, hi = dist.support
     rng = np.random.default_rng(seed)
 
-    step0 = 1.0 / max(np.linalg.norm(matrix, 1), 1e-12)
+    with np.errstate(over="ignore"):
+        step0 = (hi - lo) / max(np.linalg.norm(matrix, 1), 1e-12)
 
     runs = []
     total_iters = 0
@@ -267,7 +281,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
             raise InvalidParameterError(f"the revenue form is not finite at start {i}")
         runs.append((f, x, ok, kkt))
     best_f = max(r[0] for r in runs)
-    tied = [r for r in runs if r[0] >= best_f - 1e-10]
+    tied = [r for r in runs if r[0] >= best_f - 1e-10 * abs(best_f)]
     tied.sort(key=lambda r: (not r[2], tuple(r[1])))
     f, x, ok, kkt = tied[0]
     return x, f, total_iters, ok, kkt

@@ -36,7 +36,7 @@ __all__ = [
 
 BRUTE_FORCE_GRID = 50  # node prices per support grid in brute_force_optimal_tree
 BRUTE_FORCE_CHUNK = 256  # trees scored at once in brute_force_optimal_tree
-SURPLUS_TIE_RTOL = 1e-12
+SURPLUS_TIE_RTOL = 1e-12  # surplus ties, relative to the largest quantity times v
 ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at once
 MAX_FACE_K = 7  # uniform_face_optimum's ceiling: Xi at T <= 3, 502 faces at k = 7
 
@@ -46,8 +46,8 @@ class BestResponse(GameOutcome):
     """A surplus-maximizing strategy and the totals it generates.
 
     `tie_count` is how many strategies achieved the maximal surplus (within
-    the relative tolerance `SURPLUS_TIE_RTOL`) before the seller-optimistic
-    tie-break.
+    `SURPLUS_TIE_RTOL` relative to q_max v, the largest quantity times v)
+    before the seller-optimistic tie-break.
     """
 
     tie_count: int
@@ -84,10 +84,14 @@ def strategy_tables(tree: PricingTree, buyer_discount: DiscountSequence,
 def _argbest(tables: StrategyTables, v) -> tuple[np.ndarray, np.ndarray]:
     """Index of the best response at each valuation in v, plus tie counts.
 
-    Ties in surplus (relative tolerance `SURPLUS_TIE_RTOL`) resolve to the
-    strategy with the largest seller payment; remaining ties to the lowest
-    binary value.  The surpluses are formed for blocks of valuations of at
-    most `ARGBEST_BLOCK_CELLS` cells, so memory does not grow with len(v).
+    Ties in surplus (within `SURPLUS_TIE_RTOL` relative to q_max v, the
+    largest quantity times v) resolve to the strategy with the largest
+    seller payment; remaining ties to the lowest binary value.  q_max v
+    bounds both terms of a near-tied surplus q_a v - r_a, since the best
+    surplus is at least 0 (all-reject pays nothing), so payments of
+    strategies far from a tie cannot widen it.  The surpluses are formed
+    for blocks of valuations of at most `ARGBEST_BLOCK_CELLS` cells, so
+    memory does not grow with len(v).
     """
     v = np.atleast_1d(np.asarray(v, dtype=float))
     step = max(1, ARGBEST_BLOCK_CELLS // len(tables.quantities))
@@ -97,7 +101,7 @@ def _argbest(tables: StrategyTables, v) -> tuple[np.ndarray, np.ndarray]:
         block = slice(start, start + step)
         surpluses = tables.quantities[:, None] * v[None, block] - tables.buyer_payments[:, None]
         s_max = surpluses.max(axis=0)
-        tol = SURPLUS_TIE_RTOL * np.maximum(1.0, np.abs(s_max))
+        tol = SURPLUS_TIE_RTOL * tables.quantities.max() * v[block]
         tied = surpluses >= (s_max - tol)[None, :]
         seller = np.where(tied, tables.seller_payments[:, None], -np.inf)
         idx[block], ties[block] = np.argmax(seller, axis=0), tied.sum(axis=0)

@@ -7,11 +7,16 @@ value recorded before the cone's floor moved to `lo` (those solves run the
 same arithmetic).  The uniform edge optima (`UNIFORM_EDGE_OPTIMA`, and
 `uniform:2,3` at T = 2) are checked against `uniform_face_optimum` in
 tier-1 (`test_optimizer.py`), so they are not repeated here.
+Every row has support width 1, so one more test reruns `texp:50,1` at
+T = 3 on supports 2^-20 and 2^20 wide: the same solve in another valuation
+unit.
 """
 
+import numpy as np
 import pytest
 
-from postedprice import make_geometric_discount, maximize_L, parse_distribution, truncate
+from postedprice import (TruncatedExponential, make_geometric_discount, maximize_L,
+                         parse_distribution, truncate)
 
 pytestmark = pytest.mark.census
 
@@ -45,3 +50,14 @@ def test_census_solve_certifies_at_its_pinned_value(spec, depth, gb_rate):
     result = maximize_L(parse_distribution(spec), buyer, seller)
     assert result.converged
     assert result.value == pytest.approx(CENSUS[spec, depth, gb_rate], rel=1e-12)
+
+
+def test_a_scaled_texp_solve_is_the_same_solve():
+    buyer, seller = make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)
+    base = maximize_L(TruncatedExponential(50.0, 1.0), buyer, seller)
+    assert base.converged
+    for H in (2.0 ** -20, 2.0 ** 20):
+        result = maximize_L(TruncatedExponential(50.0 / H, H), buyer, seller)
+        assert result.value == H * base.value, H
+        assert np.array_equal(result.v_star, H * base.v_star), H
+        assert (result.iterations, result.converged) == (base.iterations, True), H

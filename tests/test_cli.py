@@ -91,6 +91,16 @@ def test_optimize_beats_baseline(capsys):
     assert payload["converged"] is True
 
 
+@pytest.mark.parametrize("spec", ["uniform:0,1", "uniform:0,1e17"])
+def test_optimize_ratio_does_not_depend_on_the_valuation_unit(capsys, spec):
+    code, out, _ = run(capsys, "optimize", "--dist", spec, "--gs", "0.8", "--gb", "0.3",
+                       "--horizon", "2")
+    assert code == 0
+    payload = json.loads(out)
+    assert f"{payload['ratio']:.12g}" == "1.05494505495"
+    assert payload["converged"] is True
+
+
 def test_optimize_equal_rates_ratio_one(capsys):
     code, out, _ = run(capsys, "optimize", "--dist", "uniform:0,1", "--gs", "0.5",
                        "--gb", "0.5", "--horizon", "2", "--starts", "6")
@@ -373,11 +383,13 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       for mode in (["--tau", "2"], ["--horizon", "2"], ["--horizon", "3"])],
     (["optimize", "--dist", "uniform:0,1.7e308", "--gs", "0.8", "--gb", "0.3",
       "--horizon", "2", "--starts", "2"], 3),  # the baseline is finite, the form is not
+    (["optimize", "--dist", "uniform:0,1e308", "--gs", "0.5", "--gb", "0.5",
+      "--horizon", "2"], 3),  # the form is finite, the line search's longest step is not
 ], ids=["tau-list-word", "tau-list-empty", "config-not-json", "config-array",
         "grid-size-negative", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
         "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon",
         "optimize-baseline-overflows-tau2", "optimize-baseline-overflows-T2",
-        "optimize-baseline-overflows-T3", "optimize-form-overflows"])
+        "optimize-baseline-overflows-T3", "optimize-form-overflows", "optimize-step-overflows"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")

@@ -286,6 +286,24 @@ def test_maximize_L_certifies_the_T2_optimum_on_the_support_edge():
     assert revenue == pytest.approx(result.value, rel=1e-12)
 
 
+@pytest.mark.parametrize("lo, hi, T", [(0, 1, 2), (0, 1, 3), (1, 3, 3), (2, 3, 4)])
+def test_scaling_the_support_scales_the_solve(lo, hi, T):
+    # L is homogeneous of degree 1 in the valuation, and the ascent steps in
+    # support widths, so a power-of-two scale runs the same arithmetic; at
+    # 2^+-900 the squares of a step's entries leave the float range
+    gb, gs = make_geometric_discount(0.3, T), make_geometric_discount(0.8, T)
+    base = maximize_L(Uniform(lo, hi), gb, gs)
+    for H in (2.0 ** -900, 2.0 ** -40, 2.0 ** -20, 2.0 ** 20, 2.0 ** 56, 2.0 ** 900):
+        result = maximize_L(Uniform(lo * H, hi * H), gb, gs)
+        assert result.value == H * base.value, H
+        assert np.array_equal(result.v_star, H * base.v_star), H
+        assert (result.iterations, result.converged) == (base.iterations, base.converged), H
+    for H in (1e-300, 1e-13, 1e17, 1e300):
+        result = maximize_L(Uniform(lo * H, hi * H), gb, gs)
+        assert result.value == pytest.approx(H * base.value, rel=1e-12), H
+        assert result.converged, H
+
+
 def test_no_move_below_the_floor_raises_L_on_a_game():
     # the floor's premise: below lo, L is linear, and raising any top run
     # of those values together never lowers it (every suffix sum of the
@@ -348,7 +366,7 @@ def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
     gs = make_geometric_discount(0.8, 3)
     result = maximize_L(dist, gb, gs, starts=1)
     Xi = build_system(gb, gs).Xi
-    step0 = 1.0 / max(np.linalg.norm(Xi, 1), 1e-12)
-    _, kkt = _gradient_mapping(result.v_star, L_gradient(Xi, dist, result.v_star), step0,
-                               dist.support[0])
+    lo, hi = dist.support
+    step0 = (hi - lo) / max(np.linalg.norm(Xi, 1), 1e-12)
+    _, kkt = _gradient_mapping(result.v_star, L_gradient(Xi, dist, result.v_star), step0, lo)
     assert result.kkt_residual == pytest.approx(kkt, rel=1e-12)

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from postedprice import (Beta, DiscountSequence, GameOutcome, InvalidParameterError,
-                         PricingTree, ResourceLimitError, Uniform, best_response,
-                         big_deal, brute_force_optimal_tree, canonical_nodes,
+                         PricingTree, ResourceLimitError, TruncatedExponential, Uniform,
+                         best_response, big_deal, brute_force_optimal_tree, canonical_nodes,
                          evaluate, expected_strategic_revenue,
                          L_value, build_system, make_geometric_discount, maximize_L,
                          order_strategies, parse_distribution,
@@ -248,6 +248,46 @@ def test_expected_revenue_exact_under_a_singular_density():
     result = maximize_L(b, gb, gs)
     assert expected_strategic_revenue(result.tree, b, gb, gs) == pytest.approx(
         result.value, abs=1e-12)
+
+
+def _scaled(tree, H):
+    return PricingTree(tree.horizon, {node: H * p for node, p in tree.prices().items()})
+
+
+@pytest.mark.parametrize("family", [lambda H: Uniform(0.0, H),
+                                    lambda H: TruncatedExponential(50.0 / H, H)],
+                         ids=["uniform", "texp"])
+def test_scaling_prices_and_support_scales_the_oracle(family):
+    # surpluses, payments and ties are all degree 1 in the valuation unit, so
+    # a power-of-two scale of the tree and the support changes no decision
+    rng = np.random.default_rng(4)
+    grid = np.linspace(0.0, 1.0, 201)
+    for T in (2, 3, 4):
+        gb, gs = make_geometric_discount(0.3, T), make_geometric_discount(0.8, T)
+        for _ in range(5):
+            tree = random_tree(rng, T, hi=1.0)
+            revenue = expected_strategic_revenue(tree, family(1.0), gb, gs)
+            curve = strategic_revenue_curve(tree, gb, gs, grid)
+            for H in (2.0 ** -40, 2.0 ** 40):
+                assert expected_strategic_revenue(_scaled(tree, H), family(H), gb, gs) \
+                    == H * revenue, (T, H)
+                assert strategic_revenue_curve(_scaled(tree, H), gb, gs, H * grid).strategies \
+                    == curve.strategies, (T, H)
+
+
+def test_a_scaled_threshold_ties_the_same_strategies():
+    rng = np.random.default_rng(3)
+    gb, gs = make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)
+    tree = random_tree(rng, 3, hi=1.0)
+    thresholds = envelope_breakpoints(strategy_tables(tree, gb, gs), 0.0, 1.0)
+    assert len(thresholds) > 0
+    for v in thresholds:
+        expected = best_response(tree, v, gb, gs)
+        assert expected.tie_count == 2
+        for H in (2.0 ** -40, 2.0 ** 40):
+            response = best_response(_scaled(tree, H), H * v, gb, gs)
+            assert (response.strategy, response.tie_count) == (
+                expected.strategy, expected.tie_count), (v, H)
 
 
 def test_breakpoint_alignment_handles_jumps():
