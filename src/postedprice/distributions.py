@@ -190,7 +190,9 @@ class TruncatedExponential(ValuationDistribution):
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
-        return (-np.log1p(-np.clip(q, 0.0, 1.0) * self._mass) / self.rate)[()]
+        with np.errstate(divide="ignore"):  # log1p(-1) = -inf where the mass rounds to 1
+            x = -np.log1p(-np.clip(q, 0.0, 1.0) * self._mass) / self.rate
+        return np.minimum(x, self.bound)[()]
 
     def spec_string(self):
         return f"texp:{self.rate:g},{self.bound:g}"

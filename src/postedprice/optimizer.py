@@ -230,10 +230,11 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     Steps are in support widths: the reference step is (hi - lo) / ||M||_1.
     L is homogeneous of degree 1 in v and its gradient does not change with
     the scale, so scaling the support by H scales every iterate by H, and
-    `KKT_TOL` means the same at every width.  A support so wide that the
-    line search's longest step, 1e6 reference steps, is not finite is
-    refused with `InvalidParameterError` (after a start whose value is not
-    finite, if any).
+    `KKT_TOL` means the same at every width.  `KKT_TOL` is in the kernel's
+    units: scaling M scales the gradient mapping with it.  A support so
+    wide that the line search's longest step, 1e6 reference steps, is not
+    finite is refused with `InvalidParameterError` (after a start whose
+    value is not finite, if any).
 
     The cone's floor is the support's lower end lo, not 0.  On a game's
     kernel (`build_system`'s Xi, or the 2x2 `reduced_T2_functional`
@@ -294,10 +295,13 @@ def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
 
     Builds the reduction system, ascends L from multiple starts, and maps
     the winning point back to its tree.  An infinite game is solved on its
-    `truncate`.  If the discount rates violate nu(buyer) <= nu(seller) a
-    `PatienceOrderWarning` is issued: the result is still the best
-    completely active pricing, but the global optimality guarantee does
-    not apply.
+    `truncate`.  Revenue is solved for in the seller's first-round units:
+    the ascent runs on Xi / gs_1 and the value reported is gs_1 times its
+    value, so `kkt_residual` is in those units, and scaling either discount
+    by a power of two runs the same solve.  If the discount rates violate
+    nu(buyer) <= nu(seller) a `PatienceOrderWarning` is issued: the result
+    is still the best completely active pricing, but the global optimality
+    guarantee does not apply.
     """
     system = build_system(buyer_discount, seller_discount)
     if not rate_order_satisfied(buyer_discount, seller_discount):
@@ -305,10 +309,10 @@ def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
             "discount rates violate nu(buyer) <= nu(seller); the optimum over "
             "completely active pricings may not be globally optimal",
             PatienceOrderWarning, stacklevel=2)
+    starts = _start_count(starts, system.k)
     v, value, iters, ok, kkt = maximize_bilinear(
-        system.Xi, dist, starts=starts, seed=seed)
+        system.Xi / seller_discount.weights[0], dist, starts=starts, seed=seed)
     tree = v_to_tree(system, v)
-    return OptimizationResult(v_star=v, value=value, tree=tree, iterations=iters,
-                              starts=_start_count(starts, system.k),
-                              converged=ok, kkt_residual=kkt)
+    return OptimizationResult(v_star=v, value=seller_discount.weights[0] * value, tree=tree,
+                              iterations=iters, starts=starts, converged=ok, kkt_residual=kkt)
 

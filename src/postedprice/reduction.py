@@ -33,8 +33,8 @@ __all__ = [
     "reduced_T2_functional",
 ]
 
-QUANTITY_COLLISION_TOL = 1e-12
-CONE_ORDER_TOL = 1e-9  # slack of v_to_tree's 0 <= v_1 <= ... <= v_k check
+QUANTITY_COLLISION_TOL = 1e-12  # relative to Gamma^B
+CONE_ORDER_TOL = 1e-9  # v_to_tree's cone slack, relative to ||v||_1
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ def order_strategies(buyer_discount: DiscountSequence) -> StrategyOrder:
 
     Regularity means every strategy yields a distinct discounted quantity.
     Two quantities collide when they differ by at most
-    `QUANTITY_COLLISION_TOL`; the `RegularityError` then names the pair.
+    `QUANTITY_COLLISION_TOL` times the largest one, Gamma^B; the
+    `RegularityError` then names the pair.
     """
     w = buyer_discount.as_array()
     bits = strategy_bits(len(w))
@@ -77,7 +78,7 @@ def order_strategies(buyer_discount: DiscountSequence) -> StrategyOrder:
     order = StrategyOrder(horizon=len(w), index=idx, quantities=quantities[idx])
     gaps = np.diff(order.quantities)
     j = int(np.argmin(gaps))
-    if gaps[j] <= QUANTITY_COLLISION_TOL:
+    if gaps[j] <= QUANTITY_COLLISION_TOL * order.quantities[-1]:
         pair = order.strategies[j:j + 2]
         raise RegularityError(
             f"buyer discount is not regular: strategies {pair[0]} and "
@@ -147,7 +148,7 @@ def build_system(buyer_discount: DiscountSequence,
 
     if buyer_discount.weights == seller_discount.weights:
         off = Xi - np.diag(np.diag(Xi))
-        if np.max(np.abs(off)) > 1e-9 * max(1.0, np.max(np.abs(Xi))):
+        if np.max(np.abs(off)) > 1e-9 * np.max(np.abs(Xi)):
             raise RuntimeError("internal error: Xi not diagonal for equal discounts")
 
     return ReductionSystem(order, W, np.linalg.inv(W), Xi)
@@ -167,15 +168,15 @@ def tree_to_v(system: ReductionSystem, tree: PricingTree) -> np.ndarray:
 def v_to_tree(system: ReductionSystem, v) -> PricingTree:
     """The completely active tree whose indifference points are v.
 
-    v must lie in Delta^k (non-negative, non-decreasing) up to
-    `CONE_ORDER_TOL`.  On the cone the prices W_inv @ v are non-negative up
-    to rounding; the negative dust that rounding or the cone slack leaves
-    is clamped to 0.
+    v must lie in Delta^k (non-negative, non-decreasing) up to a slack of
+    `CONE_ORDER_TOL` * ||v||_1.  On the cone the prices W_inv @ v are
+    non-negative up to rounding; the negative dust that rounding or the
+    cone slack leaves is clamped to 0.
     """
     v = np.asarray(v, dtype=float)
     if v.shape != (system.k,):
         raise InvalidParameterError(f"v must have shape ({system.k},)")
-    if v[0] < -CONE_ORDER_TOL or np.any(np.diff(v) < -CONE_ORDER_TOL):
+    if np.min(np.diff(v, prepend=0.0)) < -CONE_ORDER_TOL * np.linalg.norm(v, 1):
         raise InvalidParameterError("v must satisfy 0 <= v_1 <= ... <= v_k")
     prices = np.maximum(system.W_inv @ v, 0.0)
     return PricingTree(system.horizon, dict(zip(canonical_nodes(system.horizon), prices)))

@@ -1,22 +1,23 @@
 """The start census: 13 solves that a change to starts, steps or faces must keep.
 
-Deselected by default (about 45 s); run with `pytest -m census`.  Every
+Deselected by default (14 tests, about 50 s); run with `pytest -m census`.  Every
 solve uses gs = 0.8 and the default starts and seed, and must certify.
 Its value is pinned to 1e-12 relative: on supports starting at 0 to the
 value recorded before the cone's floor moved to `lo` (those solves run the
 same arithmetic).  The uniform edge optima (`UNIFORM_EDGE_OPTIMA`, and
 `uniform:2,3` at T = 2) are checked against `uniform_face_optimum` in
 tier-1 (`test_optimizer.py`), so they are not repeated here.
-Every row has support width 1, so one more test reruns `texp:50,1` at
-T = 3 on supports 2^-20 and 2^20 wide: the same solve in another valuation
-unit.
+Every row has support width 1 and a first seller weight of 1, so one more
+test reruns `texp:50,1` at T = 3 on supports 2^-20 and 2^20 wide (the
+same solve in another valuation unit) and with the seller's weights
+scaled by 2^-40 and 2^30 (the same solve in another revenue unit).
 """
 
 import numpy as np
 import pytest
 
-from postedprice import (TruncatedExponential, make_geometric_discount, maximize_L,
-                         parse_distribution, truncate)
+from postedprice import (DiscountSequence, TruncatedExponential, make_geometric_discount,
+                         maximize_L, parse_distribution, truncate)
 
 pytestmark = pytest.mark.census
 
@@ -56,8 +57,14 @@ def test_a_scaled_texp_solve_is_the_same_solve():
     buyer, seller = make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)
     base = maximize_L(TruncatedExponential(50.0, 1.0), buyer, seller)
     assert base.converged
-    for H in (2.0 ** -20, 2.0 ** 20):
+    for H in (2.0 ** -20, 2.0 ** 20):  # the valuation unit
         result = maximize_L(TruncatedExponential(50.0 / H, H), buyer, seller)
         assert result.value == H * base.value, H
         assert np.array_equal(result.v_star, H * base.v_star), H
         assert (result.iterations, result.converged) == (base.iterations, True), H
+    for c in (2.0 ** -40, 2.0 ** 30):  # the seller's revenue unit
+        scaled = DiscountSequence([c * w for w in seller.weights])
+        result = maximize_L(TruncatedExponential(50.0, 1.0), buyer, scaled)
+        assert result.value == c * base.value, c
+        assert np.array_equal(result.v_star, base.v_star), c
+        assert (result.iterations, result.converged) == (base.iterations, True), c

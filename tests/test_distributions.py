@@ -188,6 +188,14 @@ def test_texp_closed_forms():
     assert d.pdf(0.0) == pytest.approx(1 / (1 - 1 / e))
 
 
+@pytest.mark.parametrize("rate", [36.0, 38.0, 1e4])
+def test_texp_quantile_stays_in_the_support(rate):
+    # 1 - exp(-rate) rounds to within an ulp of 1 (or to 1, where log1p(-1) = -inf)
+    d = TruncatedExponential(rate, 1.0)
+    assert d.quantile(1.0) == 1.0
+    assert np.all(d.quantile(np.linspace(0.0, 1.0, 11)) <= 1.0)
+
+
 @pytest.mark.parametrize("rate", [1e-300, 1e-12, 1e-6, 1.0, 50.0, 1e4])
 def test_texp_mean_at_extreme_rates(rate):
     d = TruncatedExponential(rate, 1.0)

@@ -304,6 +304,26 @@ def test_scaling_the_support_scales_the_solve(lo, hi, T):
         assert result.converged, H
 
 
+@pytest.mark.parametrize("spec, T", [("uniform:0,1", 2), ("uniform:0,1", 3), ("uniform:2,3", 3),
+                                     ("beta:4,2", 3), ("beta:0.5,0.5", 3)])
+def test_scaling_a_discount_scales_the_solve(spec, T):
+    # revenue is sum_t gs_t p_t, so scaling the seller's weights by c scales the
+    # optimum by c and leaves its tree alone, and scaling the buyer's moves no
+    # best response; the solve runs in the seller's first-round units, so a
+    # power-of-two scale of either side runs the same arithmetic
+    dist = parse_distribution(spec)
+    gb, gs = make_geometric_discount(0.3, T), make_geometric_discount(0.8, T)
+    base = maximize_L(dist, gb, gs)
+    assert base.converged
+    scaled = lambda d, c: DiscountSequence([c * w for w in d.weights])
+    solves = [(c, maximize_L(dist, gb, scaled(gs, c))) for c in (2.0 ** -40, 2.0 ** 30)]
+    solves += [(1.0, maximize_L(dist, scaled(gb, c), gs)) for c in (2.0 ** -40, 2.0 ** 20)]
+    for i, (unit, result) in enumerate(solves):
+        assert result.value == unit * base.value, i
+        assert np.array_equal(result.v_star, base.v_star), i
+        assert (result.iterations, result.converged) == (base.iterations, True), i
+
+
 def test_no_move_below_the_floor_raises_L_on_a_game():
     # the floor's premise: below lo, L is linear, and raising any top run
     # of those values together never lowers it (every suffix sum of the

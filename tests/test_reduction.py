@@ -172,6 +172,16 @@ def test_v_to_tree_clamps_the_cone_slack():
     assert tree.price("1") == pytest.approx(0.7)
 
 
+def test_v_to_tree_cone_slack_is_relative_to_the_point():
+    # the slack is CONE_ORDER_TOL * ||v||_1: a 64-unit dip at 1e17 is rounding,
+    # and a dip twice the values' own size at 1e-13 is not
+    sys_ = build_system(make_geometric_discount(0.3, 2), make_geometric_discount(0.8, 2))
+    tree = v_to_tree(sys_, [1e17, 1e17 - 64, 2e17])
+    assert tree.price("0") == 1e17
+    with pytest.raises(InvalidParameterError, match="v must satisfy"):
+        v_to_tree(sys_, [3e-13, 1e-13, 2e-13])
+
+
 @pytest.mark.parametrize("T", [2, 3, 4])
 def test_round_trips(T):
     rng = np.random.default_rng(100 + T)
