@@ -33,7 +33,7 @@ __all__ = [
 ]
 
 MAX_ENUM_HORIZON = 20
-ORDER_TOL = 1e-12  # slack of the patience comparisons between discount sequences
+ORDER_TOL = 1e-12  # slack of the patience comparisons, relative to the right-hand side
 _REALS = (int, float, np.integer, np.floating)  # built once: `_nonnegative` is hot
 
 
@@ -153,15 +153,16 @@ def discount_rates(discount: DiscountSequence) -> tuple[float, ...]:
 
 
 def _pointwise_leq(a: DiscountSequence, b: DiscountSequence, per_round=tuple) -> bool:
-    """Whether per_round(a)_t <= per_round(b)_t, up to `ORDER_TOL`, at every
-    round of one finite game; `per_round` defaults to the weights."""
+    """Whether per_round(a)_t <= per_round(b)_t, up to `ORDER_TOL` times
+    |per_round(b)_t|, at every round of one finite game; `per_round` defaults
+    to the weights, so the answer does not depend on their unit."""
     _finite_weights(b, len(a))
-    return all(x <= y + ORDER_TOL for x, y in zip(per_round(a), per_round(b)))
+    return all(x <= y + ORDER_TOL * abs(y) for x, y in zip(per_round(a), per_round(b)))
 
 
 def rate_order_satisfied(buyer_discount: DiscountSequence,
                          seller_discount: DiscountSequence) -> bool:
-    """Whether nu(buyer) <= nu(seller) holds at every round, up to `ORDER_TOL`.
+    """Whether nu(buyer) <= nu(seller) holds at every round, up to `ORDER_TOL` relative.
 
     This is the hypothesis under which searching Delta^k is guaranteed to
     find a globally optimal pricing.  Both discounts are one finite game's;

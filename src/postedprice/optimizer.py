@@ -243,7 +243,8 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     changes L by s' M d, d the move.  Raising the values below lo to lo is
     a sum of moves that raise a run of consecutive values together, and
     each such move is worth s' M e_[l..m] >= 0:
-    - Xi = J K_bs K_bb^-1 J^-1 diag(gaps) (`build_system`), and summing by
+    - Xi = dK_bs W^-1 (`build_system`), with dK = J K (J takes each row
+      less the one before) and W^-1 = K_bb^-1 J^-1 diag(gaps); summing by
       parts, J^-1 diag(gaps) e_[l..m] = sum_{l <= j <= m} gap_j e_{>=j},
       with every gap > 0 by regularity;
     - K_bb^-1 e_{>=j} is the tree that charges every strategy ranked >= j a

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,7 +10,9 @@ from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          PricingTree, RegularityError, Uniform, best_response,
                          build_system, expected_strategic_revenue, make_geometric_discount,
                          order_strategies, reduced_T2_functional, tree_to_v,
-                         v_to_tree)
+                         truncate, v_to_tree)
+
+from exact_kernel import exact_xi
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -86,6 +89,27 @@ def test_equal_discounts_xi_is_diagonal():
     sys_ = build_system(g, g)
     gaps = np.diff(order_strategies(g).quantities)
     assert np.allclose(sys_.Xi, np.diag(gaps), atol=1e-12)
+
+
+def _game(gb, gs, T):
+    return make_geometric_discount(gb, T), make_geometric_discount(gs, T)
+
+
+@pytest.mark.parametrize("buyer, seller", [
+    *(_game(0.3, 0.8, T) for T in (2, 3, 4, 5)),
+    (truncate(0.2, 0.8, 5).buyer, truncate(0.2, 0.8, 5).seller),
+    _game(0.072, 0.656, 4),
+    _game(0.055, 0.286, 5),
+    (truncate(0.9, 0.3, 4).buyer, truncate(0.9, 0.3, 4).seller),  # gb > gs
+], ids=["T2", "T3", "T4", "T5", "tau5", "T4-gb.072-gs.656", "T5-gb.055-gs.286", "tau4-gb.9-gs.3"])
+def test_xi_matches_the_exact_rational_kernel(buyer, seller):
+    system = build_system(buyer, seller)
+    exact = exact_xi(system.order.strategies, system.order.quantities,
+                     buyer.weights, seller.weights)
+    scale = max(abs(x) for row in exact for x in row)
+    error = max(abs(Fraction(float(x)) - e)
+                for row, exact_row in zip(system.Xi, exact) for x, e in zip(row, exact_row))
+    assert float(error / scale) <= 2e-15
 
 
 def test_build_system_requires_positive_weights():

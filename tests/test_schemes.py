@@ -97,10 +97,15 @@ def test_big_deal_single_round_rejected():
 
 
 def test_big_deal_warns_when_seller_is_more_patient():
+    # the slack is relative, so the warning does not depend on the weights'
+    # unit, even where their gaps (at most 2.3e-15 at 2^-50) are tiny
     u = Uniform(0, 1)
     game = truncate(0.2, 0.8, 4)
-    with pytest.warns(PatienceOrderWarning):
-        big_deal(u, game.buyer, game.seller)
+    for scale in (1.0, 2.0 ** -50, 2.0 ** 50):
+        gb, gs = (DiscountSequence([scale * w for w in d.weights])
+                  for d in (game.buyer, game.seller))
+        with pytest.warns(PatienceOrderWarning):
+            big_deal(u, gb, gs)
 
 
 def test_schemes_take_one_finite_game():
