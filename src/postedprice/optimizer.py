@@ -183,7 +183,8 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
         t = min(step * 2.0, step0 * 1e6)
         accepted = False
         while t >= step0 * 1e-14:
-            x_new = project_to_delta(x + t * g, lo)
+            # the reference step's point is the gradient mapping's, already projected
+            x_new = reference if t == step0 else project_to_delta(x + t * g, lo)
             f_new = L_value(matrix, dist, x_new)
             if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
                     and f_new >= f:

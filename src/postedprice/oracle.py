@@ -225,9 +225,22 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
 
     At each node the buyer takes the strategy of largest surplus; among
     equal surpluses, the first in `strategy_bits` order.  Among equal
-    scores the first tree in grid order wins.  Trees are scored
-    `BRUTE_FORCE_CHUNK` at a time, each chunk holding three float64
-    (chunk, 256) arrays (512 KiB each at 256 trees) and one boolean mask.
+    scores the first tree in grid order wins.
+
+    Strategies 00, 01 and 10 pay nothing at the right node '1': their
+    payment rows are [0, 0, 0], [0, g_2, 0] and [g_1, 0, 0].  So each of
+    their payments is exactly fl(g p) of one grid price, whatever order the
+    product sums in, and their running best response is the same for all
+    trees that share a (root, left) price pair.  It is formed once per pair
+    a chunk touches and repeated to the chunk's trees; only strategy 11's
+    line is compared tree by tree.
+
+    Trees are scored `BRUTE_FORCE_CHUNK` at a time.  A chunk of 256 trees
+    holds three float64 (256, 256) arrays (512 KiB each) and one boolean
+    mask, plus (pairs, 256) arrays for the at most 7 pairs it touches.  The
+    chunk's row count is part of each score's rounding: the product that
+    sums a tree's quadrature rounds according to it, so the chunk
+    boundaries fix the scores bit for bit.
     """
     gb = _finite_weights(buyer_discount, 2)
     gs = _finite_weights(seller_discount, 2)
@@ -252,16 +265,23 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
 
     best_value = -np.inf
     best_index = 0
-    for start in range(0, prices.shape[0], BRUTE_FORCE_CHUNK):
-        sl = slice(start, start + BRUTE_FORCE_CHUNK)
-        # the running best response: its surplus and seller revenue per (tree, node)
-        best = lines[0] - r_buyer[0, sl, None]
-        revenue = np.repeat(r_seller[0, sl, None], len(nodes), axis=1)
-        for j in range(1, len(bits)):
-            surplus = lines[j] - r_buyer[j, sl, None]
+    for start in range(0, len(prices), BRUTE_FORCE_CHUNK):
+        stop = min(start + BRUTE_FORCE_CHUNK, len(prices))
+        sl = slice(start, stop)
+        pair = np.arange(start, stop) // len(grid)  # each tree's (root, left) price pair
+        heads = np.arange(pair[0], pair[-1] + 1) * len(grid)
+        # the running best response over strategies 00, 01 and 10, which pay
+        # nothing at the right node: its surplus and seller revenue per (pair, node)
+        best = lines[0] - r_buyer[0, heads, None]
+        revenue = np.repeat(r_seller[0, heads, None], len(nodes), axis=1)
+        for j in range(1, 3):
+            surplus = lines[j] - r_buyer[j, heads, None]
             better = surplus > best  # strict, so the first maximal strategy stays
             np.copyto(best, surplus, where=better)
-            np.copyto(revenue, r_seller[j, sl, None], where=better)
+            np.copyto(revenue, r_seller[j, heads, None], where=better)
+        counts = np.bincount(pair - pair[0])
+        best, revenue = np.repeat(best, counts, axis=0), np.repeat(revenue, counts, axis=0)
+        np.copyto(revenue, r_seller[3, sl, None], where=lines[3] - r_buyer[3, sl, None] > best)
         values = revenue @ fw
         j = int(np.argmax(values))
         if values[j] > best_value:

@@ -56,3 +56,23 @@ def test_every_traced_layer_is_a_public_function(name):
 
 def test_sweeps_intercept_the_cli_solver():
     assert inspect.isfunction(postedprice.cli.maximize_L)
+
+
+def test_each_audit_search_reaches_the_density_once(monkeypatch):
+    # oracle-audit's trace must reach distributions.pdf, and only the
+    # searches' quadrature weights call it
+    workload = workloads.WORKLOADS["oracle-audit"]
+    assert workload.reached == ("distributions.pdf",)
+    calls = []
+    for cls in tracing.DIST_CLASSES:
+        pdf = getattr(postedprice.distributions, cls).pdf
+
+        def counted(self, v, pdf=pdf):
+            calls.append(type(self).__name__)
+            return pdf(self, v)
+
+        monkeypatch.setattr(getattr(postedprice.distributions, cls), "pdf", counted)
+    _, searches = workload.inputs(0)
+    for dist, buyer, seller in searches:
+        postedprice.brute_force_optimal_tree(dist, buyer, seller)
+    assert calls == [type(dist).__name__ for dist, _, _ in searches]

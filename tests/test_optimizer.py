@@ -202,6 +202,22 @@ def test_a_non_finite_later_run_refuses_the_solve(monkeypatch):
         maximize_bilinear(matrix, u, starts=6)
 
 
+def test_the_line_search_reuses_the_projected_reference_step(monkeypatch):
+    # a trial at the reference step takes the gradient mapping's point, so
+    # it is not projected twice; the solve itself does not move
+    project, calls = optimizer.project_to_delta, []
+
+    def counted(x, lo):
+        calls.append(None)
+        return project(x, lo)
+
+    monkeypatch.setattr(optimizer, "project_to_delta", counted)
+    result = maximize_L(Uniform(0, 1), make_geometric_discount(0.3, 2),
+                        make_geometric_discount(0.8, 2))
+    assert (len(calls), result.iterations) == (191, 94)
+    assert result.value == 0.47472527472527476
+
+
 # ---------------------------------------------------------------------------
 # face-Newton polish
 

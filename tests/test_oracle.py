@@ -385,15 +385,18 @@ def argmax_grid_search(dist, buyer, seller):
     ("uniform:0,1", 0.5, 0.5), ("beta:4,2", 0.5, 0.5),
 ])
 def test_brute_force_picks_the_argmax_winner(monkeypatch, spec, gb_rate, gs_rate):
-    # 1,728 trees in chunks of 100, so the last chunk is partial
+    # 1,728 trees in groups of 12 per (root, left) pair.  Chunks of 100 end
+    # partial and mid-group; chunks of 5 split every group over several
+    # chunks, and some of them lie inside one group
     monkeypatch.setattr(oracle, "BRUTE_FORCE_GRID", 12)
-    monkeypatch.setattr(oracle, "BRUTE_FORCE_CHUNK", 100)
     dist = parse_distribution(spec)
     buyer, seller = make_geometric_discount(gb_rate, 2), make_geometric_discount(gs_rate, 2)
-    tree, value = brute_force_optimal_tree(dist, buyer, seller)
     expected_tree, expected_value = argmax_grid_search(dist, buyer, seller)
-    assert tree.prices() == expected_tree.prices()
-    assert value == expected_value
+    for chunk in (100, 5):
+        monkeypatch.setattr(oracle, "BRUTE_FORCE_CHUNK", chunk)
+        tree, value = brute_force_optimal_tree(dist, buyer, seller)
+        assert tree.prices() == expected_tree.prices()
+        assert value == expected_value
 
 
 @pytest.mark.parametrize("spec,prices,value", [
