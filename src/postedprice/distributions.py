@@ -87,7 +87,7 @@ class Uniform(ValuationDistribution):
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
-        return np.clip((v - self.lo) / (self.hi - self.lo), 0.0, 1.0)[()]
+        return np.minimum(1.0, np.maximum(0.0, (v - self.lo) / (self.hi - self.lo)))[()]
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -122,7 +122,7 @@ class Beta(ValuationDistribution):
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
-        return special.betainc(self.alpha, self.beta, np.clip(v, 0.0, 1.0))[()]
+        return special.betainc(self.alpha, self.beta, np.minimum(1.0, np.maximum(0.0, v)))[()]
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -177,7 +177,7 @@ class TruncatedExponential(ValuationDistribution):
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
-        x = np.clip(v, 0.0, self.bound)
+        x = np.minimum(self.bound, np.maximum(0.0, v))
         return (-np.expm1(-self.rate * x) / self._mass)[()]
 
     def pdf(self, v):

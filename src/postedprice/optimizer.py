@@ -17,16 +17,18 @@ way: certified at 1e-9.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
+from scipy.optimize._pava_pybind import pava
 
 from .core import DiscountSequence, PricingTree, _positive_int, rate_order_satisfied
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError, PatienceOrderWarning
-from .reduction import L_gradient, L_hessian, L_value, build_system, v_to_tree
+from .reduction import (L_gradient, L_hessian, build_system, revenue_terms, terms_gradient,
+                        terms_value, v_to_tree)
 
 __all__ = [
     "OptimizationResult",
@@ -61,19 +63,24 @@ def project_to_delta(x, lo) -> np.ndarray:
 
     Isotonic regression (pool-adjacent-violators) enforces the ordering;
     the result is then clamped at `lo`.  The two steps commute for this
-    cone, so the composition is the exact projection.
+    cone, so the composition is the exact projection.  The regression calls
+    SciPy's compiled PAVA kernel (`scipy.optimize._pava_pybind.pava`) with
+    the unit weights and block indices that `isotonic_regression` gives it,
+    without that wrapper's per-call overhead.  The kernel is private to
+    SciPy, so a test pins this function to `isotonic_regression` byte for byte.
     """
-    x = np.asarray(x, dtype=float)
+    x = np.array(x, dtype=float)  # a contiguous copy: the kernel works in place
     if x.ndim != 1 or x.size == 0:
         raise InvalidParameterError("expected a non-empty 1-d vector")
-    iso = isotonic_regression(x, increasing=True).x
+    iso, _, _, _ = pava(x, np.ones(x.size), np.full(x.size + 1, -1, dtype=np.intp))
     return np.maximum(iso, lo)
 
 
 def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float, lo: float):
     """project(x + step0 g) and its distance from x over step0: 0 exactly at a KKT point."""
     reference = project_to_delta(x + step0 * g, lo)
-    return reference, float(np.linalg.norm((reference - x) / step0))
+    d = (reference - x) / step0
+    return reference, math.sqrt(d @ d)
 
 
 def _face(x: np.ndarray, lo: float) -> np.ndarray:
@@ -107,9 +114,10 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
         v = v + blocks @ np.linalg.solve(curvature, blocks.T @ g)
         if not (v[0] >= lo and np.all(v[1:] >= v[:-1])):
             return step, None
-        g = L_gradient(matrix, dist, v)
+        terms = revenue_terms(matrix, dist, v)
+        g = terms_gradient(matrix, dist, v, terms)
         _, kkt = _gradient_mapping(v, g, step0, lo)
-        value = L_value(matrix, dist, v)
+        value = terms_value(terms)
         if kkt <= KKT_TOL and value >= f:
             return step, (v, value, kkt)
     return budget, None
@@ -135,11 +143,14 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     that passes the test.  A start whose value is not finite returns at
     once, after no iterations; otherwise a reference step so large that
     the line search's longest step, 1e6 of them, overflows is refused
-    with `InvalidParameterError`, since no search could end.
+    with `InvalidParameterError`, since no search could end.  Each point's
+    `revenue_terms` are formed once: the point's value and, once it is
+    accepted, the next iteration's gradient are both taken from them.
     """
     x = project_to_delta(x0, lo)
     with np.errstate(invalid="ignore", over="ignore"):
-        f = L_value(matrix, dist, x)
+        terms = revenue_terms(matrix, dist, x)
+        f = terms_value(terms)
     if not np.isfinite(f):  # the form overflowed at the start; no step can mend that
         return x, f, 0, False, np.inf
     if not step0 <= np.finfo(float).max / 1e6:  # the line search's longest step overflows
@@ -155,7 +166,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     ok = False
     while it < MAX_ITER:
         it += 1
-        g = L_gradient(matrix, dist, x)
+        g = terms_gradient(matrix, dist, x, terms)
         reference, kkt = _gradient_mapping(x, g, step0, lo)
         if kkt <= KKT_TOL:
             ok = True
@@ -185,19 +196,21 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
         while t >= step0 * 1e-14:
             # the reference step's point is the gradient mapping's, already projected
             x_new = reference if t == step0 else project_to_delta(x + t * g, lo)
-            f_new = L_value(matrix, dist, x_new)
+            terms_new = revenue_terms(matrix, dist, x_new)
+            f_new = terms_value(terms_new)
             if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
                     and f_new >= f:
                 accepted = bool((x_new != x).any())
                 break
             t *= ARMIJO_SHRINK
         if accepted:
-            x, f, step = x_new, f_new, t
+            x, f, terms, step = x_new, f_new, terms_new, t
         else:
             # objective comparisons are below float resolution; take the
             # reference step anyway and keep watching the gradient mapping
             x = reference
-            f = L_value(matrix, dist, x)
+            terms = revenue_terms(matrix, dist, x)
+            f = terms_value(terms)
             step = step0
         if f > best_f:
             best_x, best_f = x, f

@@ -178,15 +178,35 @@ def v_to_tree(system: ReductionSystem, v) -> PricingTree:
     return PricingTree(system.horizon, dict(zip(canonical_nodes(system.horizon), prices)))
 
 
+# The optimizer takes the value and the gradient at a point from one
+# `revenue_terms` pair.  Only core shares private names, so the three helpers
+# are public to it, but like `core.strategy_bits` they stay out of `__all__`.
+def revenue_terms(matrix: np.ndarray, dist: ValuationDistribution, v):
+    """The pair (1 - F(v), M v) that the revenue form and its gradient are made of."""
+    return 1.0 - dist.cdf(v), matrix @ v
+
+
+def terms_value(terms) -> float:
+    """The revenue form (1 - F(v))' M v from `revenue_terms` at v."""
+    survival, image = terms
+    return float(survival @ image)
+
+
+def terms_gradient(matrix: np.ndarray, dist: ValuationDistribution, v, terms) -> np.ndarray:
+    """The revenue form's gradient at v from `revenue_terms` at v."""
+    survival, image = terms
+    return matrix.T @ survival - dist.pdf(v) * image
+
+
 def L_value(matrix: np.ndarray, dist: ValuationDistribution, v) -> float:
     """The revenue form (1 - F(v))' M v of kernel M; with M = Xi, the expected
     strategic revenue of the tree at v in Delta^k."""
-    return float((1.0 - dist.cdf(v)) @ (matrix @ v))
+    return terms_value(revenue_terms(matrix, dist, v))
 
 
 def L_gradient(matrix: np.ndarray, dist: ValuationDistribution, v) -> np.ndarray:
     """Gradient M' (1 - F(v)) - diag(f(v)) M v of the revenue form."""
-    return matrix.T @ (1.0 - dist.cdf(v)) - dist.pdf(v) * (matrix @ v)
+    return terms_gradient(matrix, dist, v, revenue_terms(matrix, dist, v))
 
 
 def L_hessian(matrix: np.ndarray, dist: ValuationDistribution, v) -> np.ndarray:

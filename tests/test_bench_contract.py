@@ -76,3 +76,36 @@ def test_each_audit_search_reaches_the_density_once(monkeypatch):
     for dist, buyer, seller in searches:
         postedprice.brute_force_optimal_tree(dist, buyer, seller)
     assert calls == [type(dist).__name__ for dist, _, _ in searches]
+
+
+TAU4 = postedprice.truncate(0.2, 0.8, 4)
+
+
+@pytest.mark.parametrize("buyer, seller", [
+    (postedprice.make_geometric_discount(0.3, 2), postedprice.make_geometric_discount(0.8, 2)),
+    (TAU4.buyer, TAU4.seller),
+], ids=["T2", "tau4"])
+def test_every_ascent_iteration_reaches_the_traced_layers(monkeypatch, buyer, seller):
+    # the sweeps' trace requires at least one call of each `per_iteration`
+    # layer per ascent iteration, so an ascent may share work between
+    # iterations but must not drop a layer from any of them
+    calls = dict.fromkeys(["optimizer.project_to_delta", "distributions.cdf",
+                           "distributions.pdf"], 0)
+    assert set(workloads.WORKLOADS["sweep-t2"].per_iteration) <= set(calls)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for cls in tracing.DIST_CLASSES:
+        cls = getattr(postedprice.distributions, cls)
+        for method in tracing.DIST_METHODS:
+            monkeypatch.setattr(cls, method, counted(f"distributions.{method}", vars(cls)[method]))
+    monkeypatch.setattr(postedprice.optimizer, "project_to_delta",
+                        counted("optimizer.project_to_delta",
+                                postedprice.optimizer.project_to_delta))
+    result = postedprice.maximize_L(postedprice.Uniform(0, 1), buyer, seller)
+    assert result.iterations > 0
+    assert min(calls.values()) >= result.iterations, (calls, result.iterations)

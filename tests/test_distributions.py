@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from postedprice import (Beta, InvalidParameterError, TruncatedExponential,
                          Uniform, myerson_price, parse_distribution,
@@ -112,6 +112,28 @@ def test_cdf_shape(dist):
     assert F[-1] == pytest.approx(1.0, abs=1e-12)
     assert np.all(np.diff(F) >= -1e-12)
     assert dist.cdf(lo - 1.0) == 0.0 and dist.cdf(hi + 1.0) == 1.0
+
+
+# each family's cdf written with np.clip: the reference for its clamp
+CLIPPED_CDF = {
+    Uniform: lambda d, v: np.clip((v - d.lo) / (d.hi - d.lo), 0.0, 1.0),
+    Beta: lambda d, v: special.betainc(d.alpha, d.beta, np.clip(v, 0.0, 1.0)),
+    TruncatedExponential: lambda d, v: -np.expm1(-d.rate * np.clip(v, 0.0, d.bound)) / d._mass,
+}
+
+
+@pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())
+def test_cdf_is_the_clipped_formula_byte_for_byte(dist):
+    # the sign of a zero counts: texp's cdf at -0.0 and at 0.0 differ in it
+    lo, hi = dist.support
+    points = [-0.0, 0.0, lo, hi, lo - 1.0, hi + 1.0, np.nextafter(lo, -1.0), np.nextafter(hi, 2.0),
+              5e-324, -5e-324, np.inf, -np.inf, np.nan, *np.linspace(lo, hi, 9)]
+    reference = CLIPPED_CDF[type(dist)]
+    for n in (1, 3, 7, len(points)):  # short and long arrays take different loops
+        v = np.roll(np.array(points), n)[:n]
+        assert dist.cdf(v).tobytes() == reference(dist, v).tobytes(), n
+    for p in map(np.float64, points):
+        assert np.float64(dist.cdf(p)).tobytes() == reference(dist, p).tobytes(), p
 
 
 @pytest.mark.parametrize("dist", ALL_DISTS, ids=lambda d: d.spec_string())

@@ -2,6 +2,7 @@ from itertools import product
 
 import numpy as np
 import pytest
+from scipy.optimize import isotonic_regression
 
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          L_gradient, L_value, PatienceOrderWarning, Uniform,
@@ -218,6 +219,63 @@ def test_the_line_search_reuses_the_projected_reference_step(monkeypatch):
     assert result.value == 0.47472527472527476
 
 
+def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
+    # the survival 1 - F(v) and M v of the point a line search accepts feed
+    # the next iteration's gradient; the solve itself does not move
+    cdf, calls = Uniform.cdf, []
+
+    def counted(self, v):
+        calls.append(None)
+        return cdf(self, v)
+
+    monkeypatch.setattr(Uniform, "cdf", counted)
+    result = maximize_L(Uniform(0, 1), make_geometric_discount(0.3, 2),
+                        make_geometric_discount(0.8, 2))
+    assert (len(calls), result.iterations) == (164, 94)
+    assert result.value == 0.47472527472527476
+
+
+# five solves as recorded at `9c8d47b`, which a change to the ascent's
+# arithmetic moves: (v_star bytes, value, iterations, converged, kkt_residual)
+PINNED_SOLVES = {
+    ("uniform:0,1", "T2"): (
+        "577335577335d73ff21eeff11eefe13ff21eeff11eefe13f",
+        0.47472527472527476, 94, True, 7.216449660063518e-17),
+    ("uniform:2,3", "T2"): (
+        "000000000000004000000000000000400000000000000040",
+        3.6000000000000005, 31, True, 0.0),
+    ("beta:4,2", "T3"): (
+        "88ad67493eebd73fc7c0441975b2dd3fc7c0441975b2dd3fd58e6bb26f5ce33f"
+        "d58e6bb26f5ce33fd58e6bb26f5ce33fd58e6bb26f5ce33f",
+        1.0723974740662827, 332, True, 2.8794132316342113e-16),
+    ("texp:50,1", "T2"): (
+        "3ac0915570788a3f3f4df05549e4983f3f4df05549e4983f",
+        0.01431582598478003, 1514, True, 3.664438232603114e-12),
+    ("uniform:0,1", "tau4"): (
+        "2e7f4903f927bf3fbdc6256adf8ecd3fbdc6256adf8ecd3f9ea2729b0c4dd63f"
+        "9ea2729b0c4dd63fed2f7aa7ce37db3fed2f7aa7ce37db3f5ccdf16edd3be23f"
+        "5ccdf16edd3be23fe14e784c3a72e23fe14e784c3a72e23f2bed501a26f8e53f"
+        "2bed501a26f8e53f2650630a0face83f2650630a0face83f",
+        1.745609147243134, 584, True, 4.704001821042057e-16),
+}
+
+
+@pytest.mark.parametrize("spec, depth", list(PINNED_SOLVES))
+def test_pinned_solves_hold_to_the_byte(spec, depth):
+    # gb .3 and gs .8 (the tau game: truncate(0.2, 0.8, 4)), default starts and seed
+    if depth.startswith("tau"):
+        game = truncate(0.2, 0.8, int(depth.removeprefix("tau")))
+        buyer, seller = game.buyer, game.seller
+    else:
+        T = int(depth.removeprefix("T"))
+        buyer, seller = make_geometric_discount(0.3, T), make_geometric_discount(0.8, T)
+    result = maximize_L(parse_distribution(spec), buyer, seller)
+    v_hex, value, iterations, converged, kkt = PINNED_SOLVES[spec, depth]
+    assert result.v_star.tobytes().hex() == v_hex
+    assert (result.value, result.iterations, result.converged, result.kkt_residual) == (
+        value, iterations, converged, kkt)
+
+
 # ---------------------------------------------------------------------------
 # face-Newton polish
 
@@ -372,6 +430,29 @@ def test_the_floor_premise_fails_off_a_game_kernel():
 def test_projection_input_validation():
     with pytest.raises(InvalidParameterError):
         project_to_delta(np.zeros((2, 2)), 0.0)
+
+
+def test_projection_is_the_clamped_isotonic_regression_byte_for_byte():
+    # project_to_delta calls SciPy's private PAVA kernel directly; a SciPy
+    # that moves or changes it fails here.  Constant vectors and runs of
+    # ties are where pooling rounds a mean off its values by an ulp.
+    rng = np.random.default_rng(41)
+    for k, i in product((3, 7, 63), range(2000)):
+        kind = i % 4
+        if kind == 0:
+            x = rng.normal(0.5, 1.0, k)
+        elif kind == 1:
+            x = np.full(k, rng.uniform())
+        elif kind == 2:
+            x = rng.choice(rng.uniform(size=3), k)  # runs of ties, out of order
+        else:
+            x = np.sort(rng.choice(rng.uniform(size=3), k))  # runs of ties, in order
+        for lo in (0.0, 0.5):
+            expected = np.maximum(isotonic_regression(x).x, lo)
+            assert project_to_delta(x, lo).tobytes() == expected.tobytes(), (k, i, lo)
+    for bad in (np.zeros((2, 2)), np.zeros((3, 1)), [], np.zeros(0)):
+        with pytest.raises(InvalidParameterError):
+            project_to_delta(bad, 0.0)
 
 
 def test_projection_matches_general_qp_solver():
