@@ -88,7 +88,8 @@ _natural = _checked(int, lambda n: n >= 0, "a non-negative integer")
 _positive = _checked(int, lambda n: n >= 1, "a positive integer")
 _relative = _checked(float, lambda x: 0.0 <= x < 1.0, "a relative size in [0, 1)")
 _tau_list = _checked(lambda text: sorted(int(t) for t in text.split(",")),
-                     lambda taus: taus[0] >= 1, "comma-separated positive integers")
+                     lambda taus: taus[0] >= 1 and len(set(taus)) == len(taus),
+                     "comma-separated distinct positive integers")
 
 
 def _dist(text: str):

@@ -155,7 +155,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
         return x, f, 0, False, np.inf
     if not step0 <= np.finfo(float).max / 1e6:  # the line search's longest step overflows
         raise InvalidParameterError(
-            f"the support is too wide for the ascent: (hi - lo) / ||M||_1 = {step0:g}")
+            f"the support is too wide for the ascent: (top - lo) / ||M||_1 = {step0:g}")
     best_x, best_f = x, f
     step = step0
     kkt = np.inf
@@ -241,14 +241,15 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     finite: the form overflowed there, and the best finite run would
     understate an optimum that overflows too.
 
-    Steps are in support widths: the reference step is (hi - lo) / ||M||_1.
-    L is homogeneous of degree 1 in v and its gradient does not change with
-    the scale, so scaling the support by H scales every iterate by H, and
-    `KKT_TOL` means the same at every width.  `KKT_TOL` is in the kernel's
-    units: scaling M scales the gradient mapping with it.  A support so
-    wide that the line search's longest step, 1e6 reference steps, is not
-    finite is refused with `InvalidParameterError` (after a start whose
-    value is not finite, if any).
+    Steps are in the mass's reach: the reference step is (top - lo) / ||M||_1,
+    top - lo the next power of two above the 1 - 1e-12 quantile's offset
+    from lo, capped at hi - lo.  L is homogeneous of degree 1 in v and its
+    gradient does not change with the scale, so scaling the support by a
+    power of two H scales every iterate by H, and `KKT_TOL` means the same
+    at every width.  `KKT_TOL` is in the kernel's units: scaling M scales
+    the gradient mapping with it.  A support so wide that the line search's
+    longest step, 1e6 reference steps, is not finite is refused with
+    `InvalidParameterError` (after a start whose value is not finite, if any).
 
     The cone's floor is the support's lower end lo, not 0.  On a game's
     kernel (`build_system`'s Xi, or the 2x2 `reduced_T2_functional`
@@ -280,7 +281,9 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     rng = np.random.default_rng(seed)
 
     with np.errstate(over="ignore"):
-        step0 = (hi - lo) / max(np.linalg.norm(matrix, 1), 1e-12)
+        # the mass's reach, a power of two; hi - lo unless the mass ends far below hi
+        top = min(hi, lo + np.ldexp(1.0, math.frexp(dist.quantile(1.0 - 1e-12) - lo)[1]))
+        step0 = (top - lo) / max(np.linalg.norm(matrix, 1), 1e-12)
 
     runs = []
     total_iters = 0

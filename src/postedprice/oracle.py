@@ -35,7 +35,7 @@ __all__ = [
 ]
 
 BRUTE_FORCE_GRID = 50  # node prices per support grid in brute_force_optimal_tree
-BRUTE_FORCE_CHUNK = 256  # trees scored at once in brute_force_optimal_tree
+BRUTE_FORCE_CHUNK = 5  # (root, left) price pairs scored at once in brute_force_optimal_tree
 SURPLUS_TIE_RTOL = 1e-12  # surplus ties, relative to the largest quantity times v
 ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at once
 MAX_FACE_K = 7  # uniform_face_optimum's ceiling: Xi at T <= 3, 502 faces at k = 7
@@ -230,30 +230,30 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     Strategies 00, 01 and 10 pay nothing at the right node '1': their
     payment rows are [0, 0, 0], [0, g_2, 0] and [g_1, 0, 0].  So each of
     their payments is exactly fl(g p) of one grid price, whatever order the
-    product sums in, and their running best response is the same for all
-    trees that share a (root, left) price pair.  It is formed once per pair
-    a chunk touches and repeated to the chunk's trees; only strategy 11's
-    line is compared tree by tree.
+    product sums in, and it is the same for every right price.  The grid is
+    therefore scored as (pairs, right prices, nodes): the running best
+    response over 00, 01 and 10 is formed once per (root, left) price pair,
+    and strategy 11's line is compared against it for every right price.
 
-    Trees are scored `BRUTE_FORCE_CHUNK` at a time.  A chunk of 256 trees
-    holds three float64 (256, 256) arrays (512 KiB each) and one boolean
-    mask, plus (pairs, 256) arrays for the at most 7 pairs it touches.  The
-    chunk's row count is part of each score's rounding: the product that
-    sums a tree's quadrature rounds according to it, so the chunk
+    `BRUTE_FORCE_CHUNK` pairs are scored at a time.  A chunk of 5 pairs
+    holds (5, 50, 256) float64 arrays (500 KiB each) and one boolean mask.
+    The chunk's row count is part of each score's rounding: the product
+    that sums a tree's quadrature rounds according to it, so the chunk
     boundaries fix the scores bit for bit.
     """
     gb = _finite_weights(buyer_discount, 2)
     gs = _finite_weights(seller_discount, 2)
     lo, hi = dist.support
-    grid = np.linspace(lo, hi, BRUTE_FORCE_GRID)
+    n = BRUTE_FORCE_GRID
+    grid = np.linspace(lo, hi, n)
 
     # node prices (root, left '0', right '1') for every grid combination
     prices = np.stack([a.ravel() for a in np.meshgrid(grid, grid, grid,
                                                       indexing="ij")], axis=1)
     bits = strategy_bits(2)
-    # (strategies, trees), so each strategy's payments are one contiguous row
-    r_buyer = (prices @ _payment_matrix(bits, gb).T).T.copy()
-    r_seller = (prices @ _payment_matrix(bits, gs).T).T.copy()
+    # (strategies, (root, left) pairs, right prices): views of the payments
+    r_buyer = (prices @ _payment_matrix(bits, gb).T).T.reshape(4, n * n, n)
+    r_seller = (prices @ _payment_matrix(bits, gs).T).T.reshape(4, n * n, n)
     q = bits @ gb
 
     x, w = np.polynomial.legendre.leggauss(32)
@@ -265,28 +265,25 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
 
     best_value = -np.inf
     best_index = 0
-    for start in range(0, len(prices), BRUTE_FORCE_CHUNK):
-        stop = min(start + BRUTE_FORCE_CHUNK, len(prices))
-        sl = slice(start, stop)
-        pair = np.arange(start, stop) // len(grid)  # each tree's (root, left) price pair
-        heads = np.arange(pair[0], pair[-1] + 1) * len(grid)
+    for first in range(0, n * n, BRUTE_FORCE_CHUNK):
+        sl = slice(first, first + BRUTE_FORCE_CHUNK)
         # the running best response over strategies 00, 01 and 10, which pay
         # nothing at the right node: its surplus and seller revenue per (pair, node)
-        best = lines[0] - r_buyer[0, heads, None]
-        revenue = np.repeat(r_seller[0, heads, None], len(nodes), axis=1)
+        best = lines[0] - r_buyer[0, sl, :1]
+        revenue = np.broadcast_to(r_seller[0, sl, :1], best.shape).copy()
         for j in range(1, 3):
-            surplus = lines[j] - r_buyer[j, heads, None]
+            surplus = lines[j] - r_buyer[j, sl, :1]
             better = surplus > best  # strict, so the first maximal strategy stays
             np.copyto(best, surplus, where=better)
-            np.copyto(revenue, r_seller[j, heads, None], where=better)
-        counts = np.bincount(pair - pair[0])
-        best, revenue = np.repeat(best, counts, axis=0), np.repeat(revenue, counts, axis=0)
-        np.copyto(revenue, r_seller[3, sl, None], where=lines[3] - r_buyer[3, sl, None] > best)
-        values = revenue @ fw
+            np.copyto(revenue, r_seller[j, sl, :1], where=better)
+        # strategy 11 against that best response, per (pair, right price, node)
+        revenue = np.where(lines[3] - r_buyer[3, sl, :, None] > best[:, None, :],
+                           r_seller[3, sl, :, None], revenue[:, None, :])
+        values = revenue.reshape(-1, len(nodes)) @ fw
         j = int(np.argmax(values))
         if values[j] > best_value:
             best_value = float(values[j])
-            best_index = start + j
+            best_index = first * n + j
     tree = PricingTree(2, dict(zip(canonical_nodes(2), prices[best_index])))
     return tree, expected_strategic_revenue(tree, dist, buyer_discount, seller_discount)
 

@@ -365,6 +365,8 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--tau-list", "2,x"], 2),
     (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
       "--tau-list", ","], 2),
+    (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
+      "--tau-list", "2,2"], 2),
     (["myerson", "--config", "CONFIG"], 3),
     (["myerson", "--config", "CONFIG_ARRAY"], 3),
     (["simulate", "--tree", "TREE", "--dist", "uniform:0,1", "--gs", "0.5",
@@ -385,11 +387,12 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--horizon", "2", "--starts", "2"], 3),  # the baseline is finite, the form is not
     (["optimize", "--dist", "uniform:0,1e308", "--gs", "0.5", "--gb", "0.5",
       "--horizon", "2"], 3),  # the form is finite, the line search's longest step is not
-], ids=["tau-list-word", "tau-list-empty", "config-not-json", "config-array",
-        "grid-size-negative", "bigdeal-tau-above-guard", "truncate-tau-above-guard",
-        "optimize-zero-baseline", "sweep-zero-baseline", "simulate-huge-horizon",
-        "optimize-baseline-overflows-tau2", "optimize-baseline-overflows-T2",
-        "optimize-baseline-overflows-T3", "optimize-form-overflows", "optimize-step-overflows"])
+], ids=["tau-list-word", "tau-list-empty", "tau-list-repeated", "config-not-json",
+        "config-array", "grid-size-negative", "bigdeal-tau-above-guard",
+        "truncate-tau-above-guard", "optimize-zero-baseline", "sweep-zero-baseline",
+        "simulate-huge-horizon", "optimize-baseline-overflows-tau2",
+        "optimize-baseline-overflows-T2", "optimize-baseline-overflows-T3",
+        "optimize-form-overflows", "optimize-step-overflows"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")

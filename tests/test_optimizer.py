@@ -378,6 +378,20 @@ def test_scaling_the_support_scales_the_solve(lo, hi, T):
         assert result.converged, H
 
 
+@pytest.mark.parametrize("T, bound", [(2, "1e4"), (2, "1e10"), (2, "3e10"), (2, "1e12"),
+                                      (2, "1e13"), (2, "1e17"), (3, "1e12")])
+def test_a_thin_mass_support_steps_in_the_mass_reach(T, bound):
+    # texp:0.5,W has its 1 - 1e-12 quantile at 55.3 whatever the bound W, so
+    # the optimum does not move with W.  Steps in support widths certified it
+    # up to 0.78% short at T = 2 (10.9% at T = 3, W = 1e12) and left W = 1e17
+    # uncertified
+    gb, gs = make_geometric_discount(0.3, T), make_geometric_discount(0.8, T)
+    reference = maximize_L(parse_distribution("texp:0.5,1e4"), gb, gs)
+    result = maximize_L(parse_distribution(f"texp:0.5,{bound}"), gb, gs)
+    assert reference.converged and result.converged
+    assert result.value == pytest.approx(reference.value, rel=1e-12)
+
+
 @pytest.mark.parametrize("spec, T", [("uniform:0,1", 2), ("uniform:0,1", 3), ("uniform:2,3", 3),
                                      ("beta:4,2", 3), ("beta:0.5,0.5", 3)])
 def test_scaling_a_discount_scales_the_solve(spec, T):

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import tracemalloc
+from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from postedprice import (Beta, DiscountSequence, GameOutcome, InvalidParameterEr
 from postedprice import oracle
 from postedprice.core import _finite_weights, _payment_matrix
 from postedprice.oracle import strategy_bits, strategy_tables, envelope_breakpoints
+from exact_kernel import exact_expected_revenue
 
 
 def random_tree(rng, horizon, hi=1.5):
@@ -301,6 +304,30 @@ def test_breakpoint_alignment_handles_jumps():
         closed_form, abs=1e-12)
 
 
+# relative gap to the exact revenue at T = 2, 3, 4, worst over seeds 0-19 of
+# the draws below: 6.1e-15, 1.4e-14 and 1.5e-13 (median seed 2.6e-15,
+# 5.4e-15 and 1.5e-14).  Near-equal quantities q_a, q_b amplify rounding
+# in the breakpoint (r_a - r_b) / (q_a - q_b)
+EXACT_REVENUE_RTOL = {2: 1e-14, 3: 3e-14, 4: 3e-13}
+
+
+@pytest.mark.parametrize("T", [2, 3, 4])
+def test_expected_revenue_matches_exact_rationals_on_uniform(T):
+    # dyadic prices on Uniform(0, 1) and Uniform(2, 3), each scaled by 2^-40,
+    # 1 and 2^40, against the Fraction envelope of tests/exact_kernel.py
+    rng = np.random.default_rng(T)
+    nodes = canonical_nodes(T)
+    for (lo, hi), H in product([(0.0, 1.0), (2.0, 3.0)], [2.0 ** -40, 1.0, 2.0 ** 40]):
+        lo, hi = lo * H, hi * H
+        for _ in range(10):
+            gb, gs = (make_geometric_discount(rate, T) for rate in rng.uniform(0.1, 0.9, 2))
+            prices = lo + (hi - lo) * rng.integers(0, 1025, len(nodes)) / 1024
+            tree = PricingTree(T, dict(zip(nodes, prices)))
+            got = expected_strategic_revenue(tree, Uniform(lo, hi), gb, gs)
+            exact = exact_expected_revenue(prices, gb.weights, gs.weights, lo, hi)
+            assert abs(Fraction(got) - exact) <= EXACT_REVENUE_RTOL[T] * exact, (lo, hi)
+
+
 def test_envelope_breakpoints_of_constant_tree():
     g = DiscountSequence([1.0, 0.5])
     tables = strategy_tables(PricingTree.constant(2, 0.5), g, g)
@@ -385,14 +412,13 @@ def argmax_grid_search(dist, buyer, seller):
     ("uniform:0,1", 0.5, 0.5), ("beta:4,2", 0.5, 0.5),
 ])
 def test_brute_force_picks_the_argmax_winner(monkeypatch, spec, gb_rate, gs_rate):
-    # 1,728 trees in groups of 12 per (root, left) pair.  Chunks of 100 end
-    # partial and mid-group; chunks of 5 split every group over several
-    # chunks, and some of them lie inside one group
+    # 1,728 trees in 144 (root, left) pairs of 12.  Chunks of one pair score
+    # each pair alone; chunks of 7 pairs end with a partial chunk of 4
     monkeypatch.setattr(oracle, "BRUTE_FORCE_GRID", 12)
     dist = parse_distribution(spec)
     buyer, seller = make_geometric_discount(gb_rate, 2), make_geometric_discount(gs_rate, 2)
     expected_tree, expected_value = argmax_grid_search(dist, buyer, seller)
-    for chunk in (100, 5):
+    for chunk in (1, 7):
         monkeypatch.setattr(oracle, "BRUTE_FORCE_CHUNK", chunk)
         tree, value = brute_force_optimal_tree(dist, buyer, seller)
         assert tree.prices() == expected_tree.prices()
@@ -412,6 +438,20 @@ def test_brute_force_full_grid_winner_is_pinned(spec, prices, value):
                                          make_geometric_discount(0.8, 2))
     assert tuple(tree.prices().values()) == prices
     assert got == value
+
+
+def test_brute_force_search_holds_one_chunk_of_pairs_at_a_time():
+    # one full-grid search peaks at about 11 MiB of traced memory: the
+    # (125,000, 3) price grid, the (4, 125,000) payment tables and one chunk
+    # of (5, 50, 256) arrays.  A head table for the whole grid would not fit
+    dist, g = parse_distribution("beta:4,2"), make_geometric_discount(0.3, 2)
+    tracemalloc.start()
+    try:
+        brute_force_optimal_tree(dist, g, make_geometric_discount(0.8, 2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
