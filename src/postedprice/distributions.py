@@ -229,9 +229,16 @@ def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
     global maximum (no unimodality assumed).  Where the revenue slope
     sf(p) - p * pdf(p) falls from positive to negative across the bracket,
     its root, found to a few float spacings, replaces the scan point if it
-    earns more.  Returns (p_star, h_star).
+    earns more.  Returns (p_star, h_star).  A support whose scan spacing,
+    (hi - lo) / (MYERSON_GRID_POINTS - 1), is below the smallest normal
+    float (a width under about 2.2e-304) is refused with
+    `InvalidParameterError`: the scan's prices lose bits there, and on a
+    narrower support still the density overflows, so no line search ends.
     """
     lo, hi = dist.support
+    if not (hi - lo) / (MYERSON_GRID_POINTS - 1) >= np.finfo(float).tiny:
+        raise InvalidParameterError(
+            f"the support is too narrow for float arithmetic: width {hi - lo:g}")
     grid = np.linspace(lo, hi, MYERSON_GRID_POINTS)
     values = grid * dist.sf(grid)
     i = int(np.argmax(values))  # argmax takes the first = leftmost among ties

@@ -28,7 +28,7 @@ from .core import DiscountSequence, PricingTree, _positive_int, rate_order_satis
 from .distributions import ValuationDistribution, myerson_price
 from .errors import InvalidParameterError, PatienceOrderWarning
 from .reduction import (L_gradient, L_hessian, build_system, revenue_terms, terms_gradient,
-                        terms_value, v_to_tree)
+                        v_to_tree)
 
 __all__ = [
     "OptimizationResult",
@@ -92,9 +92,9 @@ def _face(x: np.ndarray, lo: float) -> np.ndarray:
     return np.concatenate(([x[0] == lo], x[1:] == x[:-1]))
 
 
-def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
-                 g: np.ndarray, f: float, step0: float, budget: int, lo: float):
-    """Newton's method on the block values of x's face, from x (gradient g).
+def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: np.ndarray,
+                 x: np.ndarray, g: np.ndarray, f: float, step0: float, budget: int, lo: float):
+    """Newton's method on the block values of x's face `face`, from x (gradient g).
 
     Each pooled block moves as one value, v = B u, and the block at `lo`
     stays there.  Returns the steps taken and (v, value, kkt) for the first
@@ -102,7 +102,7 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
     gradient mapping at `KKT_TOL`, or None when no point within `budget`
     steps is.
     """
-    labels = np.cumsum(~_face(x, lo))  # label 0 marks the block at lo
+    labels = np.cumsum(~face)  # label 0 marks the block at lo
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
     v = x
     for step in range(1, budget + 1):
@@ -117,66 +117,63 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
         terms = revenue_terms(matrix, dist, v)
         g = terms_gradient(matrix, dist, v, terms)
         _, kkt = _gradient_mapping(v, g, step0, lo)
-        value = terms_value(terms)
-        if kkt <= KKT_TOL and value >= f:
-            return step, (v, value, kkt)
+        if kkt <= KKT_TOL and terms[0] >= f:
+            return step, (v, terms[0], kkt)
     return budget, None
 
 
 def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
                       x0: np.ndarray, step0: float, lo: float):
-    """One run of projected gradient ascent with Armijo backtracking.
+    """One run of projected gradient ascent with Armijo backtracking from x0.
 
-    Accepted line-search steps never decrease the objective.  Near the
-    optimum the objective differences underflow double precision before
-    the gradient mapping does, so once the line search stalls the run
-    switches to plain fixed-step projected iterations, which contract to
-    the optimum without comparing objective values.  Once the iterate's
-    face has held for `FACE_STABLE_ITERS` iterations, Newton's method on
-    that face is tried once (`_face_newton`); each Newton step counts as
-    an iteration.  The run stops when the gradient-mapping norm (at the
-    reference step) is under `KKT_TOL` or stops decreasing, or after
-    `MAX_ITER` iterations.  A run never returns less than it found: if the
-    final point is worth less than the best iterate by more than rounding
-    (1e-12 relative), the best iterate is returned.  An uncertified run
-    reports the gradient mapping at the point it returns, and certifies if
-    that passes the test.  A start whose value is not finite returns at
-    once, after no iterations; otherwise a reference step so large that
-    the line search's longest step, 1e6 of them, overflows is refused
-    with `InvalidParameterError`, since no search could end.  Each point's
+    x0 must lie in the cone: the run takes it as drawn.  Accepted
+    line-search steps never decrease the objective.  Near the optimum the
+    objective differences underflow double precision before the gradient
+    mapping does, so once the line search stalls the run switches to plain
+    fixed-step projected iterations, which contract to the optimum without
+    comparing objective values.  Once the iterate's face has held for
+    `FACE_STABLE_ITERS` iterations, Newton's method on that face is tried
+    once (`_face_newton`); each Newton step counts as an iteration.  The
+    run stops when the gradient-mapping norm (at the reference step) is
+    under `KKT_TOL` or stops decreasing, or after `MAX_ITER` iterations.
+    A run never returns less than it found: if the final point is worth
+    less than the best iterate by more than rounding (1e-12 relative), the
+    best iterate is returned.  Returns (x, f, iterations, kkt), kkt the
+    gradient mapping at the returned x, so the run certified if kkt <=
+    `KKT_TOL`.  A start whose value is not finite returns at once, after
+    no iterations; otherwise a reference step so large that the line
+    search's longest step, 1e6 of them, overflows is refused with
+    `InvalidParameterError`, since no search could end.  Each point's
     `revenue_terms` are formed once: the point's value and, once it is
     accepted, the next iteration's gradient are both taken from them.
     """
-    x = project_to_delta(x0, lo)
+    x = x0
     with np.errstate(invalid="ignore", over="ignore"):
         terms = revenue_terms(matrix, dist, x)
-        f = terms_value(terms)
+    f = terms[0]
     if not np.isfinite(f):  # the form overflowed at the start; no step can mend that
-        return x, f, 0, False, np.inf
+        return x, f, 0, np.inf
     if not step0 <= np.finfo(float).max / 1e6:  # the line search's longest step overflows
         raise InvalidParameterError(
             f"the support is too wide for the ascent: (top - lo) / ||M||_1 = {step0:g}")
     best_x, best_f = x, f
     step = step0
-    kkt = np.inf
     best_kkt = np.inf
     stalled = 0
     face, face_age = _face(x, lo), 0
     it = 0
-    ok = False
     while it < MAX_ITER:
         it += 1
         g = terms_gradient(matrix, dist, x, terms)
         reference, kkt = _gradient_mapping(x, g, step0, lo)
-        if kkt <= KKT_TOL:
-            ok = True
+        if kkt <= KKT_TOL:  # certified
             break
         if kkt < best_kkt * (1.0 - 1e-4):
             best_kkt = kkt
             stalled = 0
         else:
             stalled += 1
-            if stalled > 250:  # gradient mapping hit its noise floor
+            if stalled > 250:  # gradient mapping hit its noise floor; kkt is x's
                 break
         current = _face(x, lo)
         if np.array_equal(current, face):
@@ -184,12 +181,11 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
         else:
             face, face_age = current, 0
         if face_age == FACE_STABLE_ITERS:
-            steps, polished = _face_newton(matrix, dist, x, g, f, step0,
+            steps, polished = _face_newton(matrix, dist, face, x, g, f, step0,
                                            min(NEWTON_MAX_STEPS, MAX_ITER - it), lo)
             it += steps
-            if polished is not None:
+            if polished is not None:  # certified on the face, with its kkt
                 x, f, kkt = polished
-                ok = True
                 break
         t = min(step * 2.0, step0 * 1e6)
         accepted = False
@@ -197,29 +193,29 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             # the reference step's point is the gradient mapping's, already projected
             x_new = reference if t == step0 else project_to_delta(x + t * g, lo)
             terms_new = revenue_terms(matrix, dist, x_new)
-            f_new = terms_value(terms_new)
+            f_new = terms_new[0]
             if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
                     and f_new >= f:
                 accepted = bool((x_new != x).any())
                 break
             t *= ARMIJO_SHRINK
         if accepted:
-            x, f, terms, step = x_new, f_new, terms_new, t
+            x, terms, step = x_new, terms_new, t
         else:
             # objective comparisons are below float resolution; take the
             # reference step anyway and keep watching the gradient mapping
             x = reference
             terms = revenue_terms(matrix, dist, x)
-            f = terms_value(terms)
             step = step0
+        f = terms[0]
         if f > best_f:
             best_x, best_f = x, f
+    else:  # MAX_ITER iterations: the last iterate's certificate
+        _, kkt = _gradient_mapping(x, terms_gradient(matrix, dist, x, terms), step0, lo)
     if f < best_f - 1e-12 * abs(best_f):
-        x, f, ok = best_x, best_f, False
-    if not ok:
+        x, f = best_x, best_f
         _, kkt = _gradient_mapping(x, L_gradient(matrix, dist, x), step0, lo)
-        ok = kkt <= KKT_TOL
-    return x, f, it, ok, kkt
+    return x, f, it, kkt
 
 
 def _start_count(starts: int | None, k: int) -> int:
@@ -285,25 +281,21 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
         top = min(hi, lo + np.ldexp(1.0, math.frexp(dist.quantile(1.0 - 1e-12) - lo)[1]))
         step0 = (top - lo) / max(np.linalg.norm(matrix, 1), 1e-12)
 
+    x0s = [np.full(k, p_star), np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1])),
+           *np.sort(rng.uniform(lo, hi, size=(max(starts - 2, 0), k)), axis=1)]
     runs = []
     total_iters = 0
-    for i in range(starts):
-        if i == 0:
-            x0 = np.full(k, p_star)
-        elif i == 1:
-            x0 = np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))
-        else:
-            x0 = np.sort(rng.uniform(lo, hi, size=k))
-        x, f, iters, ok, kkt = _projected_ascent(matrix, dist, x0, step0, lo)
+    for i, x0 in enumerate(x0s[:starts]):
+        x, f, iters, kkt = _projected_ascent(matrix, dist, x0, step0, lo)
         total_iters += iters
         if not np.isfinite(f):
             raise InvalidParameterError(f"the revenue form is not finite at start {i}")
-        runs.append((f, x, ok, kkt))
+        runs.append((f, x, kkt))
     best_f = max(r[0] for r in runs)
     tied = [r for r in runs if r[0] >= best_f - 1e-10 * abs(best_f)]
-    tied.sort(key=lambda r: (not r[2], tuple(r[1])))
-    f, x, ok, kkt = tied[0]
-    return x, f, total_iters, ok, kkt
+    tied.sort(key=lambda r: (not r[2] <= KKT_TOL, tuple(r[1])))
+    f, x, kkt = tied[0]
+    return x, f, total_iters, kkt <= KKT_TOL, kkt
 
 
 def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,

@@ -222,6 +222,9 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     panels of 32 nodes), and the winner is re-scored by the exact
     `expected_strategic_revenue`.  Both discounts must have two rounds --
     the point is an oracle cheap enough to run and dumb enough to trust.
+    Quadrature weights that are not finite (a uniform density overflows on
+    a support narrower than about 5.6e-309) are refused with
+    `InvalidParameterError`.
 
     At each node the buyer takes the strategy of largest surplus; among
     equal surpluses, the first in `strategy_bits` order.  Among equal
@@ -261,6 +264,8 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     half = 0.5 * np.diff(edges)[:, None]
     nodes = (0.5 * (edges[:-1] + edges[1:])[:, None] + half * x).ravel()
     fw = (half * w).ravel() * dist.pdf(nodes)
+    if not np.isfinite(fw).all():  # a density that overflows would score every tree NaN
+        raise InvalidParameterError("the quadrature weights are not finite on this support")
     lines = q[:, None] * nodes  # each strategy's buyer value at every node
 
     best_value = -np.inf

@@ -179,29 +179,24 @@ def v_to_tree(system: ReductionSystem, v) -> PricingTree:
 
 
 # The optimizer takes the value and the gradient at a point from one
-# `revenue_terms` pair.  Only core shares private names, so the three helpers
+# `revenue_terms` triple.  Only core shares private names, so the two helpers
 # are public to it, but like `core.strategy_bits` they stay out of `__all__`.
 def revenue_terms(matrix: np.ndarray, dist: ValuationDistribution, v):
-    """The pair (1 - F(v), M v) that the revenue form and its gradient are made of."""
-    return 1.0 - dist.cdf(v), matrix @ v
-
-
-def terms_value(terms) -> float:
-    """The revenue form (1 - F(v))' M v from `revenue_terms` at v."""
-    survival, image = terms
-    return float(survival @ image)
+    """The revenue form (1 - F(v))' M v with the pair (1 - F(v), M v) it is made of."""
+    survival, image = 1.0 - dist.cdf(v), matrix @ v
+    return float(survival @ image), survival, image
 
 
 def terms_gradient(matrix: np.ndarray, dist: ValuationDistribution, v, terms) -> np.ndarray:
     """The revenue form's gradient at v from `revenue_terms` at v."""
-    survival, image = terms
+    _, survival, image = terms
     return matrix.T @ survival - dist.pdf(v) * image
 
 
 def L_value(matrix: np.ndarray, dist: ValuationDistribution, v) -> float:
     """The revenue form (1 - F(v))' M v of kernel M; with M = Xi, the expected
     strategic revenue of the tree at v in Delta^k."""
-    return terms_value(revenue_terms(matrix, dist, v))
+    return revenue_terms(matrix, dist, v)[0]
 
 
 def L_gradient(matrix: np.ndarray, dist: ValuationDistribution, v) -> np.ndarray:

@@ -76,6 +76,19 @@ def test_the_package_runs_as_a_module():
     assert done.stdout.startswith("usage: postedprice")
 
 
+@pytest.mark.parametrize("spec", ["uniform:0,1e-310", "texp:1,1e-310"])
+def test_a_support_too_narrow_for_floats_is_refused_not_looped_on(spec):
+    # its density overflows, so every trial point of a line search would be NaN
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "postedprice", "optimize", "--dist", spec,
+                           "--gs", "0.8", "--gb", "0.3", "--horizon", "2"],
+                          env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (3, "")
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+    assert "too narrow" in done.stderr and "Traceback" not in done.stderr
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -384,7 +397,7 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
                     *mode, "--starts", "2"], 3)  # the baseline overflows
       for mode in (["--tau", "2"], ["--horizon", "2"], ["--horizon", "3"])],
     (["optimize", "--dist", "uniform:0,1.7e308", "--gs", "0.8", "--gb", "0.3",
-      "--horizon", "2", "--starts", "2"], 3),  # the baseline is finite, the form is not
+      "--horizon", "2", "--starts", "2"], 3),  # the form is finite at the start, its step is not
     (["optimize", "--dist", "uniform:0,1e308", "--gs", "0.5", "--gb", "0.5",
       "--horizon", "2"], 3),  # the form is finite, the line search's longest step is not
 ], ids=["tau-list-word", "tau-list-empty", "tau-list-repeated", "config-not-json",

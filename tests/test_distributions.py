@@ -46,6 +46,19 @@ def test_myerson_wide_uniform_support(hi):
     assert h_star == pytest.approx(hi / 4, rel=1e-12)
 
 
+@pytest.mark.parametrize("hi", [2.0 ** -1009, 8.9e-308])
+def test_myerson_refuses_a_support_too_narrow_for_its_scan(hi):
+    # the scan spacing hi / 9,999 is below the smallest normal float
+    with pytest.raises(InvalidParameterError, match="too narrow"):
+        myerson_price(Uniform(0, hi))
+
+
+def test_myerson_scans_the_narrowest_normal_spacing():
+    hi = 2.0 ** -1008
+    p_star, h_star = myerson_price(Uniform(0, hi))
+    assert (p_star, h_star) == (hi / 2, hi / 4)
+
+
 @pytest.mark.parametrize("spec", sorted(GRID_ORACLE))
 def test_myerson_matches_grid_oracle(spec):
     p_ref, h_ref = GRID_ORACLE[spec]

@@ -172,9 +172,15 @@ def test_value_never_below_the_constant_myerson_tree(spec, T, gb_rate):
     assert result.value >= seller.total * h_star * (1 - 1e-12)
 
 
-@pytest.mark.parametrize("spec", ["uniform:1e308,1.7e308", "uniform:0,1.7e308"])
-def test_a_form_that_is_not_finite_at_a_start_is_refused(monkeypatch, spec):
-    # refused after the start's own projection, with no RuntimeWarning
+@pytest.mark.parametrize("spec, horizon, reason", [
+    ("uniform:1e308,1.7e308", "tau", "not finite at start 0"),
+    ("uniform:0,1.7e308", "tau", "not finite at start 0"),
+    # M v is finite at the constant start p* = 8.5e307 as drawn (PAVA would
+    # have pooled it through a sum that overflows), so the step is refused
+    ("uniform:0,1.7e308", "T", "the support is too wide for the ascent"),
+], ids=["uniform:1e308,1.7e308", "uniform:0,1.7e308", "uniform:0,1.7e308-T2"])
+def test_a_form_that_is_not_finite_at_a_start_is_refused(monkeypatch, spec, horizon, reason):
+    # refused with no projection (a start is taken as drawn) and no RuntimeWarning
     project, calls = optimizer.project_to_delta, []
 
     def counted(x, lo):
@@ -182,10 +188,14 @@ def test_a_form_that_is_not_finite_at_a_start_is_refused(monkeypatch, spec):
         return project(x, lo)
 
     monkeypatch.setattr(optimizer, "project_to_delta", counted)
-    game = truncate(0.3, 0.8, 2)
-    with pytest.raises(InvalidParameterError, match="not finite at start 0"):
-        maximize_L(parse_distribution(spec), game.buyer, game.seller, starts=2)
-    assert len(calls) == 1
+    if horizon == "tau":
+        game = truncate(0.3, 0.8, 2)
+        buyer, seller = game.buyer, game.seller
+    else:
+        buyer, seller = make_geometric_discount(0.3, 2), make_geometric_discount(0.8, 2)
+    with pytest.raises(InvalidParameterError, match=reason):
+        maximize_L(parse_distribution(spec), buyer, seller, starts=2)
+    assert len(calls) == 0
 
 
 def test_a_non_finite_later_run_refuses_the_solve(monkeypatch):
@@ -194,9 +204,9 @@ def test_a_non_finite_later_run_refuses_the_solve(monkeypatch):
     ascent, calls = optimizer._projected_ascent, []
 
     def second_run_nan(*args):
-        x, f, it, ok, kkt = ascent(*args)
+        x, f, it, kkt = ascent(*args)
         calls.append(None)
-        return x, (np.nan if len(calls) == 2 else f), it, ok, kkt
+        return x, (np.nan if len(calls) == 2 else f), it, kkt
 
     monkeypatch.setattr(optimizer, "_projected_ascent", second_run_nan)
     with pytest.raises(InvalidParameterError, match="not finite at start 1"):
@@ -205,7 +215,8 @@ def test_a_non_finite_later_run_refuses_the_solve(monkeypatch):
 
 def test_the_line_search_reuses_the_projected_reference_step(monkeypatch):
     # a trial at the reference step takes the gradient mapping's point, so
-    # it is not projected twice; the solve itself does not move
+    # it is not projected twice, and a start is not projected at all; the
+    # solve itself does not move
     project, calls = optimizer.project_to_delta, []
 
     def counted(x, lo):
@@ -215,24 +226,29 @@ def test_the_line_search_reuses_the_projected_reference_step(monkeypatch):
     monkeypatch.setattr(optimizer, "project_to_delta", counted)
     result = maximize_L(Uniform(0, 1), make_geometric_discount(0.3, 2),
                         make_geometric_discount(0.8, 2))
-    assert (len(calls), result.iterations) == (191, 94)
+    assert (len(calls), result.iterations) == (175, 94)
     assert result.value == 0.47472527472527476
 
 
 def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
     # the survival 1 - F(v) and M v of the point a line search accepts feed
-    # the next iteration's gradient; the solve itself does not move
-    cdf, calls = Uniform.cdf, []
+    # the next iteration's gradient, and a run that stalls keeps the
+    # certificate of its last top (4 of texp's 16 starts stall); the solve
+    # itself does not move
+    for spec, counts, value in [("uniform:0,1", (164, 94), 0.47472527472527476),
+                                ("texp:50,1", (3134, 1514), 0.01431582598478003)]:
+        dist = parse_distribution(spec)
+        cdf, calls = type(dist).cdf, []
 
-    def counted(self, v):
-        calls.append(None)
-        return cdf(self, v)
+        def counted(self, v, cdf=cdf, calls=calls):
+            calls.append(None)
+            return cdf(self, v)
 
-    monkeypatch.setattr(Uniform, "cdf", counted)
-    result = maximize_L(Uniform(0, 1), make_geometric_discount(0.3, 2),
-                        make_geometric_discount(0.8, 2))
-    assert (len(calls), result.iterations) == (164, 94)
-    assert result.value == 0.47472527472527476
+        monkeypatch.setattr(type(dist), "cdf", counted)
+        result = maximize_L(dist, make_geometric_discount(0.3, 2),
+                            make_geometric_discount(0.8, 2))
+        assert (len(calls), result.iterations) == counts, spec
+        assert result.value == value, spec
 
 
 # five solves as recorded at `9c8d47b`, which a change to the ascent's
@@ -487,17 +503,34 @@ def test_projection_matches_general_qp_solver():
         assert proj == pytest.approx(ref.x, abs=1e-6)
 
 
-@pytest.mark.parametrize("max_iter", [1, 3, 5])
+@pytest.mark.parametrize("max_iter", [1, 3, 5, pytest.param(None, id="texp:50,1-T2")])
 def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
-    # a run cut off by MAX_ITER reports the gradient mapping at v_star, not
-    # at the iterate before its last move
-    monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
-    dist = Beta(4, 2)
-    gb = make_geometric_discount(0.3, 3)
-    gs = make_geometric_discount(0.8, 3)
-    result = maximize_L(dist, gb, gs, starts=1)
+    # every run returns the gradient mapping at the point it returns: a run
+    # cut off by MAX_ITER (Beta(4, 2), T = 3, one start) not at the iterate
+    # before its last move, and a stalled run (texp:50,1 at T = 2, which
+    # runs to its end) at the point it stalled on; `converged` is that test
+    if max_iter is None:
+        dist, depth, starts = parse_distribution("texp:50,1"), 2, None
+    else:
+        monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
+        dist, depth, starts = Beta(4, 2), 3, 1
+    gb = make_geometric_discount(0.3, depth)
+    gs = make_geometric_discount(0.8, depth)
     Xi = build_system(gb, gs).Xi
     lo, hi = dist.support
     step0 = (hi - lo) / max(np.linalg.norm(Xi, 1), 1e-12)
+    ascent, runs = optimizer._projected_ascent, []
+
+    def recorded(*args):
+        x, f, it, kkt = ascent(*args)
+        runs.append((x, kkt))
+        return x, f, it, kkt
+
+    monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
+    result = maximize_L(dist, gb, gs, starts=starts)
+    assert len(runs) == result.starts
+    for x, kkt in runs:  # the ascent runs on Xi / gs_1 = Xi: gs_1 is 1
+        assert kkt == _gradient_mapping(x, L_gradient(Xi, dist, x), step0, lo)[1]
     _, kkt = _gradient_mapping(result.v_star, L_gradient(Xi, dist, result.v_star), step0, lo)
     assert result.kkt_residual == pytest.approx(kkt, rel=1e-12)
+    assert result.converged == (result.kkt_residual <= optimizer.KKT_TOL)

@@ -367,6 +367,14 @@ def test_brute_force_guards():
                                  make_geometric_discount(0.8, 3))
 
 
+def test_brute_force_refuses_weights_that_are_not_finite():
+    # the density 1e310 overflows, so every score would be NaN and the
+    # all-zero tree would win with value 0
+    with pytest.raises(InvalidParameterError, match="quadrature weights are not finite"):
+        brute_force_optimal_tree(Uniform(0, 1e-310), make_geometric_discount(0.3, 2),
+                                 make_geometric_discount(0.8, 2))
+
+
 def test_brute_force_degenerate_grid(monkeypatch):
     monkeypatch.setattr(oracle, "BRUTE_FORCE_GRID", 1)
     u = Uniform(0, 1)
