@@ -142,10 +142,10 @@ def _baseline(args, gs: float, h_star: float) -> float:
     return baseline
 
 
-def _solve(args, gb: float, gs: float, depth: int):
+def _solve(args, gb: float, gs: float, depth: int, warm=None):
     """`maximize_L` on the finite game of `depth` rounds, or on the infinite
-    game's truncation at `depth` when no --horizon is given; returns the
-    result and the truncated game (or None)."""
+    game's truncation at `depth` when no --horizon is given, warm-started at
+    `warm` if given; returns the result and the truncated game (or None)."""
     if args.horizon is None:
         game = truncate(gb, gs, depth)
         buyer, seller = game.buyer, game.seller
@@ -154,7 +154,7 @@ def _solve(args, gb: float, gs: float, depth: int):
         buyer = make_geometric_discount(gb, depth)
         seller = make_geometric_discount(gs, depth)
     result = maximize_L(args.dist, _perturbed(buyer, args.perturb, args.seed),
-                        seller, starts=args.starts, seed=args.seed)
+                        seller, starts=args.starts, seed=args.seed, warm=warm)
     return result, game
 
 
@@ -206,13 +206,15 @@ def cmd_sweep(args) -> int:
     header = ([varying] + [_node_header(n) for n in nodes]
               + [f"value{x}" for x in suffixes] + [f"ratio{x}" for x in suffixes])
     rows = []
+    optima = {}  # depth -> v_star at the previous grid point, the next point's warm start
     for point in grid:
         gs = fixed_value if args.fix == "gs" else float(point)
         gb = float(point) if args.fix == "gs" else fixed_value
         baseline = _baseline(args, gs, h_star)
         values = []
         for depth in depths:
-            res, _ = _solve(args, gb, gs, depth)
+            res, _ = _solve(args, gb, gs, depth, optima.get(depth))
+            optima[depth] = res.v_star
             values.append(res.value)
         # prices come from the last solve, the deepest one
         rows.append([point] + [res.tree.price(n) for n in nodes] + values

@@ -28,6 +28,7 @@ __all__ = [
 ]
 
 MYERSON_GRID_POINTS = 10_000  # scan that brackets the static revenue maximum
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 class ValuationDistribution:
@@ -154,6 +155,12 @@ class TruncatedExponential(ValuationDistribution):
     the interval, so it integrates to one.  Beware the superficially similar
     expression (1 - exp(-x)) / (1 - exp(-1)): at unit parameters that is this
     distribution's CDF, not a density (it does not integrate to one).
+
+    The mass 1 - exp(-rate*bound) divides `cdf` and `pdf`, so a mass below
+    the smallest normal float (rate * bound underflowed) is refused with
+    `InvalidParameterError`: the quotients lose bits there, or are 0 / 0.  A
+    bound below the smallest normal float is left to `myerson_price`, which
+    refuses that support as too narrow for every solve.
     """
 
     def __init__(self, rate: float = 1.0, bound: float = 1.0):
@@ -162,6 +169,10 @@ class TruncatedExponential(ValuationDistribution):
             raise InvalidParameterError("texp needs finite rate > 0 and bound > 0")
         self.rate, self.bound = rate, bound
         self._mass = -math.expm1(-rate * bound)  # 1 - exp(-rate*bound)
+        if self._mass < _TINY <= bound:
+            raise InvalidParameterError(
+                f"texp rate * bound = {rate * bound:g} is below the smallest normal float, "
+                "so its mass 1 - exp(-rate * bound) loses bits")
 
     @property
     def support(self):
@@ -236,7 +247,7 @@ def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
     narrower support still the density overflows, so no line search ends.
     """
     lo, hi = dist.support
-    if not (hi - lo) / (MYERSON_GRID_POINTS - 1) >= np.finfo(float).tiny:
+    if not (hi - lo) / (MYERSON_GRID_POINTS - 1) >= _TINY:
         raise InvalidParameterError(
             f"the support is too narrow for float arithmetic: width {hi - lo:g}")
     grid = np.linspace(lo, hi, MYERSON_GRID_POINTS)

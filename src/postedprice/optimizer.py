@@ -43,11 +43,12 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 FACE_STABLE_ITERS = 2  # iterations a face must hold before Newton is tried on it
 NEWTON_MAX_STEPS = 10  # Newton steps per try on a face
+WARM_RANDOM_STARTS = 2  # seeded draws in the reduced start list that follows a warm start
 
 
 @dataclass(frozen=True)
 class OptimizationResult:
-    """Outcome of maximizing the revenue form over Delta^k."""
+    """Outcome of maximizing the revenue form over Delta^k; `starts` counts the ascent runs made."""
 
     v_star: np.ndarray
     value: float
@@ -83,18 +84,20 @@ def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float, lo: float):
     return reference, math.sqrt(d @ d)
 
 
-def _face(x: np.ndarray, lo: float) -> np.ndarray:
-    """The face of the cone that x lies on: [x_1 == lo, x_2 == x_1, ..., x_k == x_{k-1}].
+def _face(x: np.ndarray, lo: float) -> tuple[bool, bytes]:
+    """The face of the cone that x lies on: x_1 == lo, and [x_2 == x_1, ..., x_k == x_{k-1}].
 
     Exact comparisons suffice: the projection leaves pooled values equal
-    and the ones it clamped at `lo` equal to `lo`.
+    and the ones it clamped at `lo` equal to `lo`.  The second flags are
+    the bytes of a boolean array: the ascent compares two faces on every
+    iteration, and a pair compares faster than arrays do.
     """
-    return np.concatenate(([x[0] == lo], x[1:] == x[:-1]))
+    return bool(x[0] == lo), (x[1:] == x[:-1]).tobytes()
 
 
-def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: np.ndarray,
+def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: tuple[bool, bytes],
                  x: np.ndarray, g: np.ndarray, f: float, step0: float, budget: int, lo: float):
-    """Newton's method on the block values of x's face `face`, from x (gradient g).
+    """Newton's method on the block values of x's face `face` (`_face`), from x (gradient g).
 
     Each pooled block moves as one value, v = B u, and the block at `lo`
     stays there.  Returns the steps taken and (v, value, kkt) for the first
@@ -102,7 +105,9 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: np.ndarr
     gradient mapping at `KKT_TOL`, or None when no point within `budget`
     steps is.
     """
-    labels = np.cumsum(~face)  # label 0 marks the block at lo
+    at_lo, pooled = face
+    flags = np.concatenate(([at_lo], np.frombuffer(pooled, dtype=bool)))
+    labels = np.cumsum(~flags)  # label 0 marks the block at lo
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
     v = x
     for step in range(1, budget + 1):
@@ -176,7 +181,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             if stalled > 250:  # gradient mapping hit its noise floor; kkt is x's
                 break
         current = _face(x, lo)
-        if np.array_equal(current, face):
+        if current == face:
             face_age += 1
         else:
             face, face_age = current, 0
@@ -223,19 +228,66 @@ def _start_count(starts: int | None, k: int) -> int:
     return max(16, 4 * k) if starts is None else _positive_int(starts, "starts")
 
 
+def _start_points(dist: ValuationDistribution, k: int, count: int, p_star: float,
+                  seed: int) -> list[np.ndarray]:
+    """The full start list, `count` points of the cone: the constant vector at p_star,
+    the distribution's k quantiles at levels i / (k + 1), then sorted rows of one
+    seeded uniform draw over the support, so a seed gives every list the same rows."""
+    lo, hi = dist.support
+    rng = np.random.default_rng(seed)
+    return [np.full(k, p_star), np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1])),
+            *np.sort(rng.uniform(lo, hi, size=(max(count - 2, 0), k)), axis=1)][:count]
+
+
+def _warm_start(warm, k: int, lo: float) -> np.ndarray:
+    """`warm` as a start of the ascent, refused unless it is a point of the cone in R^k."""
+    x = np.array(warm, dtype=float)
+    if x.shape != (k,) or not (np.all(np.isfinite(x)) and x[0] >= lo
+                               and np.all(x[1:] >= x[:-1])):
+        raise InvalidParameterError(
+            f"a warm start must be a finite vector of length {k} with lo <= v_1 <= ... <= v_k")
+    return x
+
+
+def _best(runs: list) -> tuple:
+    """The run (f, x, kkt) a solve returns: the best value f; among runs within
+    1e-10 relative of it, a certified one first, then the lexicographically smallest x."""
+    best_f = max(r[0] for r in runs)
+    tied = [r for r in runs if r[0] >= best_f - 1e-10 * abs(best_f)]
+    return min(tied, key=lambda r: (not r[2] <= KKT_TOL, tuple(r[1])))
+
+
 def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
-                      starts: int | None = None,
-                      seed: int = 0) -> tuple[np.ndarray, float, int, bool, float]:
+                      starts: int | None = None, seed: int = 0,
+                      warm=None) -> tuple[np.ndarray, float, int, bool, float, int]:
     """Multi-start ascent of (1 - F(v))' M v over lo <= v_1 <= ... <= v_k for kernel M.
 
-    Start points: the constant vector at the one-shot optimal price, the
-    distribution's quantiles, and seeded random sorted draws.  Among runs
-    tying for the best value (within 1e-10 relative) a certified run is
-    preferred, then the lexicographically smallest point, so results are
-    stable and `converged` holds whenever a tied run certified.  The solve
-    is refused with `InvalidParameterError` as soon as a run's value is not
-    finite: the form overflowed there, and the best finite run would
-    understate an optimum that overflows too.
+    Returns (v, value, iterations, converged, kkt, runs): the best point and
+    its value, the iterations of all runs together, whether the returned
+    point is certified and its gradient mapping, and the number of ascent
+    runs made.
+
+    Start points.  The full list has `starts` points (default max(16, 4k)):
+    the constant vector at the one-shot optimal price, the distribution's
+    quantiles, and sorted rows of one seeded uniform draw over the support.
+    Without `warm` every point of it is run.  With `warm`, a point of the
+    cone such as a neighbouring game's optimum, a reduced list is run first:
+    the warm start, then the first min(starts, 2 + `WARM_RANDOM_STARTS`)
+    points of the full list, which are the same points for the same seed.
+    If the run that the reduced list would return is not certified, the
+    rest of the full list is run too, and the solve returns the best of all
+    `starts` + 1 runs: a warm start ends uncertified only where the full
+    list's best value is not certified either, or the warm run beats it.
+    `runs` counts the runs made: `starts` without a warm start, and with
+    one either the reduced list's length or `starts` + 1.
+
+    Among runs tying for the best value (within 1e-10 relative) a certified
+    run is preferred, then the lexicographically smallest point, so results
+    are stable and `converged` holds whenever a tied run certified.  The
+    solve is refused with `InvalidParameterError` as soon as a run's value
+    is not finite: the form overflowed there, and the best finite run would
+    understate an optimum that overflows too.  A warm start that is not a
+    point of the cone is refused the same way.
 
     Steps are in the mass's reach: the reference step is (top - lo) / ||M||_1,
     top - lo the next power of two above the 1 - 1e-12 quantile's offset
@@ -274,41 +326,46 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     starts = _start_count(starts, k)
     p_star, _ = myerson_price(dist)
     lo, hi = dist.support
-    rng = np.random.default_rng(seed)
 
     with np.errstate(over="ignore"):
         # the mass's reach, a power of two; hi - lo unless the mass ends far below hi
         top = min(hi, lo + np.ldexp(1.0, math.frexp(dist.quantile(1.0 - 1e-12) - lo)[1]))
         step0 = (top - lo) / max(np.linalg.norm(matrix, 1), 1e-12)
 
-    x0s = [np.full(k, p_star), np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1])),
-           *np.sort(rng.uniform(lo, hi, size=(max(starts - 2, 0), k)), axis=1)]
+    x0s = _start_points(dist, k, starts, p_star, seed)
+    reduced = len(x0s)
+    if warm is not None:
+        x0s = [_warm_start(warm, k, lo)] + x0s
+        reduced = 1 + min(starts, 2 + WARM_RANDOM_STARTS)
     runs = []
     total_iters = 0
-    for i, x0 in enumerate(x0s[:starts]):
+    for i, x0 in enumerate(x0s):
+        if i == reduced and _best(runs)[2] <= KKT_TOL:
+            break
         x, f, iters, kkt = _projected_ascent(matrix, dist, x0, step0, lo)
         total_iters += iters
         if not np.isfinite(f):
             raise InvalidParameterError(f"the revenue form is not finite at start {i}")
         runs.append((f, x, kkt))
-    best_f = max(r[0] for r in runs)
-    tied = [r for r in runs if r[0] >= best_f - 1e-10 * abs(best_f)]
-    tied.sort(key=lambda r: (not r[2] <= KKT_TOL, tuple(r[1])))
-    f, x, kkt = tied[0]
-    return x, f, total_iters, kkt <= KKT_TOL, kkt
+    f, x, kkt = _best(runs)
+    return x, f, total_iters, kkt <= KKT_TOL, kkt, len(runs)
 
 
 def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
                seller_discount: DiscountSequence, *, starts: int | None = None,
-               seed: int = 0) -> OptimizationResult:
+               seed: int = 0, warm=None) -> OptimizationResult:
     """Revenue-maximal pricing tree for one finite game, via the cone reduction.
 
     Builds the reduction system, ascends L from multiple starts, and maps
-    the winning point back to its tree.  An infinite game is solved on its
-    `truncate`.  Revenue is solved for in the seller's first-round units:
-    the ascent runs on Xi / gs_1 and the value reported is gs_1 times its
-    value, so `kkt_residual` is in those units, and scaling either discount
-    by a power of two runs the same solve.  If the discount rates violate
+    the winning point back to its tree.  `starts`, `seed` and `warm` go to
+    `maximize_bilinear`, which documents the start list, the reduced list
+    that a warm start (a point v of this game's cone, such as the `v_star`
+    of a neighbouring game) runs first, and its fall-back to the full list;
+    `starts` in the result counts the ascent runs made.  An infinite game
+    is solved on its `truncate`.  Revenue is solved for in the seller's
+    first-round units: the ascent runs on Xi / gs_1 and the value reported
+    is gs_1 times its value, so `kkt_residual` is in those units, and
+    scaling either discount by a power of two runs the same solve.  If the discount rates violate
     nu(buyer) <= nu(seller) a `PatienceOrderWarning` is issued: the result
     is still the best completely active pricing, but the global optimality
     guarantee does not apply.
@@ -319,10 +376,9 @@ def maximize_L(dist: ValuationDistribution, buyer_discount: DiscountSequence,
             "discount rates violate nu(buyer) <= nu(seller); the optimum over "
             "completely active pricings may not be globally optimal",
             PatienceOrderWarning, stacklevel=2)
-    starts = _start_count(starts, system.k)
-    v, value, iters, ok, kkt = maximize_bilinear(
-        system.Xi / seller_discount.weights[0], dist, starts=starts, seed=seed)
+    v, value, iters, ok, kkt, runs = maximize_bilinear(
+        system.Xi / seller_discount.weights[0], dist, starts=starts, seed=seed, warm=warm)
     tree = v_to_tree(system, v)
     return OptimizationResult(v_star=v, value=seller_discount.weights[0] * value, tree=tree,
-                              iterations=iters, starts=starts, converged=ok, kkt_residual=kkt)
+                              iterations=iters, starts=runs, converged=ok, kkt_residual=kkt)
 

@@ -148,7 +148,7 @@ def test_criterion_07_plane_collapse_at_T2():
     full = maximize_L(UNIFORM, gb, gs, starts=8, seed=1)
     gap = abs(full.v_star[1] - full.v_star[2])
     matrix = reduced_T2_functional(0.8, 0.2)
-    _, reduced_value, _, _, _ = maximize_bilinear(matrix, UNIFORM, starts=8, seed=1)
+    _, reduced_value, *_ = maximize_bilinear(matrix, UNIFORM, starts=8, seed=1)
     diff = abs(reduced_value - full.value)
     _report(7, gap <= 1e-4 and diff <= 1e-6,
             f"3-d optimum sits on v2 = v3 (gap {gap:.2e}) and the 2-d "

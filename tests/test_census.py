@@ -1,6 +1,6 @@
 """The start census: 13 solves that a change to starts, steps or faces must keep.
 
-Deselected by default (14 tests, about 35 s); run with `pytest -m census`.  Every
+Deselected by default (20 tests, about 40 s); run with `pytest -m census`.  Every
 solve uses gs = 0.8 and the default starts and seed, and must certify.
 Its value is pinned to 1e-12 relative: on supports starting at 0 to the
 value recorded before the cone's floor moved to `lo` (those solves run the
@@ -11,6 +11,11 @@ Every row has support width 1 and a first seller weight of 1, so one more
 test reruns `texp:50,1` at T = 3 on supports 2^-20 and 2^20 wide (the
 same solve in another valuation unit) and with the seller's weights
 scaled by 2^-40 and 2^30 (the same solve in another revenue unit).
+
+Six continued sweeps (`CONTINUED_SWEEPS`) check the reduced start list that
+a warm start runs: on families with more than one basin, each row of a
+`sweep` must reach the value of the full multi-start, and certify wherever
+it does.
 """
 
 import numpy as np
@@ -18,6 +23,7 @@ import pytest
 
 from postedprice import (DiscountSequence, TruncatedExponential, make_geometric_discount,
                          maximize_L, parse_distribution, truncate)
+from test_cli import recorded_sweep
 
 pytestmark = pytest.mark.census
 
@@ -68,3 +74,29 @@ def test_a_scaled_texp_solve_is_the_same_solve():
         assert result.value == c * base.value, c
         assert np.array_equal(result.v_star, base.v_star), c
         assert (result.iterations, result.converged) == (base.iterations, True), c
+
+
+# (spec, T, grid step, grid count) of a sweep over gb = 0.01 + i * step at gs = 0.8:
+# the 149-point figure grid, or its every 4th point
+CONTINUED_SWEEPS = [
+    ("beta:4,2", 2, 0.005, 149),
+    ("beta:0.5,0.5", 2, 0.005, 149),
+    ("texp:50,1", 2, 0.02, 38),  # about 4 s with the full list; 24 s on all 149 points
+    ("uniform:2,3", 2, 0.005, 149),
+    ("beta:4,2", 3, 0.02, 38),
+    ("beta:0.5,0.5", 3, 0.02, 38),
+]
+
+
+@pytest.mark.parametrize("spec, horizon, step, count", CONTINUED_SWEEPS)
+def test_a_continued_sweep_keeps_the_full_multi_start_value(monkeypatch, spec, horizon,
+                                                            step, count):
+    solves = recorded_sweep(monkeypatch, "--dist", spec, "--fix", "gs", "--fixed-value",
+                            "0.8", "--horizon", str(horizon), "--grid-step", str(step),
+                            "--grid-count", str(count))
+    assert len(solves) == count
+    for args, kwargs, continued in solves[1:]:
+        assert kwargs["warm"] is not None
+        full = maximize_L(*args)
+        assert continued.value >= full.value * (1 - 1e-12), args[1]
+        assert continued.converged or not full.converged, args[1]

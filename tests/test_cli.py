@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from postedprice import PricingTree
+from postedprice import PricingTree, build_system, cli, uniform_face_optimum
 from postedprice.cli import main
+from postedprice.optimizer import WARM_RANDOM_STARTS
 
 DATA = Path(__file__).parent / "data"
 
@@ -235,6 +236,36 @@ def test_sweep_determinism(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+def recorded_sweep(monkeypatch, *argv):
+    """Runs `sweep` with `argv`; returns each solve's (args, kwargs, result) in order."""
+    solve, solves = cli.maximize_L, []
+
+    def recorded(*args, **kwargs):
+        solves.append((args, kwargs, solve(*args, **kwargs)))
+        return solves[-1][2]
+
+    monkeypatch.setattr(cli, "maximize_L", recorded)
+    assert main(["sweep", *argv, "--out", os.devnull]) == 0
+    return solves
+
+
+def test_a_continued_sweep_reaches_every_exact_uniform_optimum(monkeypatch):
+    # the 149-point T = 2 figure grid: each row after the first starts at the
+    # row before's optimum with the reduced start list, and must still land
+    # on the exact optimum of its kernel, certified
+    solves = recorded_sweep(monkeypatch, "--dist", "uniform:0,1", "--fix", "gs",
+                            "--fixed-value", "0.8", "--horizon", "2")
+    assert len(solves) == 149
+    previous = None
+    for (dist, buyer, seller), kwargs, result in solves:
+        assert kwargs["warm"] is previous
+        assert result.starts == (16 if previous is None else 3 + WARM_RANDOM_STARTS)
+        _, exact = uniform_face_optimum(build_system(buyer, seller).Xi, dist)
+        assert result.value == pytest.approx(exact, rel=1e-12), buyer
+        assert result.converged, buyer
+        previous = result.v_star
+
+
 def test_sweep_grid_outside_unit_interval_is_usage_error(capsys):
     code, _, _ = run(capsys, "sweep", "--dist", "uniform:0,1", "--fix", "gs",
                      "--fixed-value", "0.8", "--grid-start", "0.9",
@@ -400,12 +431,17 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
       "--horizon", "2", "--starts", "2"], 3),  # the form is finite at the start, its step is not
     (["optimize", "--dist", "uniform:0,1e308", "--gs", "0.5", "--gb", "0.5",
       "--horizon", "2"], 3),  # the form is finite, the line search's longest step is not
+    # texp's mass 1 - exp(-rate * bound) is 0 (it printed "h_star": NaN) or subnormal
+    (["myerson", "--dist", "texp:9.025971879324148e-277,1.4405579633921662e-92"], 2),
+    (["optimize", "--dist", "texp:5.03e-55,8.27e-262", "--gs", "0.8", "--gb", "0.3",
+      "--horizon", "2"], 2),
 ], ids=["tau-list-word", "tau-list-empty", "tau-list-repeated", "config-not-json",
         "config-array", "grid-size-negative", "bigdeal-tau-above-guard",
         "truncate-tau-above-guard", "optimize-zero-baseline", "sweep-zero-baseline",
         "simulate-huge-horizon", "optimize-baseline-overflows-tau2",
         "optimize-baseline-overflows-T2", "optimize-baseline-overflows-T3",
-        "optimize-form-overflows", "optimize-step-overflows"])
+        "optimize-form-overflows", "optimize-step-overflows", "myerson-texp-mass-zero",
+        "optimize-texp-mass-subnormal"])
 def test_bad_inputs_end_in_typed_errors(tmp_path, capsys, argv, code):
     config = tmp_path / "config.json"
     config.write_text("{not json")

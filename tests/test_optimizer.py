@@ -152,11 +152,11 @@ def test_deterministic_given_seed():
 def test_ascent_improves_on_every_start_value():
     u = Uniform(0, 1)
     matrix = reduced_T2_functional(0.8, 0.2)
-    v, value, iters, ok, kkt = maximize_bilinear(matrix, u, starts=6, seed=0)
+    v, value, iters, ok, kkt, runs = maximize_bilinear(matrix, u, starts=6, seed=0)
     # the run must end at least as high as the best starting value it saw
     start_value = L_value(matrix, u, np.full(2, 0.5))
     assert value >= start_value - 1e-12
-    assert iters >= 1
+    assert iters >= 1 and runs == 6
 
 
 @pytest.mark.parametrize("spec", ["uniform:0,1", "uniform:2,3"])
@@ -251,6 +251,50 @@ def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
         assert result.value == value, spec
 
 
+def test_a_warm_start_runs_a_prefix_of_the_full_start_list(monkeypatch):
+    # the warm start, then the first 2 + WARM_RANDOM_STARTS points of the
+    # cold solve's list (the same seeded draw), or of an explicit --starts cap
+    ascent, starts = optimizer._projected_ascent, []
+
+    def recorded(matrix, dist, x0, step0, lo):
+        starts.append(x0)
+        return ascent(matrix, dist, x0, step0, lo)
+
+    monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
+    dist, gb, gs = Beta(4, 2), make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)
+    cold = maximize_L(dist, gb, gs, seed=3)
+    cold_starts, starts[:] = starts[:], []
+    warm = maximize_L(dist, gb, gs, seed=3, warm=cold.v_star)
+    reduced = 2 + optimizer.WARM_RANDOM_STARTS
+    assert (cold.starts, warm.starts, len(starts)) == (28, 1 + reduced, 1 + reduced)
+    assert starts[0] is not cold.v_star and np.array_equal(starts[0], cold.v_star)
+    assert all(np.array_equal(a, b) for a, b in zip(starts[1:], cold_starts[:reduced]))
+    assert warm.converged and warm.value >= cold.value * (1 - 1e-12)
+    starts[:] = []
+    assert maximize_L(dist, gb, gs, starts=2, warm=cold.v_star).starts == len(starts) == 3
+
+
+def test_a_warm_start_falls_back_to_the_full_start_list():
+    # beta:1e-9,1e-9 at T = 2 ends uncertified, so after the reduced list the
+    # rest of the full list runs too: the warm start and all 16 starts
+    dist = parse_distribution("beta:1e-9,1e-9")
+    gb, gs = make_geometric_discount(0.3, 2), make_geometric_discount(0.8, 2)
+    cold = maximize_L(dist, gb, gs)
+    warm = maximize_L(dist, gb, gs, warm=np.full(3, 0.5))
+    assert (cold.converged, warm.converged) == (False, False)
+    assert (cold.starts, warm.starts) == (16, 16 + 1)
+    assert warm.value >= cold.value
+
+
+@pytest.mark.parametrize("warm", [[0.5, 0.5], [0.6, 0.5, 0.7], [-0.1, 0.5, 0.7],
+                                  [0.1, np.nan, 0.7], [[0.1, 0.2, 0.3]]],
+                         ids=["length", "unsorted", "below-lo", "nan", "matrix"])
+def test_a_warm_start_off_the_cone_is_refused(warm):
+    gb, gs = make_geometric_discount(0.3, 2), make_geometric_discount(0.8, 2)
+    with pytest.raises(InvalidParameterError, match="warm start"):
+        maximize_L(Uniform(0, 1), gb, gs, warm=warm)
+
+
 # five solves as recorded at `9c8d47b`, which a change to the ascent's
 # arithmetic moves: (v_star bytes, value, iterations, converged, kkt_residual)
 PINNED_SOLVES = {
@@ -339,7 +383,7 @@ def test_face_optimum_matches_gradient_path_on_the_T2_kernel():
         v, value = uniform_face_optimum(matrix, u)
         assert value == pytest.approx(value_exact, abs=1e-15)
         assert v == pytest.approx(v_exact, abs=1e-15)
-        v_pg, value_pg, _, _, _ = maximize_bilinear(matrix, u, starts=8, seed=2)
+        v_pg, value_pg, *_ = maximize_bilinear(matrix, u, starts=8, seed=2)
         assert value_pg == pytest.approx(value, abs=1e-9)
         assert v_pg == pytest.approx(v, abs=1e-4)
 

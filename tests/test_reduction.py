@@ -347,7 +347,7 @@ def test_reduced_T2_equal_rate_limit_is_diagonal():
     from postedprice.optimizer import maximize_bilinear
     matrix = reduced_T2_functional(0.8, 0.8 - 1e-9)
     assert abs(matrix[1, 0]) < 1e-8
-    v, value, _, _, _ = maximize_bilinear(matrix, u, starts=6, seed=0)
+    v, value, *_ = maximize_bilinear(matrix, u, starts=6, seed=0)
     assert v == pytest.approx([0.5, 0.5], abs=1e-4)
     assert value == pytest.approx((1 + 0.8) * 0.25, abs=1e-6)
 
