@@ -84,18 +84,18 @@ def _gradient_mapping(x: np.ndarray, g: np.ndarray, step0: float, lo: float):
     return reference, math.sqrt(d @ d)
 
 
-def _face(x: np.ndarray, lo: float) -> tuple[bool, bytes]:
-    """The face of the cone that x lies on: x_1 == lo, and [x_2 == x_1, ..., x_k == x_{k-1}].
+def _face(x: np.ndarray, lo: float) -> bytes:
+    """The face of the cone that x lies on: the bytes of the boolean array
+    [x_1 == lo, x_2 == x_1, ..., x_k == x_{k-1}].
 
     Exact comparisons suffice: the projection leaves pooled values equal
-    and the ones it clamped at `lo` equal to `lo`.  The second flags are
-    the bytes of a boolean array: the ascent compares two faces on every
-    iteration, and a pair compares faster than arrays do.
+    and the ones it clamped at `lo` equal to `lo`.  The ascent compares two
+    faces on every iteration, and bytes compare faster than arrays do.
     """
-    return bool(x[0] == lo), (x[1:] == x[:-1]).tobytes()
+    return (b"\x01" if x[0] == lo else b"\x00") + (x[1:] == x[:-1]).tobytes()
 
 
-def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: tuple[bool, bytes],
+def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: bytes,
                  x: np.ndarray, g: np.ndarray, f: float, step0: float, budget: int, lo: float):
     """Newton's method on the block values of x's face `face` (`_face`), from x (gradient g).
 
@@ -105,9 +105,7 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: tuple[bo
     gradient mapping at `KKT_TOL`, or None when no point within `budget`
     steps is.
     """
-    at_lo, pooled = face
-    flags = np.concatenate(([at_lo], np.frombuffer(pooled, dtype=bool)))
-    labels = np.cumsum(~flags)  # label 0 marks the block at lo
+    labels = np.cumsum(~np.frombuffer(face, dtype=bool))  # label 0 marks the block at lo
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
     v = x
     for step in range(1, budget + 1):

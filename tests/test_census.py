@@ -1,6 +1,6 @@
 """The start census: 13 solves that a change to starts, steps or faces must keep.
 
-Deselected by default (20 tests, about 40 s); run with `pytest -m census`.  Every
+Deselected by default (28 tests, about 3 min); run with `pytest -m census`.  Every
 solve uses gs = 0.8 and the default starts and seed, and must certify.
 Its value is pinned to 1e-12 relative: on supports starting at 0 to the
 value recorded before the cone's floor moved to `lo` (those solves run the
@@ -12,10 +12,10 @@ test reruns `texp:50,1` at T = 3 on supports 2^-20 and 2^20 wide (the
 same solve in another valuation unit) and with the seller's weights
 scaled by 2^-40 and 2^30 (the same solve in another revenue unit).
 
-Six continued sweeps (`CONTINUED_SWEEPS`) check the reduced start list that
-a warm start runs: on families with more than one basin, each row of a
-`sweep` must reach the value of the full multi-start, and certify wherever
-it does.
+Fourteen continued sweeps (`CONTINUED_SWEEPS`), at T = 2 to 6 and on two
+tau ladders (tau 2 to 6), check the reduced start list that a warm start
+runs: on families with more than one basin, each row of a `sweep` must
+reach the value of the full multi-start, and certify wherever it does.
 """
 
 import numpy as np
@@ -76,26 +76,37 @@ def test_a_scaled_texp_solve_is_the_same_solve():
         assert (result.iterations, result.converged) == (base.iterations, True), c
 
 
-# (spec, T, grid step, grid count) of a sweep over gb = 0.01 + i * step at gs = 0.8:
-# the 149-point figure grid, or its every 4th point
+# (spec, "T<n>" or "tau<n>,<n>,...", grid step, grid count) of a sweep over
+# gb = 0.01 + i * step at gs = 0.8: the 149-point figure grid, or a thinned
+# one where the full multi-start is slow (a thinner grid puts each warm start
+# further from its row's optimum)
 CONTINUED_SWEEPS = [
-    ("beta:4,2", 2, 0.005, 149),
-    ("beta:0.5,0.5", 2, 0.005, 149),
-    ("texp:50,1", 2, 0.02, 38),  # about 4 s with the full list; 24 s on all 149 points
-    ("uniform:2,3", 2, 0.005, 149),
-    ("beta:4,2", 3, 0.02, 38),
-    ("beta:0.5,0.5", 3, 0.02, 38),
+    ("beta:4,2", "T2", 0.005, 149),
+    ("beta:0.5,0.5", "T2", 0.005, 149),
+    ("texp:50,1", "T2", 0.02, 38),  # about 4 s with the full list; 24 s on all 149 points
+    ("uniform:2,3", "T2", 0.005, 149),
+    ("beta:4,2", "T3", 0.02, 38),
+    ("beta:0.5,0.5", "T3", 0.02, 38),
+    ("beta:4,2", "T4", 0.04, 19),
+    ("beta:0.5,0.5", "T4", 0.04, 19),
+    ("beta:4,2", "T5", 0.08, 10),
+    ("beta:0.5,0.5", "T5", 0.04, 19),
+    ("beta:4,2", "T6", 0.24, 4),
+    ("beta:0.5,0.5", "T6", 0.08, 10),
+    ("beta:4,2", "tau2,3,4,5,6", 0.24, 3),
+    ("beta:0.5,0.5", "tau2,3,4,5,6", 0.12, 6),
 ]
 
 
-@pytest.mark.parametrize("spec, horizon, step, count", CONTINUED_SWEEPS)
-def test_a_continued_sweep_keeps_the_full_multi_start_value(monkeypatch, spec, horizon,
+@pytest.mark.parametrize("spec, depths, step, count", CONTINUED_SWEEPS)
+def test_a_continued_sweep_keeps_the_full_multi_start_value(monkeypatch, spec, depths,
                                                             step, count):
+    flag = ["--horizon", depths[1:]] if depths.startswith("T") else ["--tau-list", depths[3:]]
     solves = recorded_sweep(monkeypatch, "--dist", spec, "--fix", "gs", "--fixed-value",
-                            "0.8", "--horizon", str(horizon), "--grid-step", str(step),
-                            "--grid-count", str(count))
-    assert len(solves) == count
-    for args, kwargs, continued in solves[1:]:
+                            "0.8", *flag, "--grid-step", str(step), "--grid-count", str(count))
+    first_row = len(depths.split(","))
+    assert len(solves) == count * first_row
+    for args, kwargs, continued in solves[first_row:]:
         assert kwargs["warm"] is not None
         full = maximize_L(*args)
         assert continued.value >= full.value * (1 - 1e-12), args[1]

@@ -249,21 +249,27 @@ def recorded_sweep(monkeypatch, *argv):
     return solves
 
 
-def test_a_continued_sweep_reaches_every_exact_uniform_optimum(monkeypatch):
-    # the 149-point T = 2 figure grid: each row after the first starts at the
-    # row before's optimum with the reduced start list, and must still land
-    # on the exact optimum of its kernel, certified
+@pytest.mark.parametrize("argv, rows", [
+    (["--horizon", "2"], 149),  # the T = 2 figure grid
+    (["--tau-list", "2,3", "--grid-step", "0.06", "--grid-count", "11"], 11),
+], ids=["horizon-2", "tau-list-2-3"])
+def test_a_continued_sweep_reaches_every_exact_uniform_optimum(monkeypatch, argv, rows):
+    # each row after the first starts at the row before's optimum at the same
+    # depth with the reduced start list, and must still land on the exact
+    # optimum of its kernel, certified
     solves = recorded_sweep(monkeypatch, "--dist", "uniform:0,1", "--fix", "gs",
-                            "--fixed-value", "0.8", "--horizon", "2")
-    assert len(solves) == 149
-    previous = None
+                            "--fixed-value", "0.8", *argv)
+    assert len(solves) % rows == 0
+    previous = {}  # k -> the optimum of the row before at that depth
     for (dist, buyer, seller), kwargs, result in solves:
-        assert kwargs["warm"] is previous
-        assert result.starts == (16 if previous is None else 3 + WARM_RANDOM_STARTS)
+        k = len(result.v_star)
+        assert kwargs["warm"] is previous.get(k)
+        assert result.starts == (3 + WARM_RANDOM_STARTS if k in previous else max(16, 4 * k))
         _, exact = uniform_face_optimum(build_system(buyer, seller).Xi, dist)
         assert result.value == pytest.approx(exact, rel=1e-12), buyer
         assert result.converged, buyer
-        previous = result.v_star
+        previous[k] = result.v_star
+    assert len(previous) == len(solves) // rows
 
 
 def test_sweep_grid_outside_unit_interval_is_usage_error(capsys):
