@@ -210,12 +210,15 @@ def cmd_sweep(args) -> int:
     for point in grid:
         gs = fixed_value if args.fix == "gs" else float(point)
         gb = float(point) if args.fix == "gs" else fixed_value
-        baseline = _baseline(args, gs, h_star)
-        values = []
-        for depth in depths:
-            res, _ = _solve(args, gb, gs, depth, optima.get(depth))
-            optima[depth] = res.v_star
-            values.append(res.value)
+        try:
+            baseline = _baseline(args, gs, h_star)
+            values = []
+            for depth in depths:
+                res, _ = _solve(args, gb, gs, depth, optima.get(depth))
+                optima[depth] = res.v_star
+                values.append(res.value)
+        except _DOMAIN_ERRORS as exc:  # name the grid point that failed
+            raise type(exc)(f"at {varying} = {float(point)}: {exc}") from exc
         # prices come from the last solve, the deepest one
         rows.append([point] + [res.tree.price(n) for n in nodes] + values
                     + [value / baseline for value in values])

@@ -307,7 +307,7 @@ class PricingTree:
         return f"PricingTree(horizon={self._horizon}, root={root:g})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GameOutcome:
     """Discounted totals of one play-through: a strategy against a tree.
 

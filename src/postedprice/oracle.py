@@ -41,7 +41,7 @@ ARGBEST_BLOCK_CELLS = 2 ** 20  # surplus cells (strategies x valuations) held at
 MAX_FACE_K = 7  # uniform_face_optimum's ceiling: Xi at T <= 3, 502 faces at k = 7
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BestResponse(GameOutcome):
     """A surplus-maximizing strategy and the totals it generates.
 
@@ -150,12 +150,15 @@ def strategic_revenue_curve(tree: PricingTree, buyer_discount: DiscountSequence,
         raise InvalidParameterError("valuation grid must be finite, sorted and non-negative")
     tables = strategy_tables(tree, buyer_discount, seller_discount)
     idx, _ = _argbest(tables, v)
+    # one string per distinct best response, shared by every grid point it wins
+    distinct, where = np.unique(idx, return_inverse=True)
+    words = _words(distinct.tolist(), tree.horizon)
     return RevenueCurve(
         valuations=v,
         surplus=tables.quantities[idx] * v - tables.buyer_payments[idx],
         revenue=tables.seller_payments[idx],
         quantity=tables.quantities[idx],
-        strategies=_words(idx.tolist(), tree.horizon),
+        strategies=tuple(map(words.__getitem__, where.tolist())),
     )
 
 
@@ -238,25 +241,21 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     response over 00, 01 and 10 is formed once per (root, left) price pair,
     and strategy 11's line is compared against it for every right price.
 
-    `BRUTE_FORCE_CHUNK` pairs are scored at a time.  A chunk of 5 pairs
-    holds (5, 50, 256) float64 arrays (500 KiB each) and one boolean mask.
-    The chunk's row count is part of each score's rounding: the product
-    that sums a tree's quadrature rounds according to it, so the chunk
-    boundaries fix the scores bit for bit.
+    `BRUTE_FORCE_CHUNK` pairs are scored at a time, and only the chunk's
+    trees exist: their (250, 3) prices are indexed out of the grid, and
+    tree t of the search is (grid[t // n^2], grid[t // n % n], grid[t % n]).
+    A chunk of 5 pairs holds (5, 50, 256) float64 arrays (500 KiB each) and
+    one boolean mask.  The chunk's row count is part of each score's
+    rounding: the product that sums a tree's quadrature rounds according to
+    it, so the chunk boundaries fix the scores bit for bit.
     """
     gb = _finite_weights(buyer_discount, 2)
     gs = _finite_weights(seller_discount, 2)
     lo, hi = dist.support
     n = BRUTE_FORCE_GRID
     grid = np.linspace(lo, hi, n)
-
-    # node prices (root, left '0', right '1') for every grid combination
-    prices = np.stack([a.ravel() for a in np.meshgrid(grid, grid, grid,
-                                                      indexing="ij")], axis=1)
     bits = strategy_bits(2)
-    # (strategies, (root, left) pairs, right prices): views of the payments
-    r_buyer = (prices @ _payment_matrix(bits, gb).T).T.reshape(4, n * n, n)
-    r_seller = (prices @ _payment_matrix(bits, gs).T).T.reshape(4, n * n, n)
+    k_buyer, k_seller = _payment_matrix(bits, gb).T, _payment_matrix(bits, gs).T
     q = bits @ gb
 
     x, w = np.polynomial.legendre.leggauss(32)
@@ -271,25 +270,35 @@ def brute_force_optimal_tree(dist: ValuationDistribution,
     best_value = -np.inf
     best_index = 0
     for first in range(0, n * n, BRUTE_FORCE_CHUNK):
-        sl = slice(first, first + BRUTE_FORCE_CHUNK)
+        pairs = np.arange(first, min(first + BRUTE_FORCE_CHUNK, n * n))
+        # node prices (root, left '0', right '1') of the chunk's trees
+        prices = np.empty((len(pairs), n, 3))
+        prices[..., 0] = grid[pairs // n, None]
+        prices[..., 1] = grid[pairs % n, None]
+        prices[..., 2] = grid
+        prices = prices.reshape(-1, 3)
+        # (strategies, pairs, right prices): views of the chunk's payments
+        r_buyer = (prices @ k_buyer).T.reshape(4, len(pairs), n)
+        r_seller = (prices @ k_seller).T.reshape(4, len(pairs), n)
         # the running best response over strategies 00, 01 and 10, which pay
         # nothing at the right node: its surplus and seller revenue per (pair, node)
-        best = lines[0] - r_buyer[0, sl, :1]
-        revenue = np.broadcast_to(r_seller[0, sl, :1], best.shape).copy()
+        best = lines[0] - r_buyer[0, :, :1]
+        revenue = np.broadcast_to(r_seller[0, :, :1], best.shape).copy()
         for j in range(1, 3):
-            surplus = lines[j] - r_buyer[j, sl, :1]
+            surplus = lines[j] - r_buyer[j, :, :1]
             better = surplus > best  # strict, so the first maximal strategy stays
             np.copyto(best, surplus, where=better)
-            np.copyto(revenue, r_seller[j, sl, :1], where=better)
+            np.copyto(revenue, r_seller[j, :, :1], where=better)
         # strategy 11 against that best response, per (pair, right price, node)
-        revenue = np.where(lines[3] - r_buyer[3, sl, :, None] > best[:, None, :],
-                           r_seller[3, sl, :, None], revenue[:, None, :])
+        revenue = np.where(lines[3] - r_buyer[3, :, :, None] > best[:, None, :],
+                           r_seller[3, :, :, None], revenue[:, None, :])
         values = revenue.reshape(-1, len(nodes)) @ fw
         j = int(np.argmax(values))
         if values[j] > best_value:
             best_value = float(values[j])
             best_index = first * n + j
-    tree = PricingTree(2, dict(zip(canonical_nodes(2), prices[best_index])))
+    winner = grid[[best_index // (n * n), best_index // n % n, best_index % n]]
+    tree = PricingTree(2, dict(zip(canonical_nodes(2), winner)))
     return tree, expected_strategic_revenue(tree, dist, buyer_discount, seller_discount)
 
 

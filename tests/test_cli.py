@@ -287,6 +287,18 @@ def test_sweep_unwritable_path_is_io_error(capsys):
     assert "I/O" in err
 
 
+def test_a_failing_sweep_names_its_grid_point(capsys):
+    # grid point 99 is gb = 0.01 + 98 * 0.005 = 0.5, where truncate(0.5, 0.8, 2)
+    # gives the buyer weights [1, 1], so strategies 01 and 10 tie
+    code, out, err = run(capsys, "sweep", "--dist", "uniform:0,1", "--fix", "gs",
+                         "--fixed-value", "0.8", "--tau-list", "2")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: at gb = 0.5: buyer discount is not regular: strategies 01 and 10 "
+        "share the discounted quantity (gap 0)"]
+
+
 # ---------------------------------------------------------------------------
 # simulate
 

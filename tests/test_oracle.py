@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import tracemalloc
 from fractions import Fraction
 from itertools import product
@@ -88,6 +89,17 @@ def test_a_best_response_is_a_game_outcome_plus_its_tie_count():
         (out.surplus, out.revenue, out.quantity), abs=1e-12)
 
 
+def test_game_outcomes_are_slotted_frozen_and_picklable():
+    d = DiscountSequence([1.0, 0.5])
+    tree = PricingTree.constant(2, 0.5)
+    for outcome in (evaluate(tree, "10", 0.8, d, d), best_response(tree, 0.8, d, d)):
+        assert not hasattr(outcome, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            outcome.revenue = 0.0
+        copy = pickle.loads(pickle.dumps(outcome))
+        assert type(copy) is type(outcome) and copy == outcome
+
+
 @pytest.mark.parametrize("v", [math.nan, float("inf")])
 def test_non_finite_valuation_is_refused(v):
     # a NaN compares false with every surplus, so it used to answer '00'
@@ -166,6 +178,17 @@ def test_curve_needs_a_non_empty_1d_grid(grid):
     g = DiscountSequence([1.0, 0.5])
     with pytest.raises(InvalidParameterError, match="non-empty 1-d array"):
         strategic_revenue_curve(PricingTree.constant(2, 0.5), g, g, grid)
+
+
+def test_curve_holds_one_string_per_distinct_strategy():
+    rng = np.random.default_rng(21)
+    tree = random_tree(rng, 6)
+    gb, gs = make_geometric_discount(0.3, 6), make_geometric_discount(0.8, 6)
+    grid = np.linspace(0.0, 1.5, 201)
+    curve = strategic_revenue_curve(tree, gb, gs, grid)
+    assert len(set(curve.strategies)) > 1
+    assert len({id(s) for s in curve.strategies}) == len(set(curve.strategies))
+    assert list(curve.strategies) == [best_response(tree, v, gb, gs).strategy for v in grid]
 
 
 # ---------------------------------------------------------------------------
@@ -438,9 +461,13 @@ def test_brute_force_picks_the_argmax_winner(monkeypatch, spec, gb_rate, gs_rate
      0.4745522698875469),
     ("beta:4,2", (0.5510204081632653, 0.44897959183673464, 0.5918367346938775),
      0.760527079175474),
+    ("beta:0.5,0.5", (0.6326530612244897, 0.4897959183673469, 0.6938775510204082),
+     0.49554099185759143),
+    ("texp:50,1", (0.02040816326530612,) * 3, 0.013240939172981178),
 ])
 def test_brute_force_full_grid_winner_is_pinned(spec, prices, value):
-    # recorded with the (trees, 4, nodes) argmax kernel, gb 0.3 and gs 0.8
+    # the four searches of the oracle audit at gb 0.3 and gs 0.8; the first
+    # two were recorded with the (trees, 4, nodes) argmax kernel
     tree, got = brute_force_optimal_tree(parse_distribution(spec),
                                          make_geometric_discount(0.3, 2),
                                          make_geometric_discount(0.8, 2))
@@ -449,9 +476,10 @@ def test_brute_force_full_grid_winner_is_pinned(spec, prices, value):
 
 
 def test_brute_force_search_holds_one_chunk_of_pairs_at_a_time():
-    # one full-grid search peaks at about 11 MiB of traced memory: the
-    # (125,000, 3) price grid, the (4, 125,000) payment tables and one chunk
-    # of (5, 50, 256) arrays.  A head table for the whole grid would not fit
+    # one full-grid search peaks at about 0.75 MiB of traced memory: one
+    # chunk's (250, 3) prices, (4, 250) payments and (5, 50, 256) arrays.  A
+    # price or payment table of the whole 125,000-tree grid (2.9 MiB for the
+    # prices alone) would not fit
     dist, g = parse_distribution("beta:4,2"), make_geometric_discount(0.3, 2)
     tracemalloc.start()
     try:
@@ -459,7 +487,7 @@ def test_brute_force_search_holds_one_chunk_of_pairs_at_a_time():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 ** 20
+    assert peak < 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
