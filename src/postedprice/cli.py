@@ -217,8 +217,9 @@ def cmd_sweep(args) -> int:
                 res, _ = _solve(args, gb, gs, depth, optima.get(depth))
                 optima[depth] = res.v_star
                 values.append(res.value)
-        except _DOMAIN_ERRORS as exc:  # name the grid point that failed
-            raise type(exc)(f"at {varying} = {float(point)}: {exc}") from exc
+        except _DOMAIN_ERRORS as exc:  # name the grid point that failed, keeping the error
+            exc.args = (f"at {varying} = {float(point)}: {exc}",)
+            raise
         # prices come from the last solve, the deepest one
         rows.append([point] + [res.tree.price(n) for n in nodes] + values
                     + [value / baseline for value in values])

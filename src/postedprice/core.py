@@ -84,51 +84,40 @@ def _check_weights(weights: tuple[float, ...]) -> None:
         raise InvalidParameterError(f"invalid discount sequence: {reason} at index {i}")
 
 
+@dataclass(frozen=True, slots=True, init=False, repr=False)
 class DiscountSequence:
     """Per-round utility weights gamma_t for one side of a finite game.
 
     A discount sequence is its tuple of weights, and `len(d)` is its
     horizon.  The infinite geometric game is not a sequence: it is a rate,
     which `schemes.truncate` turns into a finite game.  Instances are
-    immutable.
+    immutable; equality and hashing are the weights'.
     """
 
-    __slots__ = ("_weights",)
+    weights: tuple[float, ...]
 
     def __init__(self, weights: Sequence[float]):
         weights = tuple(_nonnegative(x, f"invalid discount sequence: weight at index {i}")
                         for i, x in enumerate(weights))
         _check_weights(weights)
-        self._weights = weights
-
-    @property
-    def weights(self) -> tuple[float, ...]:
-        return self._weights
+        object.__setattr__(self, "weights", weights)
 
     @property
     def total(self) -> float:
         """The sum Gamma of all weights."""
-        return math.fsum(self._weights)
+        return math.fsum(self.weights)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self._weights, dtype=float)
+        return np.asarray(self.weights, dtype=float)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return len(self.weights)
 
     def __iter__(self) -> Iterator[float]:
-        return iter(self._weights)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DiscountSequence):
-            return NotImplemented
-        return self._weights == other._weights
-
-    def __hash__(self):
-        return hash(self._weights)
+        return iter(self.weights)
 
     def __repr__(self) -> str:
-        return f"DiscountSequence({list(self._weights)!r})"
+        return f"DiscountSequence({list(self.weights)!r})"
 
 
 def _finite_weights(discount: DiscountSequence, horizon: int) -> np.ndarray:
@@ -143,7 +132,8 @@ def make_geometric_discount(rate: float, horizon: int) -> DiscountSequence:
     rate = _nonnegative(rate, "geometric rate")
     if not 0.0 < rate < 1.0:
         raise InvalidParameterError("geometric rate must lie in (0, 1)")
-    return DiscountSequence([rate ** t for t in range(_positive_int(horizon))])
+    horizon = _enumerable(_positive_int(horizon), "horizon")
+    return DiscountSequence([rate ** t for t in range(horizon)])
 
 
 def discount_rates(discount: DiscountSequence) -> tuple[float, ...]:
@@ -223,7 +213,7 @@ def _payment_matrix(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def canonical_nodes(horizon: int) -> list[str]:
     """All node identifiers of a depth-`horizon` tree, by depth then value."""
     out = [""]
-    for depth in range(1, horizon):
+    for depth in range(1, _enumerable(horizon, "horizon")):
         out.extend(_words(range(2 ** depth), depth))
     return out
 
@@ -241,6 +231,9 @@ class PricingTree:
 
     def __init__(self, horizon: int, prices: Mapping[str, float]):
         horizon = _positive_int(horizon)
+        if not isinstance(prices, Mapping):
+            raise InvalidParameterError(
+                f"prices must be a mapping of node to price, got {type(prices).__name__}")
         # 2^T - 1 has T bits: compare those first, so a huge T builds no 2^T
         if len(prices).bit_length() != horizon or len(prices) != 2 ** horizon - 1:
             raise InvalidParameterError(

@@ -1,5 +1,8 @@
 """Exception and warning types shared across the package."""
 
+__all__ = ["InvalidParameterError", "ResourceLimitError", "RegularityError",
+           "PatienceOrderWarning"]
+
 
 class InvalidParameterError(ValueError):
     """An argument violates an operation's contract."""

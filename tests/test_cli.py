@@ -1,13 +1,14 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from postedprice import PricingTree, build_system, cli, uniform_face_optimum
+from postedprice import PricingTree, RegularityError, build_system, cli, uniform_face_optimum
 from postedprice.cli import main
 from postedprice.optimizer import WARM_RANDOM_STARTS
 
@@ -88,6 +89,46 @@ def test_a_support_too_narrow_for_floats_is_refused_not_looped_on(spec):
     assert (done.returncode, done.stdout) == (3, "")
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
     assert "too narrow" in done.stderr and "Traceback" not in done.stderr
+
+
+_CAPPED_MEMORY = 512 * 2**20  # bytes of address space: ample for a small solve
+
+
+def _cap_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (_CAPPED_MEMORY, _CAPPED_MEMORY))
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.3", "--horizon", "2",
+      "--starts", "2"], 0),  # the control: the cap leaves room for a solve
+    (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
+      "--grid-count", "1", "--horizon", "1000000"], 3),
+    (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
+      "--grid-count", "1", "--tau-list", "2,1000000"], 3),
+    (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.3",
+      "--horizon", "1000000"], 3),
+], ids=["control", "sweep-horizon", "sweep-tau-list", "optimize-horizon"])
+def test_an_oversized_depth_is_refused_before_it_is_built(argv, code):
+    # under a capped address space a lost guard fails fast instead of filling memory
+    src = Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-m", "postedprice", *argv], preexec_fn=_cap_memory,
+                          env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == code, done.stderr
+    if code:
+        assert (done.stdout, done.stderr) == (
+            "", "error: horizon 1000000 exceeds the enumeration guard 20\n")
+
+
+@pytest.mark.parametrize("horizon, message", [
+    (7, "horizon 7 exceeds the supported ceiling 6 (k = 63)"),
+    (20, "horizon 20 exceeds the supported ceiling 6 (k = 63)"),
+    (21, "horizon 21 exceeds the enumeration guard 20"),
+])
+def test_optimize_names_the_ceiling_a_horizon_exceeds(capsys, horizon, message):
+    code, out, err = run(capsys, "optimize", "--dist", "uniform:0,1", "--gs", "0.8",
+                         "--gb", "0.3", "--horizon", str(horizon))
+    assert (code, out, err) == (3, "", f"error: {message}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -297,6 +338,16 @@ def test_a_failing_sweep_names_its_grid_point(capsys):
     assert err.splitlines() == [
         "error: at gb = 0.5: buyer discount is not regular: strategies 01 and 10 "
         "share the discounted quantity (gap 0)"]
+
+
+def test_a_failing_sweep_point_keeps_its_exception():
+    args = cli.build_parser().parse_args([
+        "sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
+        "--tau-list", "2", "--grid-start", "0.5", "--grid-count", "1"])
+    with pytest.raises(RegularityError, match=r"^at gb = 0\.5: buyer discount is not regular") \
+            as info:
+        cli.cmd_sweep(args)
+    assert info.value.pair == ("01", "10")
 
 
 # ---------------------------------------------------------------------------

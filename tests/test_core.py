@@ -8,8 +8,8 @@ import pytest
 
 import postedprice
 from postedprice import (DiscountSequence, InvalidParameterError, PricingTree,
-                         canonical_nodes, evaluate, make_geometric_discount,
-                         price_path)
+                         ResourceLimitError, canonical_nodes, core, evaluate,
+                         make_geometric_discount, price_path)
 
 
 # ---------------------------------------------------------------------------
@@ -73,7 +73,7 @@ def test_equal_discounts_hash_equal():
     assert make_geometric_discount(0.5, 3) != make_geometric_discount(0.25, 3)
     assert make_geometric_discount(0.5, 1) != make_geometric_discount(0.5, 2)
     assert repr(make_geometric_discount(0.5, 2)) == "DiscountSequence([1.0, 0.5])"
-    assert DiscountSequence.__slots__ == ("_weights",)
+    assert DiscountSequence.__slots__ == ("weights",)
 
 
 def test_constructor_rejects_invalid_weights():
@@ -111,6 +111,25 @@ def test_canonical_nodes():
     assert canonical_nodes(3) == ["", "0", "1", "00", "01", "10", "11"]
 
 
+def test_a_depth_above_the_enumeration_guard_is_refused_before_anything_is_built(monkeypatch):
+    def no_nodes(*args):
+        raise AssertionError("a node was built")
+    monkeypatch.setattr(core, "_words", no_nodes)
+    with pytest.raises(ResourceLimitError, match="horizon 1000000 exceeds the enumeration guard 20"):
+        canonical_nodes(10**6)
+    with pytest.raises(ResourceLimitError, match="horizon 40 exceeds the enumeration guard 20"):
+        PricingTree.constant(40, 0.5)
+    monkeypatch.setattr(core, "DiscountSequence", no_nodes)
+    with pytest.raises(ResourceLimitError, match="horizon 1000000 exceeds the enumeration guard 20"):
+        make_geometric_discount(0.5, 10**6)
+
+
+def test_a_tree_equals_only_a_tree_and_shows_its_root():
+    tree = PricingTree(2, {"": 0.6, "0": 0.3, "1": 0.9})
+    assert tree != {"": 0.6, "0": 0.3, "1": 0.9} and tree.__eq__("tree") is NotImplemented
+    assert repr(tree) == "PricingTree(horizon=2, root=0.6)"
+
+
 def test_tree_completeness_enforced():
     with pytest.raises(InvalidParameterError):
         PricingTree(2, {"": 0.5, "0": 0.5})  # missing "1"
@@ -120,6 +139,9 @@ def test_tree_completeness_enforced():
         PricingTree(2, {"": 0.5, "0": 0.5, "2": 0.5})
     with pytest.raises(InvalidParameterError):
         PricingTree(2, {"": 0.5, "0": -0.01, "1": 0.5})
+    for prices in ([0.1, 0.2, 0.3], None):
+        with pytest.raises(InvalidParameterError, match="prices must be a mapping of node to price"):
+            PricingTree(2, prices)
 
 
 def test_huge_tree_horizon_is_refused_without_building_2_to_the_T():
@@ -299,3 +321,12 @@ def test_every_exported_name_resolves(module):
     exported = getattr(mod, "__all__", [])
     assert [name for name in exported if not hasattr(mod, name)] == []
     assert len(set(exported)) == len(exported)
+
+
+def test_the_package_exports_its_modules_public_names():
+    modules = (postedprice.core, postedprice.distributions, postedprice.errors,
+               postedprice.optimizer, postedprice.oracle, postedprice.reduction,
+               postedprice.schemes)
+    assert postedprice.__all__ == [name for module in modules for name in module.__all__]
+    for name in ("maximize_bilinear", "envelope_breakpoints", "StrategyTables", "StrategyOrder"):
+        assert name in postedprice.__all__

@@ -578,3 +578,33 @@ def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
     _, kkt = _gradient_mapping(result.v_star, L_gradient(Xi, dist, result.v_star), step0, lo)
     assert result.kkt_residual == pytest.approx(kkt, rel=1e-12)
     assert result.converged == (result.kkt_residual <= optimizer.KKT_TOL)
+
+
+def test_a_run_that_ends_below_its_best_iterate_returns_the_best(monkeypatch):
+    # texp:50,1 at T = 3 (gb .3, gs .8, seed 0): start 13 of the 28 stalls after
+    # 253 iterations at 3.272613141322844e-11, below its best iterate
+    # 3.272613155849009e-11, and returns that iterate with its own certificate
+    dist = parse_distribution("texp:50,1")
+    Xi = build_system(make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)).Xi
+    ascent, terms, runs = optimizer._projected_ascent, optimizer.revenue_terms, []
+
+    def recorded_terms(*args):  # every value a run forms, trial points included
+        out = terms(*args)
+        runs[-1][1].append(out[0])
+        return out
+
+    def recorded(*args):
+        runs.append((args, []))
+        out = ascent(*args)
+        runs[-1] += (out,)
+        return out
+
+    monkeypatch.setattr(optimizer, "revenue_terms", recorded_terms)
+    monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
+    maximize_bilinear(Xi, dist, seed=0)  # gs_1 is 1: the kernel is Xi
+    assert len(runs) == 28
+    (matrix, _, _, step0, lo), values, (x, f, iterations, kkt) = runs[13]
+    assert iterations == 253
+    assert values[-1] == 3.272613141322844e-11  # the last iterate's value
+    assert f == max(values) == 3.272613155849009e-11
+    assert kkt == _gradient_mapping(x, L_gradient(matrix, dist, x), step0, lo)[1]

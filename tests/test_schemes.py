@@ -217,7 +217,7 @@ def test_tree_deeper_than_the_enumeration_guard_is_refused(monkeypatch):
     monkeypatch.setattr(schemes, "canonical_nodes", no_tree)
     monkeypatch.setattr(schemes, "PricingTree", no_tree)
     u = Uniform(0, 1)
-    g = make_geometric_discount(0.5, 21)
+    g = DiscountSequence([0.5 ** t for t in range(21)])  # make_geometric_discount refuses 21
     with pytest.raises(ResourceLimitError):
         big_deal(u, g, g)
     with pytest.raises(ResourceLimitError):
