@@ -24,6 +24,7 @@ from .distributions import myerson_price, parse_distribution
 from .errors import InvalidParameterError, RegularityError, ResourceLimitError
 from .oracle import expected_strategic_revenue, strategic_revenue_curve
 from .optimizer import maximize_L
+from .reduction import supported_depth
 from .schemes import big_deal, truncate
 
 __all__ = ["main", "build_parser"]
@@ -149,6 +150,7 @@ def _solve(args, gb: float, gs: float, depth: int, warm=None):
     if args.horizon is None:
         game = truncate(gb, gs, depth)
         buyer, seller = game.buyer, game.seller
+        supported_depth(depth, "tau")  # before build_system names the truncation's horizon
     else:
         game = None
         buyer = make_geometric_discount(gb, depth)

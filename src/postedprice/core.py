@@ -213,7 +213,7 @@ def _payment_matrix(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
 def canonical_nodes(horizon: int) -> list[str]:
     """All node identifiers of a depth-`horizon` tree, by depth then value."""
     out = [""]
-    for depth in range(1, _enumerable(horizon, "horizon")):
+    for depth in range(1, _enumerable(_positive_int(horizon, "horizon"), "horizon")):
         out.extend(_words(range(2 ** depth), depth))
     return out
 

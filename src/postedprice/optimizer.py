@@ -1,6 +1,8 @@
 """Maximization of the revenue form over the ordered cone Delta^k.
 
-Multi-start projected gradient ascent with Armijo backtracking.  The
+Multi-start projected gradient ascent with Armijo backtracking from a
+spectral first trial step, the step that the curvature along the last move
+calls for (Barzilai & Borwein 1988, IMA J. Numer. Anal. 8).  The
 feasible set {lo <= v_1 <= ... <= v_k}, lo the support's lower end, admits
 an exact Euclidean projection (isotonic regression, then clamped at `lo`;
 the two commute on this cone), so no general-purpose NLP solver is
@@ -12,7 +14,9 @@ on (projected Newton, Bertsekas 1982), with one value per pooled block.  A
 polished point is accepted only if it is feasible, worth at least the
 ascent iterate, and passes the same gradient-mapping test at `KKT_TOL`
 that certifies an ascent iterate, so `converged` means one thing either
-way: certified at 1e-9.
+way: certified at 1e-9.  A Newton step that leaves the cone is not thrown
+away: the run searches its projection arc for a point that passes the
+Armijo test (projected search, More & Toraldo 1991, SIAM J. Optim. 1).
 """
 
 from __future__ import annotations
@@ -43,6 +47,7 @@ ARMIJO_C = 1e-4
 ARMIJO_SHRINK = 0.5
 FACE_STABLE_ITERS = 2  # iterations a face must hold before Newton is tried on it
 NEWTON_MAX_STEPS = 10  # Newton steps per try on a face
+ARC_MIN = 2.0 ** -10  # shortest fraction of a Newton step that the arc search tries
 WARM_RANDOM_STARTS = 2  # seeded draws in the reduced start list that follows a warm start
 
 
@@ -100,45 +105,77 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: bytes,
     """Newton's method on the block values of x's face `face` (`_face`), from x (gradient g).
 
     Each pooled block moves as one value, v = B u, and the block at `lo`
-    stays there.  Returns the steps taken and (v, value, kkt) for the first
-    Newton point that is feasible, worth at least f, and certified by the
-    gradient mapping at `KKT_TOL`, or None when no point within `budget`
-    steps is.
+    stays there.  Returns (steps, polished, leave): polished is (v, value,
+    kkt) for the first Newton point that is feasible, worth at least f, and
+    certified by the gradient mapping at `KKT_TOL`, or None when no point
+    within `budget` steps is.  leave is (v, d, g, value) when the Newton
+    step d from v (x or a feasible Newton point, gradient g) leaves the
+    cone, value being the larger of f and v's value, which `_arc_search`
+    must reach from v; None otherwise.
     """
     labels = np.cumsum(~np.frombuffer(face, dtype=bool))  # label 0 marks the block at lo
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
-    v = x
+    v, value = x, f
     for step in range(1, budget + 1):
         curvature = -(blocks.T @ L_hessian(matrix, dist, v) @ blocks)
         try:  # step only where the face's reduced Hessian is negative definite
             np.linalg.cholesky(curvature)
         except np.linalg.LinAlgError:
-            return step, None
-        v = v + blocks @ np.linalg.solve(curvature, blocks.T @ g)
-        if not (v[0] >= lo and np.all(v[1:] >= v[:-1])):
-            return step, None
+            return step, None, None
+        d = blocks @ np.linalg.solve(curvature, blocks.T @ g)
+        v_new = v + d
+        if not (v_new[0] >= lo and np.all(v_new[1:] >= v_new[:-1])):
+            return step, None, (v, d, g, value)
+        v = v_new
         terms = revenue_terms(matrix, dist, v)
         g = terms_gradient(matrix, dist, v, terms)
+        value = max(f, terms[0])
         _, kkt = _gradient_mapping(v, g, step0, lo)
         if kkt <= KKT_TOL and terms[0] >= f:
-            return step, (v, terms[0], kkt)
-    return budget, None
+            return step, (v, terms[0], kkt), None
+    return budget, None, None
+
+
+def _arc_search(matrix: np.ndarray, dist: ValuationDistribution, v: np.ndarray,
+                d: np.ndarray, g: np.ndarray, f: float, lo: float):
+    """The first point of the projection arc project(v + a d), a = 1, 1/2, ...,
+    down to `ARC_MIN`, that passes the ascent's Armijo test from v (value f,
+    gradient g) and moves, with its `revenue_terms`; None if no point does
+    (projected search, More & Toraldo 1991)."""
+    a = 1.0
+    while a >= ARC_MIN:
+        x_new = project_to_delta(v + a * d, lo)
+        terms_new = revenue_terms(matrix, dist, x_new)
+        f_new = terms_new[0]
+        if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - v)) \
+                and f_new >= f:
+            return (x_new, terms_new) if (x_new != v).any() else None
+        a *= ARMIJO_SHRINK
+    return None
 
 
 def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
                       x0: np.ndarray, step0: float, lo: float):
     """One run of projected gradient ascent with Armijo backtracking from x0.
 
-    x0 must lie in the cone: the run takes it as drawn.  Accepted
-    line-search steps never decrease the objective.  Near the optimum the
-    objective differences underflow double precision before the gradient
-    mapping does, so once the line search stalls the run switches to plain
+    x0 must lie in the cone: the run takes it as drawn.  Each line search
+    starts at the spectral step t = step0 * clip(s's / -s'y, 1e-14, 1e6)
+    (Barzilai & Borwein 1988) when s'y < 0, s the last move in reference
+    steps (so s's stays in the float range at every support width) and y
+    the change in the gradient; otherwise at twice the last accepted step.
+    It halves t until the Armijo test passes, so accepted line-search
+    steps never decrease the objective.  Near the optimum the objective
+    differences underflow double precision before the gradient mapping
+    does, so once the line search stalls the run switches to plain
     fixed-step projected iterations, which contract to the optimum without
     comparing objective values.  Once the iterate's face has held for
     `FACE_STABLE_ITERS` iterations, Newton's method on that face is tried
-    once (`_face_newton`); each Newton step counts as an iteration.  The
-    run stops when the gradient-mapping norm (at the reference step) is
-    under `KKT_TOL` or stops decreasing, or after `MAX_ITER` iterations.
+    once (`_face_newton`); each Newton step counts as an iteration.  A
+    Newton step that leaves the cone is followed along its projection arc
+    (`_arc_search`): the first arc point that passes the Armijo test is
+    that iteration's move, in place of the line search.  The run stops
+    when the gradient-mapping norm (at the reference step) is under
+    `KKT_TOL` or stops decreasing, or after `MAX_ITER` iterations.
     A run never returns less than it found: if the final point is worth
     less than the best iterate by more than rounding (1e-12 relative), the
     best iterate is returned.  Returns (x, f, iterations, kkt), kkt the
@@ -164,6 +201,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     best_kkt = np.inf
     stalled = 0
     face, face_age = _face(x, lo), 0
+    x_prev = g_prev = None
     it = 0
     while it < MAX_ITER:
         it += 1
@@ -184,13 +222,27 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
         else:
             face, face_age = current, 0
         if face_age == FACE_STABLE_ITERS:
-            steps, polished = _face_newton(matrix, dist, face, x, g, f, step0,
-                                           min(NEWTON_MAX_STEPS, MAX_ITER - it), lo)
+            steps, polished, leave = _face_newton(matrix, dist, face, x, g, f, step0,
+                                                  min(NEWTON_MAX_STEPS, MAX_ITER - it), lo)
             it += steps
             if polished is not None:  # certified on the face, with its kkt
                 x, f, kkt = polished
                 break
+            arc = None if leave is None else _arc_search(matrix, dist, *leave, lo)
+            if arc is not None:  # the arc's point is this iteration's move
+                x_prev, g_prev = x, g
+                x, terms = arc
+                f = terms[0]
+                if f > best_f:
+                    best_x, best_f = x, f
+                continue
         t = min(step * 2.0, step0 * 1e6)
+        if x_prev is not None:  # the last move s, in reference steps, and the gradient's change y
+            s, y = (x - x_prev) / step0, g - g_prev
+            sy = float(s @ y)
+            if sy < 0:  # negative curvature along s: the spectral step
+                t = step0 * min(max(float(s @ s) / -sy, 1e-14), 1e6)
+        x_prev, g_prev = x, g
         accepted = False
         while t >= step0 * 1e-14:
             # the reference step's point is the gradient mapping's, already projected
@@ -248,8 +300,9 @@ def _warm_start(warm, k: int, lo: float) -> np.ndarray:
 
 
 def _best(runs: list) -> tuple:
-    """The run (f, x, kkt) a solve returns: the best value f; among runs within
-    1e-10 relative of it, a certified one first, then the lexicographically smallest x."""
+    """The run (f, x, kkt, iterations) a solve returns: the best value f; among runs
+    within 1e-10 relative of it, a certified one first, then the lexicographically
+    smallest x."""
     best_f = max(r[0] for r in runs)
     tied = [r for r in runs if r[0] >= best_f - 1e-10 * abs(best_f)]
     return min(tied, key=lambda r: (not r[2] <= KKT_TOL, tuple(r[1])))
@@ -281,7 +334,11 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
 
     Among runs tying for the best value (within 1e-10 relative) a certified
     run is preferred, then the lexicographically smallest point, so results
-    are stable and `converged` holds whenever a tied run certified.  The
+    are stable and `converged` holds whenever a tied run certified.  If the
+    gradient mapping moves that point by more than its rounding, it takes
+    one more Newton step on its face, within its run's `MAX_ITER`, kept if
+    it certifies with a smaller residual: a run certified at `KKT_TOL`
+    wins the tie-break as often as one polished to rounding.  The
     solve is refused with `InvalidParameterError` as soon as a run's value
     is not finite: the form overflowed there, and the best finite run would
     understate an optimum that overflows too.  A warm start that is not a
@@ -344,8 +401,15 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
         total_iters += iters
         if not np.isfinite(f):
             raise InvalidParameterError(f"the revenue form is not finite at start {i}")
-        runs.append((f, x, kkt))
-    f, x, kkt = _best(runs)
+        runs.append((f, x, kkt, iters))
+    f, x, kkt, iters = _best(runs)
+    if kkt * step0 > np.finfo(float).eps * math.hypot(*x):  # x moves by more than its rounding
+        steps, polished, _ = _face_newton(matrix, dist, _face(x, lo), x,
+                                          L_gradient(matrix, dist, x), f, step0,
+                                          min(1, MAX_ITER - iters), lo)
+        total_iters += steps
+        if polished is not None and polished[2] < kkt:
+            x, f, kkt = polished
     return x, f, total_iters, kkt <= KKT_TOL, kkt, len(runs)
 
 

@@ -116,6 +116,16 @@ class ReductionSystem:
 MAX_SYSTEM_HORIZON = 6  # k = 63: Xi measured within 1.3e-15 max|Xi| of its exact kernel
 
 
+# `cli` refuses a tau with it too, so it is public; like `revenue_terms` below
+# it stays out of `__all__`.
+def supported_depth(depth: int, what: str) -> None:
+    """Refuse a `depth` above `MAX_SYSTEM_HORIZON`; the message calls it `what`."""
+    if depth > MAX_SYSTEM_HORIZON:
+        raise ResourceLimitError(
+            f"{what} {depth} exceeds the supported ceiling "
+            f"{MAX_SYSTEM_HORIZON} (k = {2**MAX_SYSTEM_HORIZON - 1})")
+
+
 def build_system(buyer_discount: DiscountSequence,
                  seller_discount: DiscountSequence) -> ReductionSystem:
     """Assemble the ordering and matrices for one discount pair.
@@ -126,10 +136,7 @@ def build_system(buyer_discount: DiscountSequence,
     """
     gb = buyer_discount.as_array()
     gs = _finite_weights(seller_discount, len(gb))
-    if len(gb) > MAX_SYSTEM_HORIZON:
-        raise ResourceLimitError(
-            f"horizon {len(gb)} exceeds the supported ceiling "
-            f"{MAX_SYSTEM_HORIZON} (k = {2**MAX_SYSTEM_HORIZON - 1})")
+    supported_depth(len(gb), "horizon")
     if np.any(gb <= 0) or np.any(gs <= 0):
         raise InvalidParameterError("all discount weights must be positive here")
     order = order_strategies(buyer_discount)

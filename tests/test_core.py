@@ -109,6 +109,9 @@ def test_canonical_nodes():
     assert canonical_nodes(1) == [""]
     assert canonical_nodes(2) == ["", "0", "1"]
     assert canonical_nodes(3) == ["", "0", "1", "00", "01", "10", "11"]
+    for horizon in (0, -3, True, 1.5):  # read by the one horizon rule
+        with pytest.raises(InvalidParameterError, match="horizon must be a positive integer"):
+            canonical_nodes(horizon)
 
 
 def test_a_depth_above_the_enumeration_guard_is_refused_before_anything_is_built(monkeypatch):

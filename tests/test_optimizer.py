@@ -226,17 +226,17 @@ def test_the_line_search_reuses_the_projected_reference_step(monkeypatch):
     monkeypatch.setattr(optimizer, "project_to_delta", counted)
     result = maximize_L(Uniform(0, 1), make_geometric_discount(0.3, 2),
                         make_geometric_discount(0.8, 2))
-    assert (len(calls), result.iterations) == (175, 94)
+    assert (len(calls), result.iterations) == (152, 92)
     assert result.value == 0.47472527472527476
 
 
 def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
     # the survival 1 - F(v) and M v of the point a line search accepts feed
     # the next iteration's gradient, and a run that stalls keeps the
-    # certificate of its last top (4 of texp's 16 starts stall); the solve
+    # certificate of its last top (3 of texp's 16 starts stall); the solve
     # itself does not move
-    for spec, counts, value in [("uniform:0,1", (164, 94), 0.47472527472527476),
-                                ("texp:50,1", (3134, 1514), 0.01431582598478003)]:
+    for spec, counts, value in [("uniform:0,1", (102, 92), 0.47472527472527476),
+                                ("texp:50,1", (2904, 1041), 0.014315825984780027)]:
         dist = parse_distribution(spec)
         cdf, calls = type(dist).cdf, []
 
@@ -295,28 +295,29 @@ def test_a_warm_start_off_the_cone_is_refused(warm):
         maximize_L(Uniform(0, 1), gb, gs, warm=warm)
 
 
-# five solves as recorded at `9c8d47b`, which a change to the ascent's
+# five solves as the ascent with the spectral first trial step makes them
+# (`uniform:2,3` as recorded at `9c8d47b`), which a change to the ascent's
 # arithmetic moves: (v_star bytes, value, iterations, converged, kkt_residual)
 PINNED_SOLVES = {
     ("uniform:0,1", "T2"): (
-        "577335577335d73ff21eeff11eefe13ff21eeff11eefe13f",
-        0.47472527472527476, 94, True, 7.216449660063518e-17),
+        "567335577335d73ff21eeff11eefe13ff21eeff11eefe13f",
+        0.47472527472527476, 92, True, 1.4432899320127036e-16),
     ("uniform:2,3", "T2"): (
         "000000000000004000000000000000400000000000000040",
         3.6000000000000005, 31, True, 0.0),
     ("beta:4,2", "T3"): (
-        "88ad67493eebd73fc7c0441975b2dd3fc7c0441975b2dd3fd58e6bb26f5ce33f"
+        "89ad67493eebd73fc5c0441975b2dd3fc5c0441975b2dd3fd58e6bb26f5ce33f"
         "d58e6bb26f5ce33fd58e6bb26f5ce33fd58e6bb26f5ce33f",
-        1.0723974740662827, 332, True, 2.8794132316342113e-16),
+        1.072397474066283, 236, True, 2.80261503875054e-16),
     ("texp:50,1", "T2"): (
-        "3ac0915570788a3f3f4df05549e4983f3f4df05549e4983f",
-        0.01431582598478003, 1514, True, 3.664438232603114e-12),
+        "9509935570788a3fbd40f15549e4983fbd40f15549e4983f",
+        0.014315825984780027, 1041, True, 1.7647825430502922e-16),
     ("uniform:0,1", "tau4"): (
         "2e7f4903f927bf3fbdc6256adf8ecd3fbdc6256adf8ecd3f9ea2729b0c4dd63f"
-        "9ea2729b0c4dd63fed2f7aa7ce37db3fed2f7aa7ce37db3f5ccdf16edd3be23f"
-        "5ccdf16edd3be23fe14e784c3a72e23fe14e784c3a72e23f2bed501a26f8e53f"
-        "2bed501a26f8e53f2650630a0face83f2650630a0face83f",
-        1.745609147243134, 584, True, 4.704001821042057e-16),
+        "9ea2729b0c4dd63fec2f7aa7ce37db3fec2f7aa7ce37db3f5ccdf16edd3be23f"
+        "5ccdf16edd3be23fe14e784c3a72e23fe14e784c3a72e23f2aed501a26f8e53f"
+        "2aed501a26f8e53f2550630a0face83f2550630a0face83f",
+        1.745609147243134, 462, True, 2.456584831855006e-16),
 }
 
 
@@ -366,6 +367,51 @@ def test_newton_steps_count_toward_max_iter(monkeypatch, max_iter):
     result = maximize_L(Beta(4, 2), gb, gs)
     assert 1 <= result.iterations <= result.starts * max_iter
     assert result.v_star.shape == (7,)
+
+
+@pytest.mark.parametrize("max_iter", [6, None])
+def test_an_arc_move_never_lowers_a_run_and_counts_toward_max_iter(monkeypatch, max_iter):
+    # Beta(4, 2) at T = 4 (gb .3, gs .8, seed 0): starts 26, 36 and 54 of the
+    # 60 leave the cone on a face-Newton step and move along the projection
+    # arc instead, within their first six iterations; start 26 at its sixth,
+    # so cut there it returns the arc's point, with no gradient step after it
+    if max_iter is not None:
+        monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
+    newton, arc, ascent, runs = optimizer._face_newton, optimizer._arc_search, \
+        optimizer._projected_ascent, []
+
+    def recorded_newton(*args):  # args[5] is the run's value where Newton is tried
+        runs[-1]["values"].append(args[5])
+        return newton(*args)
+
+    def recorded_arc(*args):
+        out = arc(*args)
+        if out is not None:
+            runs[-1]["moves"].append((runs[-1]["values"][-1], out))
+        return out
+
+    def recorded(*args):
+        runs.append({"values": [], "moves": []})
+        runs[-1]["out"] = ascent(*args)
+        return runs[-1]["out"]
+
+    monkeypatch.setattr(optimizer, "_face_newton", recorded_newton)
+    monkeypatch.setattr(optimizer, "_arc_search", recorded_arc)
+    monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
+    gb, gs = make_geometric_discount(0.3, 4), make_geometric_discount(0.8, 4)
+    result = maximize_L(Beta(4, 2), gb, gs)
+    moved = [i for i, run in enumerate(runs) if run["moves"]]
+    assert moved == [26, 36, 54]
+    for i in moved:
+        for value, (_, terms) in runs[i]["moves"]:
+            assert terms[0] >= value  # the arc's point is worth at least the run's value
+    x, f, iterations, _ = runs[26]["out"]
+    if max_iter is None:
+        assert result.converged
+    else:
+        (_, (point, terms)), = runs[26]["moves"]
+        assert iterations == max_iter and np.array_equal(x, point) and f == terms[0]
+        assert all(run["out"][2] <= max_iter for run in runs)
 
 
 # the exact T = 2 plane-collapse optima on U[0, 1], as (gs, gb): (v, value)
@@ -581,10 +627,10 @@ def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
 
 
 def test_a_run_that_ends_below_its_best_iterate_returns_the_best(monkeypatch):
-    # texp:50,1 at T = 3 (gb .3, gs .8, seed 0): start 13 of the 28 stalls after
-    # 253 iterations at 3.272613141322844e-11, below its best iterate
-    # 3.272613155849009e-11, and returns that iterate with its own certificate
-    dist = parse_distribution("texp:50,1")
+    # texp:100,1 at T = 3 (gb .3, gs .8, seed 0): start 16 of the 28 stalls after
+    # 253 iterations at 1.21928739515138e-11, below its best iterate
+    # 1.2192874270930129e-11, and returns that iterate with its own certificate
+    dist = parse_distribution("texp:100,1")
     Xi = build_system(make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)).Xi
     ascent, terms, runs = optimizer._projected_ascent, optimizer.revenue_terms, []
 
@@ -603,8 +649,8 @@ def test_a_run_that_ends_below_its_best_iterate_returns_the_best(monkeypatch):
     monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
     maximize_bilinear(Xi, dist, seed=0)  # gs_1 is 1: the kernel is Xi
     assert len(runs) == 28
-    (matrix, _, _, step0, lo), values, (x, f, iterations, kkt) = runs[13]
+    (matrix, _, _, step0, lo), values, (x, f, iterations, kkt) = runs[16]
     assert iterations == 253
-    assert values[-1] == 3.272613141322844e-11  # the last iterate's value
-    assert f == max(values) == 3.272613155849009e-11
+    assert values[-1] == 1.21928739515138e-11  # the last iterate's value
+    assert f == max(values) == 1.2192874270930129e-11
     assert kkt == _gradient_mapping(x, L_gradient(matrix, dist, x), step0, lo)[1]
