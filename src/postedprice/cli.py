@@ -18,7 +18,7 @@ import sys
 
 import numpy as np
 
-from .core import (DiscountSequence, PricingTree, canonical_nodes,
+from .core import (DiscountSequence, PricingTree, _enumerable, canonical_nodes,
                    make_geometric_discount)
 from .distributions import myerson_price, parse_distribution
 from .errors import InvalidParameterError, RegularityError, ResourceLimitError
@@ -204,6 +204,8 @@ def cmd_sweep(args) -> int:
     # the finite game solves one horizon; the infinite game one truncation per tau
     depths = [horizon] if horizon is not None else args.tau_list
     suffixes = [""] if horizon is not None else [f"_tau{t}" for t in depths]
+    if horizon is None:  # the header's nodes would name the deepest tau a horizon
+        _enumerable(depths[-1], "tau")
     nodes = canonical_nodes(depths[-1])
     header = ([varying] + [_node_header(n) for n in nodes]
               + [f"value{x}" for x in suffixes] + [f"ratio{x}" for x in suffixes])

@@ -9,6 +9,7 @@ global maximizer is the price an optimal single-round seller posts.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -69,6 +70,11 @@ class ValuationDistribution:
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.spec_string()!r})"
+
+    @functools.cached_property
+    def _myerson(self) -> tuple[float, float]:
+        """`myerson_price`'s (p_star, h_star), scanned on first use; a refusal stores nothing."""
+        return _scan_myerson(self)
 
 
 class Uniform(ValuationDistribution):
@@ -245,7 +251,17 @@ def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
     float (a width under about 2.2e-304) is refused with
     `InvalidParameterError`: the scan's prices lose bits there, and on a
     narrower support still the density overflows, so no line search ends.
+
+    The pair depends only on the distribution, which is not changed after
+    `__init__`, so it is computed once per instance and stored on it: every
+    later call, such as each solve of a sweep, returns the same tuple
+    without a scan.  A refused support stores nothing and is refused again.
     """
+    return dist._myerson
+
+
+def _scan_myerson(dist: ValuationDistribution) -> tuple[float, float]:
+    """The scan and root refinement that `myerson_price` documents."""
     lo, hi = dist.support
     if not (hi - lo) / (MYERSON_GRID_POINTS - 1) >= _TINY:
         raise InvalidParameterError(

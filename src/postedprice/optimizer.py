@@ -21,8 +21,10 @@ Armijo test (projected search, More & Toraldo 1991, SIAM J. Optim. 1).
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,14 +281,23 @@ def _start_count(starts: int | None, k: int) -> int:
 
 
 def _start_points(dist: ValuationDistribution, k: int, count: int, p_star: float,
-                  seed: int) -> list[np.ndarray]:
+                  seed: int) -> Iterator[np.ndarray]:
     """The full start list, `count` points of the cone: the constant vector at p_star,
-    the distribution's k quantiles at levels i / (k + 1), then sorted rows of one
-    seeded uniform draw over the support, so a seed gives every list the same rows."""
-    lo, hi = dist.support
+    the distribution's k quantiles at levels i / (k + 1), then sorted rows of the
+    distribution's quantiles at one seeded uniform draw of levels in [0, 1], so a seed
+    gives every list the same rows, and the rows lie where the mass is.  Under
+    `Uniform(lo, hi)` a row is what a uniform draw over [lo, hi] gives, bit for bit.
+    The points are yielded in order, and a row's quantiles are taken only when it is
+    reached, so a solve that stops after a warm start's reduced list maps a few rows,
+    not all (all 250 take about 13 ms on `Beta(4, 2)` at k = 63, where the runs of a
+    warm solve take about 20 ms)."""
     rng = np.random.default_rng(seed)
-    return [np.full(k, p_star), np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1])),
-            *np.sort(rng.uniform(lo, hi, size=(max(count - 2, 0), k)), axis=1)][:count]
+    levels = rng.uniform(0.0, 1.0, size=(max(count - 2, 0), k))
+    yield np.full(k, p_star)
+    if count > 1:
+        yield np.sort(dist.quantile(np.linspace(0.0, 1.0, k + 2)[1:-1]))
+    for row in levels:
+        yield np.sort(dist.quantile(row))
 
 
 def _warm_start(warm, k: int, lo: float) -> np.ndarray:
@@ -320,7 +331,8 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
 
     Start points.  The full list has `starts` points (default max(16, 4k)):
     the constant vector at the one-shot optimal price, the distribution's
-    quantiles, and sorted rows of one seeded uniform draw over the support.
+    quantiles, and sorted rows of the quantiles at one seeded uniform draw of
+    levels, so the random starts follow the distribution's mass.
     Without `warm` every point of it is run.  With `warm`, a point of the
     cone such as a neighbouring game's optimum, a reduced list is run first:
     the warm start, then the first min(starts, 2 + `WARM_RANDOM_STARTS`)
@@ -388,9 +400,9 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
         step0 = (top - lo) / max(np.linalg.norm(matrix, 1), 1e-12)
 
     x0s = _start_points(dist, k, starts, p_star, seed)
-    reduced = len(x0s)
+    reduced = starts
     if warm is not None:
-        x0s = [_warm_start(warm, k, lo)] + x0s
+        x0s = itertools.chain([_warm_start(warm, k, lo)], x0s)
         reduced = 1 + min(starts, 2 + WARM_RANDOM_STARTS)
     runs = []
     total_iters = 0

@@ -215,7 +215,7 @@ def L_hessian(matrix: np.ndarray, dist: ValuationDistribution, v) -> np.ndarray:
     """Hessian -(M' diag f) - diag(f) M - diag(f' * M v) of the revenue form."""
     density = dist.pdf(v)
     hessian = -(matrix.T * density) - density[:, None] * matrix
-    hessian[np.diag_indices_from(hessian)] -= dist.dpdf(v) * (matrix @ v)
+    hessian.flat[::len(hessian) + 1] -= dist.dpdf(v) * (matrix @ v)  # the diagonal
     return hessian
 
 

@@ -98,26 +98,27 @@ def _cap_memory():
     resource.setrlimit(resource.RLIMIT_AS, (_CAPPED_MEMORY, _CAPPED_MEMORY))
 
 
-@pytest.mark.parametrize("argv, code", [
+@pytest.mark.parametrize("argv, message", [
     (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.3", "--horizon", "2",
-      "--starts", "2"], 0),  # the control: the cap leaves room for a solve
+      "--starts", "2"], None),  # the control: the cap leaves room for a solve
     (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
-      "--grid-count", "1", "--horizon", "1000000"], 3),
+      "--grid-count", "1", "--horizon", "1000000"],
+     "horizon 1000000 exceeds the enumeration guard 20"),
     (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
-      "--grid-count", "1", "--tau-list", "2,1000000"], 3),
+      "--grid-count", "1", "--tau-list", "2,1000000"],
+     "tau 1000000 exceeds the enumeration guard 20"),
     (["optimize", "--dist", "uniform:0,1", "--gs", "0.8", "--gb", "0.3",
-      "--horizon", "1000000"], 3),
+      "--horizon", "1000000"], "horizon 1000000 exceeds the enumeration guard 20"),
 ], ids=["control", "sweep-horizon", "sweep-tau-list", "optimize-horizon"])
-def test_an_oversized_depth_is_refused_before_it_is_built(argv, code):
+def test_an_oversized_depth_is_refused_before_it_is_built(argv, message):
     # under a capped address space a lost guard fails fast instead of filling memory
     src = Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-m", "postedprice", *argv], preexec_fn=_cap_memory,
                           env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": "1"},
                           capture_output=True, text=True, timeout=60)
-    assert done.returncode == code, done.stderr
-    if code:
-        assert (done.stdout, done.stderr) == (
-            "", "error: horizon 1000000 exceeds the enumeration guard 20\n")
+    assert done.returncode == (0 if message is None else 3), done.stderr
+    if message is not None:
+        assert (done.stdout, done.stderr) == ("", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("horizon, message", [

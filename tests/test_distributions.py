@@ -3,8 +3,8 @@ import pytest
 from scipy import integrate, special
 
 from postedprice import (Beta, InvalidParameterError, TruncatedExponential,
-                         Uniform, myerson_price, parse_distribution,
-                         static_revenue)
+                         Uniform, cli, make_geometric_discount, maximize_L, myerson_price,
+                         parse_distribution, static_revenue)
 
 ALL_DISTS = [Uniform(0, 1), Uniform(0.2, 1.6), Beta(4, 2), Beta(2, 4),
              TruncatedExponential(1, 1), TruncatedExponential(2.5, 0.8)]
@@ -65,6 +65,57 @@ def test_myerson_matches_grid_oracle(spec):
     p_star, h_star = myerson_price(parse_distribution(spec))
     assert p_star == pytest.approx(p_ref, abs=2e-6)
     assert h_star == pytest.approx(h_ref, abs=1e-10)
+
+
+# each family at two parameter sets
+FAMILY_PARAMS = [(Uniform, (0, 1), (0.2, 1.6)), (Beta, (4, 2), (2, 4)),
+                 (TruncatedExponential, (1, 1), (2.5, 0.8))]
+FAMILY_IDS = ["uniform", "beta", "texp"]
+
+
+@pytest.mark.parametrize("family, params, _", FAMILY_PARAMS, ids=FAMILY_IDS)
+def test_myerson_scans_once_per_instance(monkeypatch, family, params, _):
+    dist = family(*params)
+    first = myerson_price(dist)
+    calls = []
+    for method in ("sf", "cdf", "pdf"):
+        monkeypatch.setattr(family, method,
+                            lambda self, v, method=method: calls.append(method))
+    assert myerson_price(dist) is first
+    assert calls == []
+
+
+@pytest.mark.parametrize("family, params, other", FAMILY_PARAMS, ids=FAMILY_IDS)
+def test_myerson_is_stored_per_instance(family, params, other):
+    dist, second = family(*params), family(*other)
+    p_star, _ = myerson_price(dist)
+    assert myerson_price(second) == myerson_price(family(*other))
+    assert myerson_price(second)[0] != p_star
+
+
+@pytest.mark.parametrize("dist", [Uniform(0, 1e-310), TruncatedExponential(1, 1e-310)],
+                         ids=["uniform", "texp"])
+def test_a_refused_support_is_refused_on_every_call(dist):
+    # a Beta's support is always [0, 1], so only two families can be refused
+    for _ in range(2):
+        with pytest.raises(InvalidParameterError, match="too narrow"):
+            myerson_price(dist)
+    assert "_myerson" not in vars(dist)
+
+
+@pytest.mark.parametrize("family, params, _", FAMILY_PARAMS, ids=FAMILY_IDS)
+def test_solves_leave_a_distribution_as_it_was_built(monkeypatch, capsys, family, params, _):
+    # the stored Myerson price is sound only while no solve changes the
+    # parameters it was computed from
+    dist = family(*params)
+    built = dict(vars(dist))
+    maximize_L(dist, make_geometric_discount(0.3, 2), make_geometric_discount(0.8, 2))
+    monkeypatch.setattr(cli, "parse_distribution", lambda spec: dist)
+    assert cli.main(["sweep", "--dist", dist.spec_string(), "--fix", "gs",
+                     "--fixed-value", "0.8", "--horizon", "2", "--grid-count", "2"]) == 0
+    assert capsys.readouterr().out.count("\n") == 3  # the header and two rows
+    assert "_myerson" in vars(dist)
+    assert {k: v for k, v in vars(dist).items() if k != "_myerson"} == built
 
 
 @pytest.mark.parametrize("method", ["cdf", "pdf", "dpdf", "sf", "quantile"])

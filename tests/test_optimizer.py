@@ -230,13 +230,20 @@ def test_the_line_search_reuses_the_projected_reference_step(monkeypatch):
     assert result.value == 0.47472527472527476
 
 
+# a point of the T = 2 cone drawn uniformly over [0, 1] (row 6 of seed 0's
+# sorted (14, 3) draw), whose upper two values lie where texp:50,1's survival
+# 1 - F is below e^-14; an ascent from it ends at the stall rule after 258 iterations
+TEXP_STALL_START = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, size=(14, 3)), axis=1)[6]
+
+
 def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
     # the survival 1 - F(v) and M v of the point a line search accepts feed
     # the next iteration's gradient, and a run that stalls keeps the
-    # certificate of its last top (3 of texp's 16 starts stall); the solve
+    # certificate of its last top (texp's warm start stalls); the solve
     # itself does not move
-    for spec, counts, value in [("uniform:0,1", (102, 92), 0.47472527472527476),
-                                ("texp:50,1", (2904, 1041), 0.014315825984780027)]:
+    for spec, warm, counts, value in [
+            ("uniform:0,1", None, (102, 92), 0.47472527472527476),
+            ("texp:50,1", TEXP_STALL_START, (778, 291), 0.014315825984780027)]:
         dist = parse_distribution(spec)
         cdf, calls = type(dist).cdf, []
 
@@ -246,7 +253,7 @@ def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
 
         monkeypatch.setattr(type(dist), "cdf", counted)
         result = maximize_L(dist, make_geometric_discount(0.3, 2),
-                            make_geometric_discount(0.8, 2))
+                            make_geometric_discount(0.8, 2), warm=warm)
         assert (len(calls), result.iterations) == counts, spec
         assert result.value == value, spec
 
@@ -295,9 +302,10 @@ def test_a_warm_start_off_the_cone_is_refused(warm):
         maximize_L(Uniform(0, 1), gb, gs, warm=warm)
 
 
-# five solves as the ascent with the spectral first trial step makes them
-# (`uniform:2,3` as recorded at `9c8d47b`), which a change to the ascent's
-# arithmetic moves: (v_star bytes, value, iterations, converged, kkt_residual)
+# five solves as the ascent with the spectral first trial step makes them from
+# random starts drawn as quantiles (`uniform:2,3` as recorded at `9c8d47b`),
+# which a change to the ascent's arithmetic or to a non-uniform start moves:
+# (v_star bytes, value, iterations, converged, kkt_residual)
 PINNED_SOLVES = {
     ("uniform:0,1", "T2"): (
         "567335577335d73ff21eeff11eefe13ff21eeff11eefe13f",
@@ -306,12 +314,12 @@ PINNED_SOLVES = {
         "000000000000004000000000000000400000000000000040",
         3.6000000000000005, 31, True, 0.0),
     ("beta:4,2", "T3"): (
-        "89ad67493eebd73fc5c0441975b2dd3fc5c0441975b2dd3fd58e6bb26f5ce33f"
+        "89ad67493eebd73fc6c0441975b2dd3fc6c0441975b2dd3fd58e6bb26f5ce33f"
         "d58e6bb26f5ce33fd58e6bb26f5ce33fd58e6bb26f5ce33f",
-        1.072397474066283, 236, True, 2.80261503875054e-16),
+        1.072397474066283, 253, True, 2.642330798607874e-16),
     ("texp:50,1", "T2"): (
-        "9509935570788a3fbd40f15549e4983fbd40f15549e4983f",
-        0.014315825984780027, 1041, True, 1.7647825430502922e-16),
+        "9509935570788a3fbe40f15549e4983fbe40f15549e4983f",
+        0.014315825984780029, 148, True, 1.6688039838896885e-16),
     ("uniform:0,1", "tau4"): (
         "2e7f4903f927bf3fbdc6256adf8ecd3fbdc6256adf8ecd3f9ea2729b0c4dd63f"
         "9ea2729b0c4dd63fec2f7aa7ce37db3fec2f7aa7ce37db3f5ccdf16edd3be23f"
@@ -371,10 +379,10 @@ def test_newton_steps_count_toward_max_iter(monkeypatch, max_iter):
 
 @pytest.mark.parametrize("max_iter", [6, None])
 def test_an_arc_move_never_lowers_a_run_and_counts_toward_max_iter(monkeypatch, max_iter):
-    # Beta(4, 2) at T = 4 (gb .3, gs .8, seed 0): starts 26, 36 and 54 of the
-    # 60 leave the cone on a face-Newton step and move along the projection
-    # arc instead, within their first six iterations; start 26 at its sixth,
-    # so cut there it returns the arc's point, with no gradient step after it
+    # Beta(4, 2) at T = 3 (gb .3, gs .8, seed 0): start 5 of the 28 leaves
+    # the cone on a face-Newton step and moves along the projection arc
+    # instead, at its sixth iteration, so cut there it returns the arc's
+    # point, with no gradient step after it
     if max_iter is not None:
         monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
     newton, arc, ascent, runs = optimizer._face_newton, optimizer._arc_search, \
@@ -398,18 +406,18 @@ def test_an_arc_move_never_lowers_a_run_and_counts_toward_max_iter(monkeypatch, 
     monkeypatch.setattr(optimizer, "_face_newton", recorded_newton)
     monkeypatch.setattr(optimizer, "_arc_search", recorded_arc)
     monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
-    gb, gs = make_geometric_discount(0.3, 4), make_geometric_discount(0.8, 4)
+    gb, gs = make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)
     result = maximize_L(Beta(4, 2), gb, gs)
     moved = [i for i, run in enumerate(runs) if run["moves"]]
-    assert moved == [26, 36, 54]
+    assert moved == [5]
     for i in moved:
         for value, (_, terms) in runs[i]["moves"]:
             assert terms[0] >= value  # the arc's point is worth at least the run's value
-    x, f, iterations, _ = runs[26]["out"]
+    x, f, iterations, _ = runs[5]["out"]
     if max_iter is None:
         assert result.converged
     else:
-        (_, (point, terms)), = runs[26]["moves"]
+        (_, (point, terms)), = runs[5]["moves"]
         assert iterations == max_iter and np.array_equal(x, point) and f == terms[0]
         assert all(run["out"][2] <= max_iter for run in runs)
 
@@ -597,13 +605,14 @@ def test_projection_matches_general_qp_solver():
 def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
     # every run returns the gradient mapping at the point it returns: a run
     # cut off by MAX_ITER (Beta(4, 2), T = 3, one start) not at the iterate
-    # before its last move, and a stalled run (texp:50,1 at T = 2, which
-    # runs to its end) at the point it stalled on; `converged` is that test
+    # before its last move, and a stalled run (texp:50,1 at T = 2 from its
+    # warm start, which runs to its end) at the point it stalled on;
+    # `converged` is that test
     if max_iter is None:
-        dist, depth, starts = parse_distribution("texp:50,1"), 2, None
+        dist, depth, starts, warm = parse_distribution("texp:50,1"), 2, None, TEXP_STALL_START
     else:
         monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
-        dist, depth, starts = Beta(4, 2), 3, 1
+        dist, depth, starts, warm = Beta(4, 2), 3, 1, None
     gb = make_geometric_discount(0.3, depth)
     gs = make_geometric_discount(0.8, depth)
     Xi = build_system(gb, gs).Xi
@@ -617,7 +626,7 @@ def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
         return x, f, it, kkt
 
     monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
-    result = maximize_L(dist, gb, gs, starts=starts)
+    result = maximize_L(dist, gb, gs, starts=starts, warm=warm)
     assert len(runs) == result.starts
     for x, kkt in runs:  # the ascent runs on Xi / gs_1 = Xi: gs_1 is 1
         assert kkt == _gradient_mapping(x, L_gradient(Xi, dist, x), step0, lo)[1]
@@ -627,29 +636,30 @@ def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
 
 
 def test_a_run_that_ends_below_its_best_iterate_returns_the_best(monkeypatch):
-    # texp:100,1 at T = 3 (gb .3, gs .8, seed 0): start 16 of the 28 stalls after
-    # 253 iterations at 1.21928739515138e-11, below its best iterate
-    # 1.2192874270930129e-11, and returns that iterate with its own certificate
+    # texp:100,1 at T = 3 (gb .3, gs .8): from a start drawn uniformly over
+    # [0, 1] (row 14 of seed 0's sorted (26, 7) draw), where the survival
+    # 1 - F is below 1e-10 at every value, the ascent stalls after 253 iterations at
+    # 1.21928739515138e-11, below its best iterate 1.2192874270930129e-11,
+    # and returns that iterate with its own certificate
     dist = parse_distribution("texp:100,1")
     Xi = build_system(make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)).Xi
-    ascent, terms, runs = optimizer._projected_ascent, optimizer.revenue_terms, []
+    ascent, terms, args, values = optimizer._projected_ascent, optimizer.revenue_terms, [], []
 
-    def recorded_terms(*args):  # every value a run forms, trial points included
-        out = terms(*args)
-        runs[-1][1].append(out[0])
+    def recorded(*a):
+        args.append(a)
+        return ascent(*a)
+
+    def recorded_terms(*a):  # every value the run forms, trial points included
+        out = terms(*a)
+        values.append(out[0])
         return out
 
-    def recorded(*args):
-        runs.append((args, []))
-        out = ascent(*args)
-        runs[-1] += (out,)
-        return out
-
-    monkeypatch.setattr(optimizer, "revenue_terms", recorded_terms)
     monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
-    maximize_bilinear(Xi, dist, seed=0)  # gs_1 is 1: the kernel is Xi
-    assert len(runs) == 28
-    (matrix, _, _, step0, lo), values, (x, f, iterations, kkt) = runs[16]
+    maximize_bilinear(Xi, dist, starts=1)  # gs_1 is 1: the kernel is Xi
+    matrix, _, _, step0, lo = args[0]  # the solve's reference step and floor
+    x0 = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, size=(26, 7)), axis=1)[14]
+    monkeypatch.setattr(optimizer, "revenue_terms", recorded_terms)
+    x, f, iterations, kkt = ascent(matrix, dist, x0, step0, lo)
     assert iterations == 253
     assert values[-1] == 1.21928739515138e-11  # the last iterate's value
     assert f == max(values) == 1.2192874270930129e-11
