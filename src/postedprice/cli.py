@@ -206,6 +206,7 @@ def cmd_sweep(args) -> int:
     suffixes = [""] if horizon is not None else [f"_tau{t}" for t in depths]
     if horizon is None:  # the header's nodes would name the deepest tau a horizon
         _enumerable(depths[-1], "tau")
+        supported_depth(depths[-1], "tau")  # before any solve, not after the shallower ones
     nodes = canonical_nodes(depths[-1])
     header = ([varying] + [_node_header(n) for n in nodes]
               + [f"value{x}" for x in suffixes] + [f"ratio{x}" for x in suffixes])

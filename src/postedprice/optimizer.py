@@ -16,7 +16,8 @@ ascent iterate, and passes the same gradient-mapping test at `KKT_TOL`
 that certifies an ascent iterate, so `converged` means one thing either
 way: certified at 1e-9.  A Newton step that leaves the cone is not thrown
 away: the run searches its projection arc for a point that passes the
-Armijo test (projected search, More & Toraldo 1991, SIAM J. Optim. 1).
+Armijo test, by the one backtracking search that every ascent move goes
+through (projected search, More & Toraldo 1991, SIAM J. Optim. 1).
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: bytes,
     certified by the gradient mapping at `KKT_TOL`, or None when no point
     within `budget` steps is.  leave is (v, d, g, value) when the Newton
     step d from v (x or a feasible Newton point, gradient g) leaves the
-    cone, value being the larger of f and v's value, which `_arc_search`
-    must reach from v; None otherwise.
+    cone, value being the larger of f and v's value, which a point of
+    the step's projection arc must reach (`_armijo_search` from v); None
+    otherwise.
     """
     labels = np.cumsum(~np.frombuffer(face, dtype=bool))  # label 0 marks the block at lo
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
@@ -138,21 +140,21 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: bytes,
     return budget, None, None
 
 
-def _arc_search(matrix: np.ndarray, dist: ValuationDistribution, v: np.ndarray,
-                d: np.ndarray, g: np.ndarray, f: float, lo: float):
-    """The first point of the projection arc project(v + a d), a = 1, 1/2, ...,
-    down to `ARC_MIN`, that passes the ascent's Armijo test from v (value f,
-    gradient g) and moves, with its `revenue_terms`; None if no point does
-    (projected search, More & Toraldo 1991)."""
-    a = 1.0
-    while a >= ARC_MIN:
-        x_new = project_to_delta(v + a * d, lo)
+def _armijo_search(matrix: np.ndarray, dist: ValuationDistribution, x: np.ndarray,
+                   f: float, g: np.ndarray, trial, t: float, t_min: float):
+    """The ascent's one backtracking rule, for any move from x (value f, gradient g):
+    the first point trial(t), t halved by `ARMIJO_SHRINK` down to t_min, that passes
+    the Armijo test and is worth at least f, as (point, its `revenue_terms`, t);
+    None if no point passes or the first that passes does not move (projected
+    search, More & Toraldo 1991)."""
+    while t >= t_min:
+        x_new = trial(t)
         terms_new = revenue_terms(matrix, dist, x_new)
         f_new = terms_new[0]
-        if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - v)) \
+        if math.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
                 and f_new >= f:
-            return (x_new, terms_new) if (x_new != v).any() else None
-        a *= ARMIJO_SHRINK
+            return (x_new, terms_new, t) if (x_new != x).any() else None
+        t *= ARMIJO_SHRINK
     return None
 
 
@@ -173,9 +175,10 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     comparing objective values.  Once the iterate's face has held for
     `FACE_STABLE_ITERS` iterations, Newton's method on that face is tried
     once (`_face_newton`); each Newton step counts as an iteration.  A
-    Newton step that leaves the cone is followed along its projection arc
-    (`_arc_search`): the first arc point that passes the Armijo test is
-    that iteration's move, in place of the line search.  The run stops
+    Newton step that leaves the cone is followed along its projection arc,
+    from a = 1 down to `ARC_MIN`: the first arc point that passes is that
+    iteration's move, in place of the line search, and leaves the step
+    alone.  Both moves go through one search (`_armijo_search`).  The run stops
     when the gradient-mapping norm (at the reference step) is under
     `KKT_TOL` or stops decreasing, or after `MAX_ITER` iterations.
     A run never returns less than it found: if the final point is worth
@@ -223,6 +226,7 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             face_age += 1
         else:
             face, face_age = current, 0
+        move = None
         if face_age == FACE_STABLE_ITERS:
             steps, polished, leave = _face_newton(matrix, dist, face, x, g, f, step0,
                                                   min(NEWTON_MAX_STEPS, MAX_ITER - it), lo)
@@ -230,40 +234,27 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             if polished is not None:  # certified on the face, with its kkt
                 x, f, kkt = polished
                 break
-            arc = None if leave is None else _arc_search(matrix, dist, *leave, lo)
-            if arc is not None:  # the arc's point is this iteration's move
-                x_prev, g_prev = x, g
-                x, terms = arc
-                f = terms[0]
-                if f > best_f:
-                    best_x, best_f = x, f
-                continue
-        t = min(step * 2.0, step0 * 1e6)
-        if x_prev is not None:  # the last move s, in reference steps, and the gradient's change y
-            s, y = (x - x_prev) / step0, g - g_prev
-            sy = float(s @ y)
-            if sy < 0:  # negative curvature along s: the spectral step
-                t = step0 * min(max(float(s @ s) / -sy, 1e-14), 1e6)
-        x_prev, g_prev = x, g
-        accepted = False
-        while t >= step0 * 1e-14:
+            if leave is not None:  # follow the Newton step's projection arc
+                v, d, g_v, f_v = leave
+                move = _armijo_search(matrix, dist, v, f_v, g_v,
+                                      lambda a: project_to_delta(v + a * d, lo), 1.0, ARC_MIN)
+        if move is None:  # no arc move: a line search along the gradient
+            t = min(step * 2.0, step0 * 1e6)
+            if x_prev is not None:  # the last move s, in reference steps; the gradient's change y
+                s, y = (x - x_prev) / step0, g - g_prev
+                sy = float(s @ y)
+                if sy < 0:  # negative curvature along s: the spectral step
+                    t = step0 * min(max(float(s @ s) / -sy, 1e-14), 1e6)
             # the reference step's point is the gradient mapping's, already projected
-            x_new = reference if t == step0 else project_to_delta(x + t * g, lo)
-            terms_new = revenue_terms(matrix, dist, x_new)
-            f_new = terms_new[0]
-            if np.isfinite(f_new) and f_new >= f + ARMIJO_C * float(g @ (x_new - x)) \
-                    and f_new >= f:
-                accepted = bool((x_new != x).any())
-                break
-            t *= ARMIJO_SHRINK
-        if accepted:
-            x, terms, step = x_new, terms_new, t
-        else:
-            # objective comparisons are below float resolution; take the
-            # reference step anyway and keep watching the gradient mapping
-            x = reference
-            terms = revenue_terms(matrix, dist, x)
-            step = step0
+            move = _armijo_search(matrix, dist, x, f, g, lambda t: reference if t == step0
+                                  else project_to_delta(x + t * g, lo), t, step0 * 1e-14)
+            if move is None:
+                # objective comparisons are below float resolution; take the
+                # reference step anyway and keep watching the gradient mapping
+                move = reference, revenue_terms(matrix, dist, reference), step0
+            step = move[2]  # an arc move leaves the step alone
+        x_prev, g_prev = x, g
+        x, terms, _ = move
         f = terms[0]
         if f > best_f:
             best_x, best_f = x, f

@@ -141,7 +141,7 @@ def test_optimize_names_the_ceiling_a_horizon_exceeds(capsys, horizon, message):
      "tau 21 exceeds the enumeration guard 20"),
     (["sweep", "--dist", "uniform:0,1", "--fix", "gs", "--fixed-value", "0.8",
       "--grid-count", "1", "--tau-list", "2,7"],
-     "at gb = 0.01: tau 7 exceeds the supported ceiling 6 (k = 63)"),
+     "tau 7 exceeds the supported ceiling 6 (k = 63)"),
 ], ids=["optimize-tau-7", "optimize-tau-20", "optimize-tau-21", "sweep-tau-list-2-7"])
 def test_a_tau_above_the_ceiling_is_named_as_tau(capsys, argv, message):
     # the tau-step game is solved on its tau-round truncation, whose horizon

@@ -6,7 +6,9 @@ A private name is shared only from `core`.  `reduction`, `oracle` and
 `schemes` import only `core` and `distributions` (and `errors`), so the
 checker never reaches into the solver or the schemes, nor they into the
 checker or each other.  A scalar argument is read by one of core's two
-input rules, never by a `float()` or `int()` of its own.
+input rules, never by a `float()` or `int()` of its own.  The optimizer
+states its Armijo rule in one function, which every ascent move searches
+through.
 """
 
 import ast
@@ -88,3 +90,30 @@ def test_no_parameter_is_coerced_outside_the_input_rules_and_the_cli():
     offending = [hit for path in sorted(PACKAGE.glob("*.py")) if path.stem != "cli"
                  for hit in _parameter_coercions(path.stem, path.read_text())]
     assert offending == []
+
+
+def _readers(source, names):
+    """{name: sorted top-level functions of `source` that read it} for each of `names`."""
+    readers = {name: set() for name in names}
+    for func in ast.parse(source).body:
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) \
+                        and node.id in readers:
+                    readers[node.id].add(func.name)
+    return {name: sorted(funcs) for name, funcs in readers.items()}
+
+
+ARMIJO = ("ARMIJO_C", "ARMIJO_SHRINK")
+
+
+def test_the_armijo_check_sees_a_second_search():
+    source = ("C = 1\ndef a(t):\n    return t * C\n"
+              "def b(t):\n    def inner():\n        return C\n    return inner\n")
+    assert _readers(source, ["C"]) == {"C": ["a", "b"]}
+
+
+def test_the_armijo_rule_is_read_in_one_function():
+    readers = _readers((PACKAGE / "optimizer.py").read_text(), ARMIJO)
+    assert all(len(funcs) == 1 for funcs in readers.values()), readers
+    assert len({funcs[0] for funcs in readers.values()}) == 1, readers

@@ -385,16 +385,18 @@ def test_an_arc_move_never_lowers_a_run_and_counts_toward_max_iter(monkeypatch, 
     # point, with no gradient step after it
     if max_iter is not None:
         monkeypatch.setattr(optimizer, "MAX_ITER", max_iter)
-    newton, arc, ascent, runs = optimizer._face_newton, optimizer._arc_search, \
+    newton, search, ascent, runs = optimizer._face_newton, optimizer._armijo_search, \
         optimizer._projected_ascent, []
 
     def recorded_newton(*args):  # args[5] is the run's value where Newton is tried
         runs[-1]["values"].append(args[5])
-        return newton(*args)
+        out = newton(*args)
+        runs[-1]["arc"] = out[2] is not None  # a leave: the next search follows the arc
+        return out
 
-    def recorded_arc(*args):
-        out = arc(*args)
-        if out is not None:
+    def recorded_search(*args):
+        out = search(*args)
+        if runs[-1].pop("arc", False) and out is not None:
             runs[-1]["moves"].append((runs[-1]["values"][-1], out))
         return out
 
@@ -404,22 +406,52 @@ def test_an_arc_move_never_lowers_a_run_and_counts_toward_max_iter(monkeypatch, 
         return runs[-1]["out"]
 
     monkeypatch.setattr(optimizer, "_face_newton", recorded_newton)
-    monkeypatch.setattr(optimizer, "_arc_search", recorded_arc)
+    monkeypatch.setattr(optimizer, "_armijo_search", recorded_search)
     monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
     gb, gs = make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)
     result = maximize_L(Beta(4, 2), gb, gs)
     moved = [i for i, run in enumerate(runs) if run["moves"]]
     assert moved == [5]
     for i in moved:
-        for value, (_, terms) in runs[i]["moves"]:
+        for value, (_, terms, _) in runs[i]["moves"]:
             assert terms[0] >= value  # the arc's point is worth at least the run's value
     x, f, iterations, _ = runs[5]["out"]
     if max_iter is None:
         assert result.converged
     else:
-        (_, (point, terms)), = runs[5]["moves"]
+        (_, (point, terms, _)), = runs[5]["moves"]
         assert iterations == max_iter and np.array_equal(x, point) and f == terms[0]
         assert all(run["out"][2] <= max_iter for run in runs)
+
+
+def test_the_armijo_search_returns_the_first_passing_step_or_none(monkeypatch):
+    # one search serves the gradient step and the Newton arc: it halves t
+    # from its first trial, and a first passing point that does not move
+    # ends it with None, which sends a run to its fixed-step fallback
+    terms_of, calls = optimizer.revenue_terms, []
+
+    def counted(matrix, dist, v):
+        calls.append(None)
+        return terms_of(matrix, dist, v)
+
+    monkeypatch.setattr(optimizer, "revenue_terms", counted)
+    matrix, u, x = reduced_T2_functional(0.8, 0.2), Uniform(0, 1), np.array([0.2, 0.4])
+    g, f = L_gradient(matrix, u, x), L_value(matrix, u, x)
+    tried = []
+
+    def along_g(t):
+        tried.append(t)
+        return project_to_delta(x + t * g, 0.0)
+
+    assert optimizer._armijo_search(matrix, u, x, f, g, along_g, 0.5, 1.0) is None
+    assert (tried, calls) == ([], [])
+    assert optimizer._armijo_search(matrix, u, x, f, g, lambda t: x.copy(), 1.0, 1e-6) is None
+    assert len(calls) == 1  # x itself passes, so no shorter step is tried
+    calls.clear()
+    x_new, terms, t = optimizer._armijo_search(matrix, u, x, f, g, along_g, 4.0, 1e-6)
+    assert (tried, t, len(calls)) == ([4.0, 2.0, 1.0, 0.5], 0.5, 4)
+    assert np.array_equal(x_new, project_to_delta(x + 0.5 * g, 0.0))
+    assert terms[0] == L_value(matrix, u, x_new) > f
 
 
 # the exact T = 2 plane-collapse optima on U[0, 1], as (gs, gb): (v, value)
