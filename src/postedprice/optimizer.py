@@ -267,21 +267,21 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
 
 
 def _start_count(starts: int | None, k: int) -> int:
-    """The number of ascent starts: `starts` (a positive integer), or max(16, 4k) if None."""
-    return max(16, 4 * k) if starts is None else _positive_int(starts, "starts")
+    """The number of ascent starts: `starts` (a positive integer), or max(16, k) if None."""
+    return max(16, k) if starts is None else _positive_int(starts, "starts")
 
 
 def _start_points(dist: ValuationDistribution, k: int, count: int, p_star: float,
                   seed: int) -> Iterator[np.ndarray]:
     """The full start list, `count` points of the cone: the constant vector at p_star,
     the distribution's k quantiles at levels i / (k + 1), then sorted rows of the
-    distribution's quantiles at one seeded uniform draw of levels in [0, 1], so a seed
-    gives every list the same rows, and the rows lie where the mass is.  Under
-    `Uniform(lo, hi)` a row is what a uniform draw over [lo, hi] gives, bit for bit.
-    The points are yielded in order, and a row's quantiles are taken only when it is
-    reached, so a solve that stops after a warm start's reduced list maps a few rows,
-    not all (all 250 take about 13 ms on `Beta(4, 2)` at k = 63, where the runs of a
-    warm solve take about 20 ms)."""
+    distribution's quantiles at one seeded uniform draw of levels in [0, 1], so for a
+    seed a shorter list is a prefix of a longer one, and the rows lie where the mass
+    is.  Under `Uniform(lo, hi)` a row is what a uniform draw over [lo, hi] gives,
+    bit for bit.  The points are yielded in order, and a row's quantiles are taken
+    only when it is reached, so a solve that stops after a warm start's reduced list
+    maps a few rows, not all (the 61 rows of the default list take about 4 ms on
+    `Beta(4, 2)` at k = 63, where the runs of a warm solve take about 20 ms)."""
     rng = np.random.default_rng(seed)
     levels = rng.uniform(0.0, 1.0, size=(max(count - 2, 0), k))
     yield np.full(k, p_star)
@@ -320,7 +320,7 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
     point is certified and its gradient mapping, and the number of ascent
     runs made.
 
-    Start points.  The full list has `starts` points (default max(16, 4k)):
+    Start points.  The full list has `starts` points (default max(16, k)):
     the constant vector at the one-shot optimal price, the distribution's
     quantiles, and sorted rows of the quantiles at one seeded uniform draw of
     levels, so the random starts follow the distribution's mass.

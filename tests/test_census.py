@@ -1,6 +1,6 @@
 """The start census: 13 solves that a change to starts, steps or faces must keep.
 
-Deselected by default (28 tests, about 40 s); run with `pytest -m census`.  Every
+Deselected by default (28 tests, about 20 s); run with `pytest -m census`.  Every
 solve uses gs = 0.8 and the default starts and seed, and must certify.
 Its value is pinned to 1e-12 relative: on supports starting at 0 to the
 value recorded before the cone's floor moved to `lo` (those solves run the
@@ -22,8 +22,9 @@ import numpy as np
 import pytest
 
 from postedprice import (DiscountSequence, TruncatedExponential, make_geometric_discount,
-                         maximize_L, parse_distribution, truncate)
+                         maximize_L, parse_distribution)
 from test_cli import recorded_sweep
+from test_optimizer import game
 
 pytestmark = pytest.mark.census
 
@@ -48,12 +49,7 @@ CENSUS = {
 
 @pytest.mark.parametrize("spec, depth, gb_rate", list(CENSUS))
 def test_census_solve_certifies_at_its_pinned_value(spec, depth, gb_rate):
-    n = int(depth.removeprefix("tau").removeprefix("T"))
-    if depth.startswith("tau"):
-        game = truncate(gb_rate, 0.8, n)
-        buyer, seller = game.buyer, game.seller
-    else:
-        buyer, seller = make_geometric_discount(gb_rate, n), make_geometric_discount(0.8, n)
+    buyer, seller = game(depth, gb_rate, 0.8)
     result = maximize_L(parse_distribution(spec), buyer, seller)
     assert result.converged
     assert result.value == pytest.approx(CENSUS[spec, depth, gb_rate], rel=1e-12)

@@ -10,7 +10,7 @@ import pytest
 
 from postedprice import PricingTree, RegularityError, build_system, cli, uniform_face_optimum
 from postedprice.cli import main
-from postedprice.optimizer import WARM_RANDOM_STARTS
+from postedprice.optimizer import WARM_RANDOM_STARTS, _start_count
 
 DATA = Path(__file__).parent / "data"
 
@@ -324,7 +324,7 @@ def test_a_continued_sweep_reaches_every_exact_uniform_optimum(monkeypatch, argv
     for (dist, buyer, seller), kwargs, result in solves:
         k = len(result.v_star)
         assert kwargs["warm"] is previous.get(k)
-        assert result.starts == (3 + WARM_RANDOM_STARTS if k in previous else max(16, 4 * k))
+        assert result.starts == (3 + WARM_RANDOM_STARTS if k in previous else _start_count(None, k))
         _, exact = uniform_face_optimum(build_system(buyer, seller).Xi, dist)
         assert result.value == pytest.approx(exact, rel=1e-12), buyer
         assert result.converged, buyer

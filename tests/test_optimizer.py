@@ -258,6 +258,29 @@ def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
         assert result.value == value, spec
 
 
+def test_the_default_start_list_is_a_prefix_of_the_old_budget_list():
+    # all rows come from one seeded stream, so the default max(16, k) points are
+    # the first points of the old max(16, 4k) list, and starts=max(16, 4 * k)
+    # reruns the old search exactly (the start corpus rests on this)
+    dist, k = Beta(4, 2), 63
+    p_star, _ = myerson_price(dist)
+    count = optimizer._start_count(None, k)
+    default = list(optimizer._start_points(dist, k, count, p_star, 0))
+    old = list(optimizer._start_points(dist, k, 4 * k, p_star, 0))
+    assert (len(default), len(old)) == (count, 4 * k)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(default, old[:count]))
+
+
+def test_a_single_start_misses_where_the_default_list_does_not():
+    # a start-corpus miss kept as a regression case: texp:50,1 at tau 4,
+    # gs .95, gb .538, where the constant start alone stalls 4.2% short
+    game, dist = truncate(0.538, 0.95, 4), parse_distribution("texp:50,1")
+    single = maximize_L(dist, game.buyer, game.seller, starts=1)
+    assert (single.value, single.converged) == (0.2622879806416544, False)
+    result = maximize_L(dist, game.buyer, game.seller)
+    assert (result.value, result.converged, result.starts) == (0.2738447675301921, True, 16)
+
+
 def test_a_warm_start_runs_a_prefix_of_the_full_start_list(monkeypatch):
     # the warm start, then the first 2 + WARM_RANDOM_STARTS points of the
     # cold solve's list (the same seeded draw), or of an explicit --starts cap
@@ -273,7 +296,7 @@ def test_a_warm_start_runs_a_prefix_of_the_full_start_list(monkeypatch):
     cold_starts, starts[:] = starts[:], []
     warm = maximize_L(dist, gb, gs, seed=3, warm=cold.v_star)
     reduced = 2 + optimizer.WARM_RANDOM_STARTS
-    assert (cold.starts, warm.starts, len(starts)) == (28, 1 + reduced, 1 + reduced)
+    assert (cold.starts, warm.starts, len(starts)) == (16, 1 + reduced, 1 + reduced)
     assert starts[0] is not cold.v_star and np.array_equal(starts[0], cold.v_star)
     assert all(np.array_equal(a, b) for a, b in zip(starts[1:], cold_starts[:reduced]))
     assert warm.converged and warm.value >= cold.value * (1 - 1e-12)
@@ -316,7 +339,7 @@ PINNED_SOLVES = {
     ("beta:4,2", "T3"): (
         "89ad67493eebd73fc6c0441975b2dd3fc6c0441975b2dd3fd58e6bb26f5ce33f"
         "d58e6bb26f5ce33fd58e6bb26f5ce33fd58e6bb26f5ce33f",
-        1.072397474066283, 253, True, 2.642330798607874e-16),
+        1.072397474066283, 145, True, 2.642330798607874e-16),
     ("texp:50,1", "T2"): (
         "9509935570788a3fbe40f15549e4983fbe40f15549e4983f",
         0.014315825984780029, 148, True, 1.6688039838896885e-16),
@@ -325,19 +348,23 @@ PINNED_SOLVES = {
         "9ea2729b0c4dd63fec2f7aa7ce37db3fec2f7aa7ce37db3f5ccdf16edd3be23f"
         "5ccdf16edd3be23fe14e784c3a72e23fe14e784c3a72e23f2aed501a26f8e53f"
         "2aed501a26f8e53f2550630a0face83f2550630a0face83f",
-        1.745609147243134, 462, True, 2.456584831855006e-16),
+        1.745609147243134, 132, True, 2.456584831855006e-16),
 }
+
+
+def game(depth: str, gb: float, gs: float):
+    """The (buyer, seller) discounts of "T<n>" (geometric) or "tau<n>" (`truncate`)."""
+    if depth.startswith("tau"):
+        truncated = truncate(gb, gs, int(depth.removeprefix("tau")))
+        return truncated.buyer, truncated.seller
+    n = int(depth.removeprefix("T"))
+    return make_geometric_discount(gb, n), make_geometric_discount(gs, n)
 
 
 @pytest.mark.parametrize("spec, depth", list(PINNED_SOLVES))
 def test_pinned_solves_hold_to_the_byte(spec, depth):
     # gb .3 and gs .8 (the tau game: truncate(0.2, 0.8, 4)), default starts and seed
-    if depth.startswith("tau"):
-        game = truncate(0.2, 0.8, int(depth.removeprefix("tau")))
-        buyer, seller = game.buyer, game.seller
-    else:
-        T = int(depth.removeprefix("T"))
-        buyer, seller = make_geometric_discount(0.3, T), make_geometric_discount(0.8, T)
+    buyer, seller = game(depth, 0.2 if depth.startswith("tau") else 0.3, 0.8)
     result = maximize_L(parse_distribution(spec), buyer, seller)
     v_hex, value, iterations, converged, kkt = PINNED_SOLVES[spec, depth]
     assert result.v_star.tobytes().hex() == v_hex
@@ -379,7 +406,7 @@ def test_newton_steps_count_toward_max_iter(monkeypatch, max_iter):
 
 @pytest.mark.parametrize("max_iter", [6, None])
 def test_an_arc_move_never_lowers_a_run_and_counts_toward_max_iter(monkeypatch, max_iter):
-    # Beta(4, 2) at T = 3 (gb .3, gs .8, seed 0): start 5 of the 28 leaves
+    # Beta(4, 2) at T = 3 (gb .3, gs .8, seed 0): start 5 of the 16 leaves
     # the cone on a face-Newton step and moves along the projection arc
     # instead, at its sixth iteration, so cut there it returns the arc's
     # point, with no gradient step after it
