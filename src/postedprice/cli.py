@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import locale  # noqa: F401  (argparse's gettext imports it when a parser is built)
 import sys
 
 import numpy as np

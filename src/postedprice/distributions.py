@@ -13,7 +13,6 @@ import functools
 import math
 
 import numpy as np
-from scipy import optimize, special
 
 from .core import _nonnegative
 from .errors import InvalidParameterError
@@ -111,13 +110,21 @@ class Uniform(ValuationDistribution):
         return f"uniform:{self.lo:g},{self.hi:g}"
 
 
+@functools.cache
+def _special():
+    """`scipy.special`, imported on the first call: only `Beta` needs it, and the
+    import takes longer than a small solve."""
+    from scipy import special
+    return special
+
+
 class Beta(ValuationDistribution):
     def __init__(self, alpha: float, beta: float):
         alpha, beta = _nonnegative(alpha, "beta alpha"), _nonnegative(beta, "beta beta")
         if not (alpha > 0 and beta > 0 and math.isfinite(alpha + beta)):
             raise InvalidParameterError("beta needs finite alpha > 0 and beta > 0")
         self.alpha, self.beta = alpha, beta
-        self._log_norm = special.betaln(alpha, beta)
+        self._log_norm = _special().betaln(alpha, beta)
 
     @property
     def support(self):
@@ -129,7 +136,7 @@ class Beta(ValuationDistribution):
 
     def cdf(self, v):
         v = np.asarray(v, dtype=float)
-        return special.betainc(self.alpha, self.beta, np.minimum(1.0, np.maximum(0.0, v)))[()]
+        return _special().betainc(self.alpha, self.beta, np.minimum(1.0, np.maximum(0.0, v)))[()]
 
     def pdf(self, v):
         v = np.asarray(v, dtype=float)
@@ -147,7 +154,7 @@ class Beta(ValuationDistribution):
 
     def quantile(self, q):
         q = np.asarray(q, dtype=float)
-        return special.betaincinv(self.alpha, self.beta, np.clip(q, 0.0, 1.0))[()]
+        return _special().betaincinv(self.alpha, self.beta, np.clip(q, 0.0, 1.0))[()]
 
     def spec_string(self):
         return f"beta:{self.alpha:g},{self.beta:g}"
@@ -274,6 +281,59 @@ def _scan_myerson(dist: ValuationDistribution) -> tuple[float, float]:
     slope = lambda p: float(dist.sf(p) - p * dist.pdf(p))
     p_star = grid[i]
     if slope(a) > 0.0 > slope(b):
-        root = optimize.brentq(slope, a, b, xtol=4.0 * math.ulp(b))
+        root = _brentq(slope, a, b, xtol=4.0 * math.ulp(b))
         p_star = max(p_star, root, key=lambda p: p * dist.sf(p))  # ties keep the scan
     return float(p_star), static_revenue(dist, p_star)
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """A root of f in [a, b], where f(a) and f(b) differ in sign: SciPy's `brentq`
+    at its default `rtol` and `maxiter` (Brent 1973, Ch. 4), step for step as SciPy's
+    brentq.c takes them, so the root is SciPy's bit for bit.  The steps are computed
+    on `np.float64` with every floating-point error ignored, so an inf or NaN arises
+    silently, as in C; f is called outside that state.  As SciPy's wrapper does, a
+    NaN value of f raises `ValueError`, and a bracket not closed in `maxiter`
+    iterations `RuntimeError`."""
+    rtol, maxiter = 4.0 * np.finfo(float).eps, 100
+
+    def value(x):
+        fx = f(x)
+        if math.isnan(fx):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return np.float64(fx)
+
+    xpre, xcur = np.float64(a), np.float64(b)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0 or fcur == 0:
+        return float(xpre if fpre == 0 else xcur)
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = np.float64(0.0)
+    for _ in range(maxiter):
+        with np.errstate(all="ignore"):
+            if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+                xblk, fblk = xpre, fpre
+                spre = scur = xcur - xpre
+            if abs(fblk) < abs(fcur):  # the best point so far becomes xcur
+                xpre, xcur, xblk = xcur, xblk, xcur
+                fpre, fcur, fblk = fcur, fblk, fcur
+            delta = (xtol + rtol * abs(xcur)) / 2
+            sbis = (xblk - xcur) / 2
+            if fcur == 0 or abs(sbis) < delta:
+                return float(xcur)
+            stry = None
+            if abs(spre) > delta and abs(fcur) < abs(fpre):
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # a good short step
+            else:
+                spre = scur = sbis  # bisect
+            xpre, fpre = xcur, fcur
+            xcur = xcur + (scur if abs(scur) > delta else delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

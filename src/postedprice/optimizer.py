@@ -22,14 +22,17 @@ through (projected search, More & Toraldo 1991, SIAM J. Optim. 1).
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
 import math
+import os
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 
 import numpy as np
-from scipy.optimize._pava_pybind import pava
+from numpy.random import default_rng  # eager: numpy would load it lazily, in the first solve
 
 from .core import DiscountSequence, PricingTree, _positive_int, rate_order_satisfied
 from .distributions import ValuationDistribution, myerson_price
@@ -43,6 +46,28 @@ __all__ = [
     "maximize_L",
     "maximize_bilinear",
 ]
+
+
+def _load_pava():
+    """SciPy's compiled PAVA kernel, the `pava` of `scipy.optimize._pava_pybind`,
+    loaded from its file in SciPy's package directory, which is found without
+    importing `scipy`; the module is left out of `sys.modules`.  `import
+    scipy.optimize` would run that package's `__init__`, which loads `scipy.linalg`,
+    `linprog` and `shgo` too: most of what importing this package cost, and the
+    kernel needs none of it."""
+    name = "scipy.optimize._pava_pybind"
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    finder = FileFinder(os.path.join(scipy_dir, "optimize"),
+                        (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    if spec is None:
+        raise ImportError(f"no compiled {name} in {finder.path}", name=name)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.pava
+
+
+pava = _load_pava()
 
 KKT_TOL = 1e-9  # gradient-mapping norm that certifies a point
 MAX_ITER = 100_000  # iterations of one ascent start, Newton steps included
@@ -73,7 +98,8 @@ def project_to_delta(x, lo) -> np.ndarray:
     Isotonic regression (pool-adjacent-violators) enforces the ordering;
     the result is then clamped at `lo`.  The two steps commute for this
     cone, so the composition is the exact projection.  The regression calls
-    SciPy's compiled PAVA kernel (`scipy.optimize._pava_pybind.pava`) with
+    SciPy's compiled PAVA kernel (`scipy.optimize._pava_pybind.pava`, loaded
+    from its file by `_load_pava`, so `scipy.optimize` is never imported) with
     the unit weights and block indices that `isotonic_regression` gives it,
     without that wrapper's per-call overhead.  The kernel is private to
     SciPy, so a test pins this function to `isotonic_regression` byte for byte.
@@ -121,7 +147,10 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: bytes,
     blocks = (labels[:, None] == np.arange(1, labels[-1] + 1)).astype(float)
     v, value = x, f
     for step in range(1, budget + 1):
-        curvature = -(blocks.T @ L_hessian(matrix, dist, v) @ blocks)
+        with np.errstate(over="ignore", invalid="ignore"):  # f' * M v can overflow
+            curvature = -(blocks.T @ L_hessian(matrix, dist, v) @ blocks)
+        if not np.isfinite(curvature).all():  # no Newton step, as for an indefinite one
+            return step, None, None
         try:  # step only where the face's reduced Hessian is negative definite
             np.linalg.cholesky(curvature)
         except np.linalg.LinAlgError:
@@ -282,7 +311,7 @@ def _start_points(dist: ValuationDistribution, k: int, count: int, p_star: float
     only when it is reached, so a solve that stops after a warm start's reduced list
     maps a few rows, not all (the 61 rows of the default list take about 4 ms on
     `Beta(4, 2)` at k = 63, where the runs of a warm solve take about 20 ms)."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     levels = rng.uniform(0.0, 1.0, size=(max(count - 2, 0), k))
     yield np.full(k, p_star)
     if count > 1:

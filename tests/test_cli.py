@@ -175,6 +175,15 @@ def test_optimize_ratio_does_not_depend_on_the_valuation_unit(capsys, spec):
     assert payload["converged"] is True
 
 
+@pytest.mark.parametrize("spec", ["texp:1e200,1e-200", "texp:1e300,1e-300"])
+def test_a_solve_whose_curvature_overflows_warns_nothing(capsys, spec):
+    # f' * M v overflows in the face Hessian, so Newton is not tried there
+    code, out, err = run(capsys, "optimize", "--dist", spec, "--gs", "0.8", "--gb", "0.3",
+                         "--horizon", "2")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["converged"] is True
+
+
 def test_optimize_equal_rates_ratio_one(capsys):
     code, out, _ = run(capsys, "optimize", "--dist", "uniform:0,1", "--gs", "0.5",
                        "--gb", "0.5", "--horizon", "2", "--starts", "6")

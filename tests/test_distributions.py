@@ -1,10 +1,16 @@
+import copy
+import math
+import pickle
+import re
+
 import numpy as np
 import pytest
 from scipy import integrate, special
+from scipy.optimize import brentq
 
 from postedprice import (Beta, InvalidParameterError, TruncatedExponential,
-                         Uniform, cli, make_geometric_discount, maximize_L, myerson_price,
-                         parse_distribution, static_revenue)
+                         Uniform, cli, distributions, make_geometric_discount, maximize_L,
+                         myerson_price, parse_distribution, static_revenue)
 
 ALL_DISTS = [Uniform(0, 1), Uniform(0.2, 1.6), Beta(4, 2), Beta(2, 4),
              TruncatedExponential(1, 1), TruncatedExponential(2.5, 0.8)]
@@ -101,6 +107,59 @@ def test_a_refused_support_is_refused_on_every_call(dist):
         with pytest.raises(InvalidParameterError, match="too narrow"):
             myerson_price(dist)
     assert "_myerson" not in vars(dist)
+
+
+# smooth roots take interpolation steps; the step function only bisects, and
+# the flat ninth power mixes the two
+GENERIC_ROOT_FUNCTIONS = [
+    lambda x: math.cos(x) - x,
+    lambda x: x * x * x - 2.0 * x - 5.0,
+    lambda x: x ** 9 - 1e-9,
+    lambda x: 1.0 if x > 0.123 else -1.0,
+    lambda x: 1e-200 * (x - 0.3),  # f(a) * f(b) underflows: only the signs tell
+]
+
+
+def test_the_root_refinement_is_scipys_brentq_bit_for_bit(monkeypatch):
+    port = distributions._brentq
+    rng = np.random.default_rng(34)
+    dists = ([Uniform(lo, lo + width) for lo, width in rng.uniform([0, 0.01], [2, 3], (20, 2))]
+             + [Beta(*ab) for ab in rng.uniform(0.2, 8.0, (20, 2))]
+             + [TruncatedExponential(*10.0 ** lg) for lg in rng.uniform([-3, -2], [2, 2], (20, 2))])
+    brackets = []
+    with monkeypatch.context() as m:  # record the brackets that the Myerson scans refine
+        m.setattr(distributions, "_brentq",
+                  lambda f, a, b, xtol: brackets.append((f, a, b, xtol)) or port(f, a, b, xtol))
+        for dist in dists:
+            myerson_price(dist)
+    assert len(brackets) >= 45
+    for f in GENERIC_ROOT_FUNCTIONS:
+        for a, b in np.sort(rng.uniform(-3.0, 3.0, (20, 2)), axis=1):
+            if math.copysign(1.0, f(a)) != math.copysign(1.0, f(b)):
+                brackets += [(f, a, b, 1e-6), (f, a, b, 2e-12)]
+    assert len(brackets) >= 150
+    for f, a, b, xtol in brackets:
+        assert port(f, a, b, xtol).hex() == brentq(f, a, b, xtol=xtol).hex()
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: (x - 0.7) * (x - 0.7) * (x - 0.7), 0.0, 2.0),  # 100 steps do not close it
+    (lambda x: x - 0.2 if x < 0.5 else math.nan, 0.0, 1.0),
+    (lambda x: x, 1.0, 2.0),
+], ids=["no-convergence", "nan", "same-sign"])
+def test_the_root_refinement_fails_as_scipys_brentq_does(f, a, b):
+    with pytest.raises((RuntimeError, ValueError)) as theirs:
+        brentq(f, a, b, xtol=2e-12)
+    with pytest.raises(theirs.type, match=f"^{re.escape(str(theirs.value))}$"):
+        distributions._brentq(f, a, b, 2e-12)
+
+
+@pytest.mark.parametrize("family, params, _", FAMILY_PARAMS, ids=FAMILY_IDS)
+def test_a_distribution_copies_and_pickles(family, params, _):
+    dist = family(*params)
+    twins = [copy.deepcopy(dist), pickle.loads(pickle.dumps(dist))]
+    assert [vars(twin) for twin in twins] == [vars(dist)] * 2
+    assert [myerson_price(twin) for twin in twins] == [myerson_price(dist)] * 2
 
 
 @pytest.mark.parametrize("family, params, _", FAMILY_PARAMS, ids=FAMILY_IDS)

@@ -129,14 +129,30 @@ def test_result_value_is_L_at_v_star():
 
 
 def test_converged_when_a_tied_run_certified():
-    # at T=5 most starts certify, but the lexicographically smallest of the
-    # tied best points belongs to a run that stopped short of the tolerance
+    # at T=5 all 31 runs tie for the best value and certify, so this checks the
+    # end-to-end certificate only; `test_best_prefers_a_certified_tied_run`
+    # checks the tie rule itself
     u = Uniform(0, 1)
     gb = make_geometric_discount(0.3, 5)
     gs = make_geometric_discount(0.8, 5)
     result = maximize_L(u, gb, gs)
     assert result.converged
     assert result.kkt_residual <= 1e-9
+
+
+def test_best_prefers_a_certified_tied_run():
+    # runs are (value, point, kkt, iterations); the lexicographically smallest
+    # tied point is uncertified, and a run 5e-11 relative below it certified
+    uncertified = (1.0, np.array([0.1, 0.2]), 1e-6, 40)
+    certified = (1.0 - 5e-11, np.array([0.3, 0.4]), 1e-10, 12)
+    lower = (0.5, np.array([0.0, 0.0]), 0.0, 3)
+    assert optimizer._best([uncertified, certified, lower]) is certified
+    assert optimizer._best([certified, uncertified]) is certified
+    # with no certified run among the ties, the smallest point wins
+    assert optimizer._best([uncertified, (1.0, np.array([0.3, 0.4]), 1e-6, 9)]) is uncertified
+    # a certified run beyond 1e-10 relative does not tie
+    assert optimizer._best([uncertified, (1.0 - 2e-10, np.array([0.3, 0.4]), 0.0, 9),
+                            lower]) is uncertified
 
 
 def test_deterministic_given_seed():
