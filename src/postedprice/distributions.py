@@ -249,15 +249,18 @@ def static_revenue(dist: ValuationDistribution, price: float) -> float:
 def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
     """Leftmost global maximizer of the static revenue curve, and its value.
 
-    A scan of `MYERSON_GRID_POINTS` prices over the support brackets the
-    global maximum (no unimodality assumed).  Where the revenue slope
-    sf(p) - p * pdf(p) falls from positive to negative across the bracket,
-    its root, found to a few float spacings, replaces the scan point if it
-    earns more.  Returns (p_star, h_star).  A support whose scan spacing,
-    (hi - lo) / (MYERSON_GRID_POINTS - 1), is below the smallest normal
-    float (a width under about 2.2e-304) is refused with
-    `InvalidParameterError`: the scan's prices lose bits there, and on a
-    narrower support still the density overflows, so no line search ends.
+    A scan of `MYERSON_GRID_POINTS` evenly spaced prices, merged with the
+    prices at as many evenly spaced quantile levels (which follow the mass),
+    brackets the global maximum (no unimodality assumed); a quantile that is
+    NaN is passed over.  Where the revenue slope sf(p) - p * pdf(p) falls
+    from positive to negative across the bracket, a bisection over the
+    bracket's floats ends at two adjacent floats; the lower one, where the
+    slope is still non-negative, replaces the scan point if it earns more.
+    Returns (p_star, h_star).  A support narrower than
+    (MYERSON_GRID_POINTS - 1) times the smallest normal float (a width under
+    about 2.2e-304) is refused with `InvalidParameterError`: prices that close
+    together lose bits, and on a narrower support still the density
+    overflows, so no line search ends.
 
     The pair depends only on the distribution, which is not changed after
     `__init__`, so it is computed once per instance and stored on it: every
@@ -268,72 +271,31 @@ def myerson_price(dist: ValuationDistribution) -> tuple[float, float]:
 
 
 def _scan_myerson(dist: ValuationDistribution) -> tuple[float, float]:
-    """The scan and root refinement that `myerson_price` documents."""
+    """The scan and bisection that `myerson_price` documents."""
     lo, hi = dist.support
     if not (hi - lo) / (MYERSON_GRID_POINTS - 1) >= _TINY:
         raise InvalidParameterError(
             f"the support is too narrow for float arithmetic: width {hi - lo:g}")
-    grid = np.linspace(lo, hi, MYERSON_GRID_POINTS)
+    # prices at even quantile levels follow the mass; even prices keep the points
+    # that a quantile rounded to a support end (mass within a float of it) loses
+    grid = np.sort(np.concatenate((np.linspace(lo, hi, MYERSON_GRID_POINTS),
+                                   dist.quantile(np.linspace(0.0, 1.0, MYERSON_GRID_POINTS)))))
     values = grid * dist.sf(grid)
-    i = int(np.argmax(values))  # argmax takes the first = leftmost among ties
-    a = grid[max(i - 1, 0)]
-    b = grid[min(i + 1, MYERSON_GRID_POINTS - 1)]
-    slope = lambda p: float(dist.sf(p) - p * dist.pdf(p))
+    i = int(np.nanargmax(values))  # the first = leftmost among ties; skips a NaN quantile
+    # two points each way: the two scans can put prices equal or a float apart
+    a, b = grid[max(i - 2, 0)], grid[min(i + 2, grid.size - 1)]
+    slope = lambda p: dist.sf(p) - p * dist.pdf(p)
     p_star = grid[i]
     if slope(a) > 0.0 > slope(b):
-        root = _brentq(slope, a, b, xtol=4.0 * math.ulp(b))
+        # non-negative floats sort as their bit patterns do, so bisecting the
+        # patterns ends at two adjacent floats in at most 64 steps
+        below, above = int(a.view(np.int64)), int(b.view(np.int64))
+        while above - below > 1:
+            mid = (below + above) // 2
+            if slope(np.int64(mid).view(np.float64)) >= 0.0:
+                below = mid
+            else:
+                above = mid
+        root = np.int64(below).view(np.float64)  # slope(root) >= 0 > slope(next float)
         p_star = max(p_star, root, key=lambda p: p * dist.sf(p))  # ties keep the scan
     return float(p_star), static_revenue(dist, p_star)
-
-
-def _brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of f in [a, b], where f(a) and f(b) differ in sign: SciPy's `brentq`
-    at its default `rtol` and `maxiter` (Brent 1973, Ch. 4), step for step as SciPy's
-    brentq.c takes them, so the root is SciPy's bit for bit.  The steps are computed
-    on `np.float64` with every floating-point error ignored, so an inf or NaN arises
-    silently, as in C; f is called outside that state.  As SciPy's wrapper does, a
-    NaN value of f raises `ValueError`, and a bracket not closed in `maxiter`
-    iterations `RuntimeError`."""
-    rtol, maxiter = 4.0 * np.finfo(float).eps, 100
-
-    def value(x):
-        fx = f(x)
-        if math.isnan(fx):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return np.float64(fx)
-
-    xpre, xcur = np.float64(a), np.float64(b)
-    fpre, fcur = value(xpre), value(xcur)
-    if fpre == 0 or fcur == 0:
-        return float(xpre if fpre == 0 else xcur)
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    xblk = fblk = spre = scur = np.float64(0.0)
-    for _ in range(maxiter):
-        with np.errstate(all="ignore"):
-            if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-                xblk, fblk = xpre, fpre
-                spre = scur = xcur - xpre
-            if abs(fblk) < abs(fcur):  # the best point so far becomes xcur
-                xpre, xcur, xblk = xcur, xblk, xcur
-                fpre, fcur, fblk = fcur, fblk, fcur
-            delta = (xtol + rtol * abs(xcur)) / 2
-            sbis = (xblk - xcur) / 2
-            if fcur == 0 or abs(sbis) < delta:
-                return float(xcur)
-            stry = None
-            if abs(spre) > delta and abs(fcur) < abs(fpre):
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # a good short step
-            else:
-                spre = scur = sbis  # bisect
-            xpre, fpre = xcur, fcur
-            xcur = xcur + (scur if abs(scur) > delta else delta if sbis > 0 else -delta)
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

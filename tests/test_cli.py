@@ -45,6 +45,28 @@ def test_myerson_wide_support_terminates(capsys):
     assert json.loads(out)["h_star"] == pytest.approx(2.5e6, rel=1e-12)
 
 
+def test_myerson_finds_a_peak_narrower_than_a_linear_scan_step(capsys):
+    # Exp(1e7) conditioned on [0, 1]: nearly all the mass lies below 1e-6, a
+    # hundredth of a step of a scan linear in price, which gave p* = 0
+    code, out, _ = run(capsys, "myerson", "--dist", "texp:1e7,1")
+    assert code == 0
+    assert json.loads(out)["p_star"] == 1e-07
+
+
+def test_a_texp_peak_below_the_smallest_normal_float_solves(capsys):
+    # both are untruncated exponentials to within rounding, of means 1e-308 and 2,
+    # and the ratio does not depend on the scale; the first's p* is subnormal
+    ratios = []
+    for spec in ("texp:1e308,1", "texp:0.5,1e17"):
+        code, out, _ = run(capsys, "optimize", "--dist", spec, "--gs", "0.8", "--gb", "0.3",
+                           "--horizon", "2")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["converged"] and payload["baseline"] > 0.0
+        ratios.append(payload["ratio"])
+    assert ratios[0] == pytest.approx(ratios[1], abs=1e-12)
+
+
 def test_malformed_dist_is_usage_error(capsys):
     code, _, err = run(capsys, "myerson", "--dist", "nope:1,2")
     assert code == 2
@@ -515,7 +537,7 @@ def test_rate_order_warning_does_not_fail(capsys, recwarn):
     (["bigdeal", "--dist", "uniform:0,1", "--gs", "0.5", "--gb", "0.8",
       "--tau", "21"], 3),
     (["truncate", "--gb", "0.5", "--gs", "0.8", "--tau", "21"], 3),
-    (["optimize", "--dist", "texp:1e308,1", "--gs", "0.8", "--gb", "0.3",
+    (["optimize", "--dist", "beta:1e-300,1", "--gs", "0.8", "--gb", "0.3",
       "--horizon", "2"], 3),
     (["sweep", "--dist", "beta:1e-300,1", "--fix", "gs", "--fixed-value", "0.8",
       "--horizon", "2"], 3),

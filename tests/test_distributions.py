@@ -1,15 +1,12 @@
 import copy
-import math
 import pickle
-import re
 
 import numpy as np
 import pytest
 from scipy import integrate, special
-from scipy.optimize import brentq
 
 from postedprice import (Beta, InvalidParameterError, TruncatedExponential,
-                         Uniform, cli, distributions, make_geometric_discount, maximize_L,
+                         Uniform, cli, make_geometric_discount, maximize_L,
                          myerson_price, parse_distribution, static_revenue)
 
 ALL_DISTS = [Uniform(0, 1), Uniform(0.2, 1.6), Beta(4, 2), Beta(2, 4),
@@ -45,8 +42,8 @@ def test_myerson_uniform():
 
 @pytest.mark.parametrize("hi", [1e7, 1e300])
 def test_myerson_wide_uniform_support(hi):
-    # the root of the revenue slope is found to a few float spacings of the
-    # bracket, however wide the support
+    # the bisection of the revenue slope ends at two adjacent floats, however
+    # wide the support
     p_star, h_star = myerson_price(Uniform(0, hi))
     assert p_star == pytest.approx(hi / 2, rel=1e-12)
     assert h_star == pytest.approx(hi / 4, rel=1e-12)
@@ -109,49 +106,38 @@ def test_a_refused_support_is_refused_on_every_call(dist):
     assert "_myerson" not in vars(dist)
 
 
-# smooth roots take interpolation steps; the step function only bisects, and
-# the flat ninth power mixes the two
-GENERIC_ROOT_FUNCTIONS = [
-    lambda x: math.cos(x) - x,
-    lambda x: x * x * x - 2.0 * x - 5.0,
-    lambda x: x ** 9 - 1e-9,
-    lambda x: 1.0 if x > 0.123 else -1.0,
-    lambda x: 1e-200 * (x - 0.3),  # f(a) * f(b) underflows: only the signs tell
-]
+@pytest.mark.parametrize("family, params, other", FAMILY_PARAMS, ids=FAMILY_IDS)
+def test_the_revenue_slope_changes_sign_at_the_next_float(family, params, other):
+    # the bisection ends at two adjacent floats: the slope sf(p) - p pdf(p) is
+    # non-negative at p* and non-positive one float above it
+    for dist in (family(*params), family(*other)):
+        p_star, _ = myerson_price(dist)
+        lo, hi = dist.support
+        assert lo < p_star < hi
+        slope = lambda p: dist.sf(p) - p * dist.pdf(p)
+        assert slope(p_star) >= 0.0 >= slope(np.nextafter(p_star, np.inf))
 
 
-def test_the_root_refinement_is_scipys_brentq_bit_for_bit(monkeypatch):
-    port = distributions._brentq
-    rng = np.random.default_rng(34)
-    dists = ([Uniform(lo, lo + width) for lo, width in rng.uniform([0, 0.01], [2, 3], (20, 2))]
-             + [Beta(*ab) for ab in rng.uniform(0.2, 8.0, (20, 2))]
-             + [TruncatedExponential(*10.0 ** lg) for lg in rng.uniform([-3, -2], [2, 2], (20, 2))])
-    brackets = []
-    with monkeypatch.context() as m:  # record the brackets that the Myerson scans refine
-        m.setattr(distributions, "_brentq",
-                  lambda f, a, b, xtol: brackets.append((f, a, b, xtol)) or port(f, a, b, xtol))
-        for dist in dists:
-            myerson_price(dist)
-    assert len(brackets) >= 45
-    for f in GENERIC_ROOT_FUNCTIONS:
-        for a, b in np.sort(rng.uniform(-3.0, 3.0, (20, 2)), axis=1):
-            if math.copysign(1.0, f(a)) != math.copysign(1.0, f(b)):
-                brackets += [(f, a, b, 1e-6), (f, a, b, 2e-12)]
-    assert len(brackets) >= 150
-    for f, a, b, xtol in brackets:
-        assert port(f, a, b, xtol).hex() == brentq(f, a, b, xtol=xtol).hex()
+@pytest.mark.parametrize("spec", ["beta:54,1e-283", "beta:2,1e-20"])
+def test_myerson_keeps_the_even_prices_where_the_quantiles_round_to_an_end(spec):
+    # the mass lies within a float of 1, so every quantile level above 0 rounds
+    # to 1.0, where the revenue is 0; the even prices still reach 0.9999
+    dist = parse_distribution(spec)
+    assert np.all(dist.quantile(np.linspace(0.0, 1.0, 10_000)[1:]) == 1.0)
+    assert myerson_price(dist) == (0.999899989999, 0.999899989999)
 
 
-@pytest.mark.parametrize("f, a, b", [
-    (lambda x: (x - 0.7) * (x - 0.7) * (x - 0.7), 0.0, 2.0),  # 100 steps do not close it
-    (lambda x: x - 0.2 if x < 0.5 else math.nan, 0.0, 1.0),
-    (lambda x: x, 1.0, 2.0),
-], ids=["no-convergence", "nan", "same-sign"])
-def test_the_root_refinement_fails_as_scipys_brentq_does(f, a, b):
-    with pytest.raises((RuntimeError, ValueError)) as theirs:
-        brentq(f, a, b, xtol=2e-12)
-    with pytest.raises(theirs.type, match=f"^{re.escape(str(theirs.value))}$"):
-        distributions._brentq(f, a, b, 2e-12)
+class NaNQuantileUniform(Uniform):
+    """Uniform(0, 1) whose quantile is NaN at every inner level, as SciPy's
+    betaincinv answers for some shapes (`beta:5,1e300`)."""
+
+    def quantile(self, q):
+        q = np.asarray(q, dtype=float)
+        return np.where((q > 0.0) & (q < 1.0), np.nan, q)[()]
+
+
+def test_myerson_passes_over_a_nan_quantile():
+    assert myerson_price(NaNQuantileUniform(0, 1)) == (0.5, 0.25)
 
 
 @pytest.mark.parametrize("family, params, _", FAMILY_PARAMS, ids=FAMILY_IDS)

@@ -258,9 +258,10 @@ def test_each_ascent_point_has_its_cdf_taken_once(monkeypatch):
     # certificate of its last top (texp's warm start stalls); the solve
     # itself does not move
     for spec, warm, counts, value in [
-            ("uniform:0,1", None, (102, 92), 0.47472527472527476),
-            ("texp:50,1", TEXP_STALL_START, (778, 291), 0.014315825984780027)]:
+            ("uniform:0,1", None, (93, 92), 0.47472527472527476),
+            ("texp:50,1", TEXP_STALL_START, (765, 291), 0.014315825984780027)]:
         dist = parse_distribution(spec)
+        myerson_price(dist)  # the stored Myerson search's own cdf calls are not the ascent's
         cdf, calls = type(dist).cdf, []
 
         def counted(self, v, cdf=cdf, calls=calls):
@@ -292,9 +293,20 @@ def test_a_single_start_misses_where_the_default_list_does_not():
     # gs .95, gb .538, where the constant start alone stalls 4.2% short
     game, dist = truncate(0.538, 0.95, 4), parse_distribution("texp:50,1")
     single = maximize_L(dist, game.buyer, game.seller, starts=1)
-    assert (single.value, single.converged) == (0.2622879806416544, False)
+    assert (single.value, single.converged) == (0.2622879811315721, False)
     result = maximize_L(dist, game.buyer, game.seller)
     assert (result.value, result.converged, result.starts) == (0.2738447675301921, True, 16)
+
+
+def test_the_constant_start_on_a_long_texp_support_sits_at_its_myerson_price():
+    # texp:0.5,1e12 puts nearly all its mass below 70 on a support 1e12 wide; a
+    # scan linear in price put p* at 0, and the constant start from there
+    # certified a local optimum 14% short after 12,427 iterations
+    game, dist = truncate(0.2, 0.8, 3), parse_distribution("texp:0.5,1e12")
+    assert myerson_price(dist)[0] == 2.0
+    single = maximize_L(dist, game.buyer, game.seller, starts=1)
+    assert single.converged and single.iterations < 1_000
+    assert single.value == pytest.approx(5.58038073150730, rel=1e-13)
 
 
 def test_a_warm_start_runs_a_prefix_of_the_full_start_list(monkeypatch):
