@@ -17,7 +17,9 @@ that certifies an ascent iterate, so `converged` means one thing either
 way: certified at 1e-9.  A Newton step that leaves the cone is not thrown
 away: the run searches its projection arc for a point that passes the
 Armijo test, by the one backtracking search that every ascent move goes
-through (projected search, More & Toraldo 1991, SIAM J. Optim. 1).
+through (projected search, More & Toraldo 1991, SIAM J. Optim. 1).  A run
+stops where that search finds no point up the gradient, so no run ever
+steps downhill.
 """
 
 from __future__ import annotations
@@ -196,23 +198,20 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     (Barzilai & Borwein 1988) when s'y < 0, s the last move in reference
     steps (so s's stays in the float range at every support width) and y
     the change in the gradient; otherwise at twice the last accepted step.
-    It halves t until the Armijo test passes, so accepted line-search
-    steps never decrease the objective.  Near the optimum the objective
-    differences underflow double precision before the gradient mapping
-    does, so once the line search stalls the run switches to plain
-    fixed-step projected iterations, which contract to the optimum without
-    comparing objective values.  Once the iterate's face has held for
-    `FACE_STABLE_ITERS` iterations, Newton's method on that face is tried
+    It halves t until the Armijo test passes.  If no step passes, or the
+    first that passes does not move x, the run stops at x: near the
+    optimum the objective differences underflow double precision, and no
+    move is taken that the search did not accept.  Once the iterate's face
+    has held for `FACE_STABLE_ITERS` iterations, Newton's method on that face is tried
     once (`_face_newton`); each Newton step counts as an iteration.  A
     Newton step that leaves the cone is followed along its projection arc,
     from a = 1 down to `ARC_MIN`: the first arc point that passes is that
     iteration's move, in place of the line search, and leaves the step
-    alone.  Both moves go through one search (`_armijo_search`).  The run stops
-    when the gradient-mapping norm (at the reference step) is under
-    `KKT_TOL` or stops decreasing, or after `MAX_ITER` iterations.
-    A run never returns less than it found: if the final point is worth
-    less than the best iterate by more than rounding (1e-12 relative), the
-    best iterate is returned.  Returns (x, f, iterations, kkt), kkt the
+    alone.  Both moves go through one search (`_armijo_search`), so every
+    point the run accepts is worth at least the one before it, and the run
+    returns its last.  The run also stops when the gradient-mapping norm (at
+    the reference step) is under `KKT_TOL` or stops decreasing, or after
+    `MAX_ITER` iterations.  Returns (x, f, iterations, kkt), kkt the
     gradient mapping at the returned x, so the run certified if kkt <=
     `KKT_TOL`.  A start whose value is not finite returns at once, after
     no iterations; otherwise a reference step so large that the line
@@ -230,7 +229,6 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     if not step0 <= np.finfo(float).max / 1e6:  # the line search's longest step overflows
         raise InvalidParameterError(
             f"the support is too wide for the ascent: (top - lo) / ||M||_1 = {step0:g}")
-    best_x, best_f = x, f
     step = step0
     best_kkt = np.inf
     stalled = 0
@@ -277,21 +275,14 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
             # the reference step's point is the gradient mapping's, already projected
             move = _armijo_search(matrix, dist, x, f, g, lambda t: reference if t == step0
                                   else project_to_delta(x + t * g, lo), t, step0 * 1e-14)
-            if move is None:
-                # objective comparisons are below float resolution; take the
-                # reference step anyway and keep watching the gradient mapping
-                move = reference, revenue_terms(matrix, dist, reference), step0
+            if move is None:  # no point up the gradient passes: the run ends at x, kkt x's
+                break
             step = move[2]  # an arc move leaves the step alone
         x_prev, g_prev = x, g
         x, terms, _ = move
         f = terms[0]
-        if f > best_f:
-            best_x, best_f = x, f
     else:  # MAX_ITER iterations: the last iterate's certificate
         _, kkt = _gradient_mapping(x, terms_gradient(matrix, dist, x, terms), step0, lo)
-    if f < best_f - 1e-12 * abs(best_f):
-        x, f = best_x, best_f
-        _, kkt = _gradient_mapping(x, L_gradient(matrix, dist, x), step0, lo)
     return x, f, it, kkt
 
 

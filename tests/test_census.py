@@ -1,6 +1,6 @@
 """The start census: 13 solves that a change to starts, steps or faces must keep.
 
-Deselected by default (28 tests, about 20 s); run with `pytest -m census`.  Every
+Deselected by default (28 tests, about 15 s); run with `pytest -m census`.  Every
 solve uses gs = 0.8 and the default starts and seed, and must certify.
 Its value is pinned to 1e-12 relative: on supports starting at 0 to the
 value recorded before the cone's floor moved to `lo` (those solves run the

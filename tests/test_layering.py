@@ -8,7 +8,8 @@ checker never reaches into the solver or the schemes, nor they into the
 checker or each other.  A scalar argument is read by one of core's two
 input rules, never by a `float()` or `int()` of its own.  The optimizer
 states its Armijo rule in one function, which every ascent move searches
-through.
+through, and an ascent run forms a point's value itself only at its start,
+so no point enters a run but through that search or face-Newton.
 """
 
 import ast
@@ -117,3 +118,23 @@ def test_the_armijo_rule_is_read_in_one_function():
     readers = _readers((PACKAGE / "optimizer.py").read_text(), ARMIJO)
     assert all(len(funcs) == 1 for funcs in readers.values()), readers
     assert len({funcs[0] for funcs in readers.values()}) == 1, readers
+
+
+def _call_lines(source, function, callee):
+    """Lines of the calls to `callee` inside the top-level function `function`."""
+    func, = (node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [node.lineno for node in ast.walk(func) if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name) and node.func.id == callee]
+
+
+def test_the_call_check_sees_a_second_call():
+    source = "def a(x):\n    y = f(x)\n    return f(y) if x else g(y)\ndef b():\n    f(1)\n"
+    assert _call_lines(source, "a", "f") == [2, 3]
+
+
+def test_an_ascent_run_forms_revenue_terms_only_at_its_start():
+    # every later point is one `_armijo_search` or `_face_newton` accepted
+    lines = _call_lines((PACKAGE / "optimizer.py").read_text(), "_projected_ascent",
+                        "revenue_terms")
+    assert len(lines) == 1, lines

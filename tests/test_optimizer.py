@@ -1,3 +1,4 @@
+import sys
 from itertools import product
 
 import numpy as np
@@ -179,8 +180,8 @@ def test_ascent_improves_on_every_start_value():
 @pytest.mark.parametrize("T", [2, 3])
 @pytest.mark.parametrize("gb_rate", [0.1, 0.3])
 def test_value_never_below_the_constant_myerson_tree(spec, T, gb_rate):
-    # start 0 is the constant tree at p*, which lies in the cone; on
-    # uniform:2,3 the fixed-step fallback used to walk it below its start
+    # start 0 is the constant tree at p*, which lies in the cone, and no run
+    # accepts a point worth less than its start
     dist = parse_distribution(spec)
     seller = make_geometric_discount(0.8, T)
     result = maximize_L(dist, make_geometric_discount(gb_rate, T), seller, starts=4)
@@ -482,7 +483,7 @@ def test_an_arc_move_never_lowers_a_run_and_counts_toward_max_iter(monkeypatch, 
 def test_the_armijo_search_returns_the_first_passing_step_or_none(monkeypatch):
     # one search serves the gradient step and the Newton arc: it halves t
     # from its first trial, and a first passing point that does not move
-    # ends it with None, which sends a run to its fixed-step fallback
+    # ends it with None, which ends a run when its gradient search returns it
     terms_of, calls = optimizer.revenue_terms, []
 
     def counted(matrix, dist, v):
@@ -722,15 +723,18 @@ def test_kkt_residual_is_measured_at_the_returned_point(monkeypatch, max_iter):
     assert result.converged == (result.kkt_residual <= optimizer.KKT_TOL)
 
 
-def test_a_run_that_ends_below_its_best_iterate_returns_the_best(monkeypatch):
+def test_a_run_accepts_no_point_worth_less_than_the_last(monkeypatch):
     # texp:100,1 at T = 3 (gb .3, gs .8): from a start drawn uniformly over
     # [0, 1] (row 14 of seed 0's sorted (26, 7) draw), where the survival
-    # 1 - F is below 1e-10 at every value, the ascent stalls after 253 iterations at
-    # 1.21928739515138e-11, below its best iterate 1.2192874270930129e-11,
-    # and returns that iterate with its own certificate
+    # 1 - F is below 1e-10 at every value, no step up the gradient passes the
+    # search, so the run stops at its start; steps taken without the search
+    # once walked this run to 1.21928739515138e-11, below its best iterate
+    # 1.2192874270930129e-11
     dist = parse_distribution("texp:100,1")
     Xi = build_system(make_geometric_discount(0.3, 3), make_geometric_discount(0.8, 3)).Xi
-    ascent, terms, args, values = optimizer._projected_ascent, optimizer.revenue_terms, [], []
+    ascent, args = optimizer._projected_ascent, []
+    terms, mapping = optimizer.revenue_terms, optimizer._gradient_mapping
+    value_of, accepted = {}, []
 
     def recorded(*a):
         args.append(a)
@@ -738,7 +742,13 @@ def test_a_run_that_ends_below_its_best_iterate_returns_the_best(monkeypatch):
 
     def recorded_terms(*a):  # every value the run forms, trial points included
         out = terms(*a)
-        values.append(out[0])
+        value_of[a[2].tobytes()] = out[0]
+        return out
+
+    def recorded_mapping(x, g, step0, lo):  # the run's own points, not `_face_newton`'s
+        out = mapping(x, g, step0, lo)
+        if sys._getframe(1).f_code.co_name == "_projected_ascent":
+            accepted.append((x, out[1]))
         return out
 
     monkeypatch.setattr(optimizer, "_projected_ascent", recorded)
@@ -746,8 +756,10 @@ def test_a_run_that_ends_below_its_best_iterate_returns_the_best(monkeypatch):
     matrix, _, _, step0, lo = args[0]  # the solve's reference step and floor
     x0 = np.sort(np.random.default_rng(0).uniform(0.0, 1.0, size=(26, 7)), axis=1)[14]
     monkeypatch.setattr(optimizer, "revenue_terms", recorded_terms)
+    monkeypatch.setattr(optimizer, "_gradient_mapping", recorded_mapping)
     x, f, iterations, kkt = ascent(matrix, dist, x0, step0, lo)
-    assert iterations == 253
-    assert values[-1] == 1.21928739515138e-11  # the last iterate's value
-    assert f == max(values) == 1.2192874270930129e-11
-    assert kkt == _gradient_mapping(x, L_gradient(matrix, dist, x), step0, lo)[1]
+    values = [value_of[point.tobytes()] for point, _ in accepted]
+    assert np.array_equal(accepted[0][0], x0) and iterations == len(accepted) == 1
+    assert all(later >= earlier for earlier, later in zip(values, values[1:]))
+    assert np.array_equal(x, accepted[-1][0]) and f == values[-1]
+    assert kkt == accepted[-1][1] == mapping(x, L_gradient(matrix, dist, x), step0, lo)[1]
