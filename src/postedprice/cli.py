@@ -6,8 +6,8 @@ simulations) with fixed formatting -- '.' decimal, 12 significant digits,
 comma separators, LF line endings -- so identical commands with identical
 seeds produce byte-identical output.
 
-Exit codes: 0 success, 2 usage, 3 domain error, 4 I/O error.  Rate-order
-warnings go to stderr and do not change the exit code.
+Exit codes: 0 success, 2 usage, 3 domain error, 4 I/O error.  Warnings go to
+stderr as `warning: <message>`, each once per command, and keep the exit code.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import json
 import locale  # noqa: F401  (argparse's gettext imports it when a parser is built)
 import sys
+import warnings
 
 import numpy as np
 
@@ -379,20 +380,24 @@ def _with_config(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    try:
-        args = build_parser().parse_args(_with_config(argv))
-        return args.func(args)
-    except SystemExit as exc:  # --help
-        return int(exc.code) if exc.code else 0
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 2
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 4
+    # the filters stay, so an "error" filter still raises; the registry of warnings
+    # shown starts empty, so the default filter prints each one once per command
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            args = build_parser().parse_args(_with_config(argv))
+            return args.func(args)
+        except SystemExit as exc:  # --help
+            return int(exc.code) if exc.code else 0
+        except UsageError as exc:
+            print(f"usage error: {exc}", file=sys.stderr)
+            return 2
+        except _DOMAIN_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except OSError as exc:
+            print(f"I/O error: {exc}", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

@@ -198,15 +198,15 @@ def _pricing_nodes(bits: np.ndarray) -> np.ndarray:
     return (1 << np.arange(T)) - 1 + bits @ prefix
 
 
-def _payment_matrix(bits: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _payment_matrix(bits: np.ndarray, weights: np.ndarray, nodes=None) -> np.ndarray:
     """K with K @ prices = discounted payments, one row per strategy in `bits`.
 
-    Columns are the nodes in `canonical_nodes` order; entry (i, j) is
-    weights[t] * a^i_t when node j prices round t on a^i's path, else 0.
+    Columns are the nodes in `canonical_nodes` order; entry (i, j) is weights[t] * a^i_t
+    when node j = nodes[i, t] prices round t (`nodes` = `_pricing_nodes(bits)`), else 0.
     """
     m, T = bits.shape
     K = np.zeros((m, 2 ** T - 1))
-    np.put_along_axis(K, _pricing_nodes(bits), bits * weights, axis=1)
+    K[np.arange(m)[:, None], _pricing_nodes(bits) if nodes is None else nodes] = bits * weights
     return K
 
 

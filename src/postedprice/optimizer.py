@@ -28,6 +28,7 @@ import importlib.util
 import itertools
 import math
 import os
+import sys
 import warnings
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -159,7 +160,7 @@ def _face_newton(matrix: np.ndarray, dist: ValuationDistribution, face: bytes,
             return step, None, None
         d = blocks @ np.linalg.solve(curvature, blocks.T @ g)
         v_new = v + d
-        if not (v_new[0] >= lo and np.all(v_new[1:] >= v_new[:-1])):
+        if not (v_new[0] >= lo and (v_new[1:] >= v_new[:-1]).all()):
             return step, None, (v, d, g, value)
         v = v_new
         terms = revenue_terms(matrix, dist, v)
@@ -224,9 +225,9 @@ def _projected_ascent(matrix: np.ndarray, dist: ValuationDistribution,
     with np.errstate(invalid="ignore", over="ignore"):
         terms = revenue_terms(matrix, dist, x)
     f = terms[0]
-    if not np.isfinite(f):  # the form overflowed at the start; no step can mend that
+    if not math.isfinite(f):  # the form overflowed at the start; no step can mend that
         return x, f, 0, np.inf
-    if not step0 <= np.finfo(float).max / 1e6:  # the line search's longest step overflows
+    if not step0 <= sys.float_info.max / 1e6:  # the line search's longest step overflows
         raise InvalidParameterError(
             f"the support is too wide for the ascent: (top - lo) / ||M||_1 = {step0:g}")
     step = step0
@@ -314,8 +315,8 @@ def _start_points(dist: ValuationDistribution, k: int, count: int, p_star: float
 def _warm_start(warm, k: int, lo: float) -> np.ndarray:
     """`warm` as a start of the ascent, refused unless it is a point of the cone in R^k."""
     x = np.array(warm, dtype=float)
-    if x.shape != (k,) or not (np.all(np.isfinite(x)) and x[0] >= lo
-                               and np.all(x[1:] >= x[:-1])):
+    if x.shape != (k,) or not (np.isfinite(x).all() and x[0] >= lo
+                               and (x[1:] >= x[:-1]).all()):
         raise InvalidParameterError(
             f"a warm start must be a finite vector of length {k} with lo <= v_1 <= ... <= v_k")
     return x
@@ -422,11 +423,11 @@ def maximize_bilinear(matrix: np.ndarray, dist: ValuationDistribution, *,
             break
         x, f, iters, kkt = _projected_ascent(matrix, dist, x0, step0, lo)
         total_iters += iters
-        if not np.isfinite(f):
+        if not math.isfinite(f):
             raise InvalidParameterError(f"the revenue form is not finite at start {i}")
         runs.append((f, x, kkt, iters))
     f, x, kkt, iters = _best(runs)
-    if kkt * step0 > np.finfo(float).eps * math.hypot(*x):  # x moves by more than its rounding
+    if kkt * step0 > sys.float_info.epsilon * math.hypot(*x):  # x moves by more than its rounding
         steps, polished, _ = _face_newton(matrix, dist, _face(x, lo), x,
                                           L_gradient(matrix, dist, x), f, step0,
                                           min(1, MAX_ITER - iters), lo)

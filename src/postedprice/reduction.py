@@ -11,12 +11,13 @@ one-shot revenue curve p (1 - F(p)).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (DiscountSequence, PricingTree, _finite_weights, _nonnegative,
-                   _payment_matrix, _words, canonical_nodes, strategy_bits)
+                   _payment_matrix, _pricing_nodes, _words, canonical_nodes, strategy_bits)
 from .distributions import ValuationDistribution
 from .errors import InvalidParameterError, RegularityError, ResourceLimitError
 
@@ -35,6 +36,21 @@ __all__ = [
 
 QUANTITY_COLLISION_TOL = 1e-12  # relative to Gamma^B
 CONE_ORDER_TOL = 1e-9  # v_to_tree's cone slack, relative to ||v||_1
+MAX_SYSTEM_HORIZON = 6  # k = 63: Xi measured within 1.3e-15 max|Xi| of its exact kernel
+
+
+@functools.lru_cache(maxsize=MAX_SYSTEM_HORIZON)
+def _layout(horizon: int) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """What depends only on the horizon, built once and read-only: `strategy_bits`,
+    its `_pricing_nodes` and the `canonical_nodes` names.  Only the solver's horizons reach it."""
+    bits = strategy_bits(horizon)
+    nodes = _pricing_nodes(bits)
+    bits.flags.writeable = nodes.flags.writeable = False
+    return bits, nodes, tuple(canonical_nodes(horizon))
+
+
+def _strategy_bits(horizon: int) -> np.ndarray:  # read from `_layout` at the solver's horizons
+    return _layout(horizon)[0] if horizon <= MAX_SYSTEM_HORIZON else strategy_bits(horizon)
 
 
 @dataclass(frozen=True)
@@ -52,7 +68,7 @@ class StrategyOrder:
     @property
     def bits(self) -> np.ndarray:
         """(2^T, T) bit matrix whose row j is strategy a^j."""
-        return strategy_bits(self.horizon)[self.index]
+        return _strategy_bits(self.horizon)[self.index]
 
     @property
     def strategies(self) -> tuple[str, ...]:
@@ -72,12 +88,12 @@ def order_strategies(buyer_discount: DiscountSequence) -> StrategyOrder:
     `RegularityError` then names the pair.
     """
     w = buyer_discount.as_array()
-    bits = strategy_bits(len(w))
+    bits = _strategy_bits(len(w))
     quantities = bits.astype(float) @ w
     idx = np.argsort(quantities, kind="stable")
     order = StrategyOrder(horizon=len(w), index=idx, quantities=quantities[idx])
-    gaps = np.diff(order.quantities)
-    j = int(np.argmin(gaps))
+    gaps = order.quantities[1:] - order.quantities[:-1]
+    j = int(gaps.argmin())
     if gaps[j] <= QUANTITY_COLLISION_TOL * order.quantities[-1]:
         pair = order.strategies[j:j + 2]
         raise RegularityError(
@@ -113,9 +129,6 @@ class ReductionSystem:
         return f"ReductionSystem(T={self.horizon}, k={self.k})"
 
 
-MAX_SYSTEM_HORIZON = 6  # k = 63: Xi measured within 1.3e-15 max|Xi| of its exact kernel
-
-
 # `cli` refuses a tau with it too, so it is public; like `revenue_terms` below
 # it stays out of `__all__`.
 def supported_depth(depth: int, what: str) -> None:
@@ -137,13 +150,14 @@ def build_system(buyer_discount: DiscountSequence,
     gb = buyer_discount.as_array()
     gs = _finite_weights(seller_discount, len(gb))
     supported_depth(len(gb), "horizon")
-    if np.any(gb <= 0) or np.any(gs <= 0):
+    if (gb <= 0).any() or (gs <= 0).any():
         raise InvalidParameterError("all discount weights must be positive here")
     order = order_strategies(buyer_discount)
-    gaps = np.diff(order.quantities)          # q_j - q_{j-1} > 0 by regularity
+    gaps = order.quantities[1:] - order.quantities[:-1]  # q_j - q_{j-1} > 0 by regularity
+    bits, nodes = (a[order.index[1:]] for a in _layout(order.horizon)[:2])
     # Row j of dK is what strategy a^j pays beyond a^(j-1); a^0 pays nothing
-    dK_bb, dK_bs = (np.diff(_payment_matrix(order.bits[1:], w), axis=0, prepend=0.0)
-                    for w in (gb, gs))
+    dK_bb, dK_bs = (_payment_matrix(bits, w, nodes) for w in (gb, gs))
+    dK_bb[1:], dK_bs[1:] = dK_bb[1:] - dK_bb[:-1], dK_bs[1:] - dK_bs[:-1]
 
     W = (1.0 / gaps)[:, None] * dK_bb
     W_inv = np.linalg.inv(W)
@@ -179,10 +193,10 @@ def v_to_tree(system: ReductionSystem, v) -> PricingTree:
     v = np.asarray(v, dtype=float)
     if v.shape != (system.k,):
         raise InvalidParameterError(f"v must have shape ({system.k},)")
-    if np.min(np.diff(v, prepend=0.0)) < -CONE_ORDER_TOL * np.linalg.norm(v, 1):
+    if (v[1:] - v[:-1]).min(initial=v[0]) < -CONE_ORDER_TOL * np.abs(v).sum():
         raise InvalidParameterError("v must satisfy 0 <= v_1 <= ... <= v_k")
     prices = np.maximum(system.W_inv @ v, 0.0)
-    return PricingTree(system.horizon, dict(zip(canonical_nodes(system.horizon), prices)))
+    return PricingTree(system.horizon, dict(zip(_layout(system.horizon)[2], prices)))
 
 
 # The optimizer takes the value and the gradient at a point from one

@@ -4,11 +4,13 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from postedprice import PricingTree, RegularityError, build_system, cli, uniform_face_optimum
+from postedprice import (PatienceOrderWarning, PricingTree, RegularityError, build_system, cli,
+                         uniform_face_optimum)
 from postedprice.cli import main
 from postedprice.optimizer import WARM_RANDOM_STARTS, _start_count
 
@@ -516,11 +518,35 @@ def test_sweep_full_fig_protocol_row_count_and_continuity(tmp_path, capsys):
     assert all(float(r[-1]) > 1.0 for r in rows)
 
 
+RATE_ORDER_WARNING = ("warning: discount rates violate nu(buyer) <= nu(seller); the optimum "
+                      "over completely active pricings may not be globally optimal\n")
+
+
 def test_rate_order_warning_does_not_fail(capsys, recwarn):
-    code, out, _ = run(capsys, "optimize", "--dist", "uniform:0,1", "--gs", "0.2",
-                       "--gb", "0.8", "--horizon", "2", "--starts", "4")
+    code, out, err = run(capsys, "optimize", "--dist", "uniform:0,1", "--gs", "0.2",
+                         "--gb", "0.8", "--horizon", "2", "--starts", "4")
     assert code == 0
     assert json.loads(out)["value"] > 0
+    assert err == RATE_ORDER_WARNING
+
+
+def test_a_sweep_prints_its_rate_order_warning_once_per_command(capsys):
+    # every row warns, from one line of the CLI
+    for _ in range(2):
+        code, out, err = run(capsys, "sweep", "--dist", "uniform:0,1", "--fix", "gs",
+                             "--fixed-value", "0.5", "--horizon", "2", "--grid-start", "0.6",
+                             "--grid-count", "3")
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        assert err == RATE_ORDER_WARNING
+
+
+def test_an_error_filter_still_raises_a_warning_through_the_cli():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", PatienceOrderWarning)
+        with pytest.raises(PatienceOrderWarning):
+            main(["optimize", "--dist", "uniform:0,1", "--gs", "0.2", "--gb", "0.8",
+                  "--horizon", "2", "--starts", "4"])
 
 
 @pytest.mark.parametrize("argv,code", [

@@ -8,11 +8,12 @@ import pytest
 from postedprice import (Beta, DiscountSequence, InvalidParameterError,
                          L_gradient, L_hessian, L_value, TruncatedExponential,
                          PricingTree, RegularityError, Uniform, best_response,
-                         build_system, expected_strategic_revenue, make_geometric_discount,
-                         order_strategies, reduced_T2_functional, tree_to_v,
-                         truncate, v_to_tree)
+                         build_system, canonical_nodes, core, expected_strategic_revenue,
+                         make_geometric_discount, order_strategies, reduced_T2_functional,
+                         reduction, tree_to_v, truncate, v_to_tree)
 
 from exact_kernel import exact_xi
+from test_acceptance import REGRESSION_TAU_VALUES
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -110,6 +111,81 @@ def test_xi_matches_the_exact_rational_kernel(buyer, seller):
     error = max(abs(Fraction(float(x)) - e)
                 for row, exact_row in zip(system.Xi, exact) for x, e in zip(row, exact_row))
     assert float(error / scale) <= 2e-15
+
+
+def _matrices_from_scratch(buyer, seller):
+    """W, W_inv and Xi formed with nothing kept between calls: every payment
+    matrix from `order.bits`, and its row increments by `np.diff`."""
+    order = order_strategies(buyer)
+    dK_bb, dK_bs = (np.diff(core._payment_matrix(order.bits[1:], w), axis=0, prepend=0.0)
+                    for w in (buyer.as_array(), seller.as_array()))
+    W = (1.0 / np.diff(order.quantities))[:, None] * dK_bb
+    W_inv = np.linalg.inv(W)
+    return W, W_inv, dK_bs @ W_inv
+
+
+def _same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _random_game(T):
+    rng = np.random.default_rng(500 + T)
+    return DiscountSequence(rng.uniform(0.05, 1.0, T)), DiscountSequence(rng.uniform(0.05, 1.0, T))
+
+
+@pytest.mark.parametrize("buyer, seller", [
+    *(_random_game(T) for T in range(1, 7)),
+    _game(0.3, 0.8, 2),
+    (truncate(0.6, 0.8, 2).buyer, truncate(0.6, 0.8, 2).seller),  # 01 ranks above 10
+    *((truncate(0.2, 0.8, tau).buyer, truncate(0.2, 0.8, tau).seller)
+      for tau in sorted(REGRESSION_TAU_VALUES)),
+], ids=[*(f"random-T{T}" for T in range(1, 7)), "T2-geometric", "T2-reordered",
+        *(f"tau{tau}" for tau in sorted(REGRESSION_TAU_VALUES))])
+def test_the_kept_layout_forms_the_same_matrix_bytes(buyer, seller):
+    system = build_system(buyer, seller)
+    W, W_inv, Xi = _matrices_from_scratch(buyer, seller)
+    assert _same_bytes(system.W, W)
+    assert _same_bytes(system.W_inv, W_inv)
+    assert _same_bytes(system.Xi, Xi)
+
+
+@pytest.mark.parametrize("T", range(1, 7))
+def test_the_payment_matrix_scatters_as_put_along_axis_does(T):
+    bits = core.strategy_bits(T)[::-1]  # any row order
+    w = np.random.default_rng(T).uniform(0.05, 1.0, T)
+    K = np.zeros((len(bits), 2 ** T - 1))
+    np.put_along_axis(K, core._pricing_nodes(bits), bits * w, axis=1)
+    assert _same_bytes(core._payment_matrix(bits, w), K)
+
+
+def test_no_caller_can_write_into_a_horizon_s_layout():
+    game = truncate(0.6, 0.8, 2)
+    v = np.array([0.2, 0.5, 0.7])
+    system = build_system(game.buyer, game.seller)
+    tree = v_to_tree(system, v)
+    bits, nodes, names = reduction._layout(2)
+    assert not bits.flags.writeable and not nodes.flags.writeable
+    assert isinstance(names, tuple)
+    with pytest.raises(ValueError, match="read-only"):
+        bits[0, 0] = 1
+    # what callers get back are their own copies
+    system.order.bits[:] = 1
+    order_strategies(game.buyer).bits[:] = 0
+    canonical_nodes(2).reverse()
+    canonical_nodes(2)[:] = ["1", "0", ""]
+    again = build_system(game.buyer, game.seller)
+    for a, b in ((again.W, system.W), (again.W_inv, system.W_inv), (again.Xi, system.Xi)):
+        assert _same_bytes(a, b)
+    assert v_to_tree(again, v) == tree
+    assert list(v_to_tree(again, v).prices()) == ["", "0", "1"]
+
+
+def test_the_layouts_kept_are_the_solver_s_horizons():
+    assert reduction._layout.cache_info().maxsize == reduction.MAX_SYSTEM_HORIZON
+    held = reduction._layout.cache_info().currsize
+    order = order_strategies(make_geometric_discount(0.3, 8))  # above the solver's horizons
+    assert order.bits.shape == (256, 8)
+    assert reduction._layout.cache_info().currsize == held
 
 
 def test_build_system_requires_positive_weights():
